@@ -40,7 +40,7 @@ def main() -> int:
         pp = poincare(r, n)
         rows = pp.betti_numbers()
         path = out / f"profile_r{r}_n{n}.csv"
-        path.write_text("".join(f"{deg},{b}\n" for deg, b in rows))
+        path.write_text(pp.to_csv())
         peak_deg, peak = max(rows, key=lambda t: t[1])
         print(
             f"(r={r}, n={n}): {len(rows)} rows, peak b_{peak_deg} has "

@@ -15,6 +15,7 @@ the fast path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,9 +34,6 @@ from .combinat import (
 from .exact import DensePoly, TruncatedSeries, geom_power
 
 DEFAULT_MARGIN = 5
-
-_poly_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-_rank2_cache: dict[int, tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,10 @@ class PoincarePoly:
     def betti_numbers(self) -> list[tuple[int, int]]:
         """Pairs (2k, b_2k) for k = 0 .. degree_bound."""
         return [(2 * k, c) for k, c in enumerate(self.coeffs_u())]
+
+    def to_csv(self) -> str:
+        """Headerless CSV, one "2k,b_2k" line per pair of `betti_numbers`."""
+        return "".join(f"{deg},{b}\n" for deg, b in self.betti_numbers())
 
 
 @dataclass(frozen=True)
@@ -188,18 +190,13 @@ def _lhs_coeffs(r: int, n: int, order: int) -> list[int]:
     return acc
 
 
+@functools.cache
 def _poincare_coeffs(r: int, n: int) -> tuple[int, ...]:
     if r == 1:
         return (1,)
     if n <= r:
         return ()
-    key = (r, n)
-    cached = _poly_cache.get(key)
-    if cached is None:
-        bound = (r - 1) * (n - r - 1)
-        cached = _solve_level(r, n, bound + DEFAULT_MARGIN)
-        _poly_cache[key] = cached
-    return cached
+    return _solve_level(r, n, (r - 1) * (n - r - 1) + DEFAULT_MARGIN)
 
 
 def _solve_level(r: int, n: int, order: int) -> tuple[int, ...]:
@@ -265,16 +262,15 @@ def poincare_rank2(n: int, margin: int = DEFAULT_MARGIN) -> PoincarePoly:
     return PoincarePoly(r=2, n=n, poly=DensePoly(coeffs, "u"))
 
 
-def _rank2_coeffs(n: int, margin: int = DEFAULT_MARGIN) -> tuple[int, ...]:
-    if margin == DEFAULT_MARGIN and n in _rank2_cache:
-        return _rank2_cache[n]
+@functools.cache
+def _rank2_coeffs(n: int, margin: int) -> tuple[int, ...]:
     order = (n - 3) + margin
     lhs = TruncatedSeries.from_poly(gaussian_binomial(2, n), order) * geom_power(
         n - 1, order
     )
     total = lhs
     for k in range(3, n):
-        sub = DensePoly(_rank2_coeffs(k), "u")
+        sub = DensePoly(_rank2_coeffs(k, DEFAULT_MARGIN), "u")
         term = (
             TruncatedSeries.from_poly(sub, order)
             * geom_power(n - k, order)
@@ -297,10 +293,7 @@ def _rank2_coeffs(n: int, margin: int = DEFAULT_MARGIN) -> tuple[int, ...]:
         out.append(f.numerator)
     while out and out[-1] == 0:
         out.pop()
-    coeffs = tuple(out)
-    if margin == DEFAULT_MARGIN:
-        _rank2_cache[n] = coeffs
-    return coeffs
+    return tuple(out)
 
 
 def recursion_residual(

@@ -52,7 +52,7 @@ def _load_point(path: str) -> quiver.QuiverPoint:
             raise ValueError(f"not valid JSON: {path}: {e}") from e
     try:
         return quiver.QuiverPoint.from_json_dict(obj)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
         raise ValueError(f"not a valid point file: {path}: {e}") from e
 
 
@@ -62,8 +62,7 @@ def _load_point(path: str) -> quiver.QuiverPoint:
 def _cmd_betti(args) -> int:
     pp = betti.poincare(args.r, args.n)
     if args.format == "csv":
-        lines = [f"{deg},{b}\n" for deg, b in pp.betti_numbers()]
-        _emit("".join(lines), args.output)
+        _emit(pp.to_csv(), args.output)
     else:
         _emit_json(
             {"r": args.r, "n": args.n, "coeffs_u": pp.coeffs_u()}, args.output
@@ -285,9 +284,7 @@ def _cmd_plot_data(args) -> int:
     pp = betti.poincare(args.r, args.n)
     if args.n < args.r + 1:
         raise ValueError("edge count must be at least rank + 1")
-    _emit(
-        "".join(f"{deg},{b}\n" for deg, b in pp.betti_numbers()), args.output
-    )
+    _emit(pp.to_csv(), args.output)
     return 0
 
 

@@ -650,19 +650,22 @@ def poly_matrix_charpoly(m: PolyMatrix) -> list[DensePoly]:
     recurrence, whose only divisions are by the integers 1..r and therefore
     stay exact over the rationals.
     """
-    r = m.size
-    cs: list[DensePoly] = []
-    aux = PolyMatrix.identity(r, m.var)
-    for k in range(1, r + 1):
+    return list(_faddeev_leverrier(m))
+
+
+def _faddeev_leverrier(m: PolyMatrix):
+    """Yield c_1, c_2, ... of det(t*Id - m) one at a time.
+
+    M_1 = m, M_k = m (M_(k-1) + c_(k-1) Id) and c_k = -Tr(M_k) / k, so c_k
+    costs k - 1 matrix products and a caller that stops early pays no more.
+    """
+    ident = PolyMatrix.identity(m.size, m.var)
+    mk = m
+    for k in range(1, m.size + 1):
         if k > 1:
-            aux = m.mul(prev).add(
-                PolyMatrix.identity(r, m.var).scale(cs[-1])
-            )
-        mk = m.mul(aux)
+            mk = m.mul(mk.add(ident.scale(ck)))
         ck = mk.trace().map_coeffs(lambda c: _div_int(c, k)) * (-1)
-        cs.append(ck)
-        prev = aux
-    return cs
+        yield ck
 
 
 def _div_int(c, k: int):

@@ -7,6 +7,8 @@ at most one, and decay like z^{-2} at infinity.  This module builds phi,
 maps it to base coordinates (coefficient vectors of the cleared trace
 powers), and checks the Poisson geometry: the bracket kernel identity, the
 pairwise commutation of base components, and the rank of their Jacobian.
+Exact base coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k,
+in `_cleared_traces`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .exact import (
     DensePoly,
     GaussianRational,
     PolyMatrix,
+    _faddeev_leverrier,
     norm_sq,
     poly_from_roots,
     scalar_to_json,
@@ -166,40 +169,59 @@ class BasePoint:
         }
 
 
+def _cleared_traces(psi: PolyMatrix, marked_points: Sequence):
+    """Yield (k, g_k, None) or (k, None, overflow message) for k = 2..r.
+
+    The charpoly coefficients c_i of psi come lazily from Faddeev-LeVerrier,
+    Newton's identities give t_k = Tr(psi^k) = -k c_k - sum_(i<k) c_i t_(k-i),
+    and g_k = t_k / prod(z - p_j)^(k-1) must be a polynomial of degree at
+    most n - 2k.  Stopping after power k stops the matrix work there.
+    """
+    n = len(marked_points)
+    divisor = poly_from_roots(marked_points)
+    den = DensePoly.one("z")
+    cs, traces = [], []
+    for k, ck in enumerate(_faddeev_leverrier(psi), start=1):
+        cs.append(ck)
+        tk = ck * (-k)
+        for i in range(1, k):
+            tk = tk - cs[i - 1] * traces[k - i - 1]
+        traces.append(tk)
+        if k == 1:
+            continue
+        den = den * divisor
+        quot, rem = tk.divmod(den)
+        bound = n - 2 * k
+        if rem:
+            yield k, None, (
+                f"degree overflow: trace power {k} has a higher-order "
+                "pole at a marked point"
+            )
+        elif quot and quot.degree > bound:
+            yield k, None, (
+                f"degree overflow: g_{k} has degree {quot.degree} > {bound}"
+            )
+        else:
+            yield k, quot.padded(bound + 1) if bound >= 0 else (), None
+
+
 def hitchin_map(field: HiggsField) -> BasePoint:
     """Base coordinates g_k(z) = Tr(phi(z)^k) * prod_j (z - p_j), k = 2..r.
 
-    On the exact path the trace of the twisted matrix power is divided by
-    prod(z - p_j)^(k-1); a nonzero remainder means some trace power has a
-    higher-order pole at a marked point and is reported as a degree
-    overflow, as is a quotient of degree above n - 2k.  Float fields are
+    On the exact path g_k comes from `_cleared_traces`; the first power
+    whose trace has a higher-order pole at a marked point, or a quotient
+    of degree above n - 2k, raises a degree overflow.  Float fields are
     fitted from evaluations at integer points beyond the marked ones.
     """
     r, n = field.r, field.n
     if field.flavor == "exact":
-        psi = _twisted_matrix(field)
-        divisor = poly_from_roots(field.marked_points)
         g: dict[int, tuple] = {}
-        power = psi
-        den = DensePoly.one("z")
-        for k in range(2, r + 1):
-            power = power.mul(psi)
-            den = den * divisor
-            quot, rem = power.trace().divmod(den)
-            if rem:
-                raise DegreeOverflowError(
-                    f"degree overflow: trace power {k} has a higher-order "
-                    "pole at a marked point",
-                    power=k,
-                )
-            bound = n - 2 * k
-            if quot and quot.degree > bound:
-                raise DegreeOverflowError(
-                    f"degree overflow: g_{k} has degree {quot.degree} "
-                    f"> {bound}",
-                    power=k,
-                )
-            g[k] = quot.padded(bound + 1) if bound >= 0 else ()
+        for k, gk, overflow in _cleared_traces(
+            _twisted_matrix(field), field.marked_points
+        ):
+            if overflow:
+                raise DegreeOverflowError(overflow, power=k)
+            g[k] = gk
         return BasePoint(r=r, n=n, g=g)
 
     pts = [float(p) for p in field.marked_points]
@@ -414,7 +436,8 @@ def commutation_report(point: QuiverPoint, eval_points: Sequence | None = None) 
         for z0 in eval_points
     ]
     grads = [observable_grad(point, o, field) for o in obs]
-    norms = [_grad_norm(g) for g in grads]
+    # only a nonzero bracket needs norms; exact squared norms can pass 2^1024
+    norms = None
     pairs = []
     max_abs = 0.0
     max_rel = 0.0
@@ -422,10 +445,13 @@ def commutation_report(point: QuiverPoint, eval_points: Sequence | None = None) 
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
             val = _contract(grads[i], grads[j])
+            a = rel = 0.0
             if val:
                 all_zero = False
-            a = math.sqrt(float(norm_sq(val)))
-            rel = a / max(1.0, norms[i] * norms[j])
+                if norms is None:
+                    norms = [_grad_norm(g) for g in grads]
+                a = math.sqrt(float(norm_sq(val)))
+                rel = a / max(1.0, norms[i] * norms[j])
             max_abs = max(max_abs, a)
             max_rel = max(max_rel, rel)
             pairs.append(

@@ -148,19 +148,13 @@ def moment_residual(point: QuiverPoint, alpha: Sequence | None = None) -> Moment
     ys = linalg.conj_t(y)
     total = sum(avec)
     center = total / r if point.flavor == "exact" else float(total) / r
+    avals = [float(a) for a in avec] if point.flavor == "float" else list(avec)
 
-    if point.flavor == "float":
-        xm, ym = x, y
-        avals = [float(a) for a in avec]
-    else:
-        xm, ym = x, y
-        avals = list(avec)
-
-    real_mat = linalg.mat_sub(linalg.mat_mul(xm, xs), linalg.mat_mul(ys, ym))
+    real_mat = linalg.mat_sub(linalg.mat_mul(x, xs), linalg.mat_mul(ys, y))
     real_mat = linalg.mat_sub(
         real_mat, linalg.mat_scale(linalg.identity(r), center)
     )
-    complex_mat = linalg.mat_mul(xm, ym)
+    complex_mat = linalg.mat_mul(x, y)
 
     per_edge = []
     for i in range(n):
@@ -596,7 +590,7 @@ def min_orbit_check(m: Sequence[Sequence], tol: float = 1e-8) -> bool:
     """
     mm = linalg.mat(m)
     if _is_exact_matrix(mm):
-        if mat_trace_nonzero(mm):
+        if linalg.mat_trace(mm):
             return False
         if linalg.frob_sq(linalg.mat_mul(mm, mm)) != 0:
             return False
@@ -611,11 +605,6 @@ def min_orbit_check(m: Sequence[Sequence], tol: float = 1e-8) -> bool:
     if np.linalg.norm(arr @ arr) > tol * scale * scale:
         return False
     return svals.size < 2 or float(svals[1]) <= tol * scale
-
-
-def mat_trace_nonzero(mm) -> bool:
-    t = linalg.mat_trace(mm)
-    return bool(t)
 
 
 def min_orbit_factor(m: Sequence[Sequence], tol: float = 1e-8) -> tuple[tuple, tuple]:

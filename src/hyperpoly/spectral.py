@@ -3,11 +3,15 @@
 The meromorphic field of a quiver point, multiplied by prod_j (z - p_j),
 is a polynomial matrix psi(z) with entry degrees at most n - 2.  Its
 characteristic polynomial f(z, lam) = lam^r + sum_i c_i(z) lam^(r-i) cuts
-out the spectral curve.  This module computes the c_i exactly, checks the
-vanishing-order bounds ord_{p_j}(c_i) >= floor((i+1)/2) at the marked
-points, probes for singular points away from the marked fibers through an
-exact discriminant, and carries two small hardcoded local models (one of
-rank 3, one of rank 4) used as fixtures.
+out the spectral curve.  The c_i come from the Faddeev-LeVerrier kernel
+that also yields the base coordinates (`hitchin._cleared_traces` turns them
+into Tr(psi^k) and g_k), so spectral and base data share one exact route
+and `trace_consistency` flags exactly the powers at which `hitchin_map`
+raises.  This module computes the c_i, checks the vanishing-order bounds
+ord_{p_j}(c_i) >= floor((i+1)/2) at the marked points, probes for singular
+points away from the marked fibers through an exact discriminant, and
+carries two small hardcoded local models (one of rank 3, one of rank 4)
+used as fixtures.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ from .errors import (
 from .exact import (
     DensePoly,
     PolyMatrix,
-    poly_from_roots,
     poly_matrix_charpoly,
     scalar_to_json,
     vanishing_order,
 )
-from .hitchin import HiggsField, _twisted_matrix, hitchin_map
+from .hitchin import HiggsField, _cleared_traces, _twisted_matrix
 from .quiver import min_orbit_check
 
 
@@ -147,40 +150,19 @@ class TraceConsistencyReport:
 
 
 def trace_consistency(field: HiggsField) -> TraceConsistencyReport:
-    """Verify Tr(psi^k) = g_k * prod(z - p_j)^(k-1) exactly for k = 2..r.
+    """Powers k = 2..r at which Tr(psi^k) is not g_k * prod(z - p_j)^(k-1).
 
-    The left side comes from this module's twist, the right side from the
-    base-coordinate map; k = 1 is trivially zero on both sides.  When the
-    base map itself fails on a higher-order pole, the offending powers are
-    identified by direct division and reported instead of raised.
+    The powers come from the same route as `hitchin_map`
+    (`hitchin._cleared_traces` on this module's twist), so the report is
+    ok exactly when the base map succeeds, and the first failing power is
+    the one at which it raises.
     """
     tw = twist(field)
-    r, n = tw.r, tw.n
-    divisor = poly_from_roots(field.marked_points)
-    power = tw.psi
-    traces = {}
-    for k in range(2, r + 1):
-        power = power.mul(tw.psi)
-        traces[k] = power.trace()
-    try:
-        base = hitchin_map(field)
-    except DegreeOverflowError:
-        failing = []
-        den = DensePoly.one("z")
-        for k in range(2, r + 1):
-            den = den * divisor
-            quot, rem = traces[k].divmod(den)
-            if rem or (quot and quot.degree > n - 2 * k):
-                failing.append(k)
-        return TraceConsistencyReport(ok=False, failing=tuple(failing))
-    failing = []
-    den = DensePoly.one("z")
-    for k in range(2, r + 1):
-        den = den * divisor
-        gk = DensePoly(base.g[k], "z")
-        if traces[k] != gk * den:
-            failing.append(k)
-    return TraceConsistencyReport(ok=not failing, failing=tuple(failing))
+    failing = tuple(
+        k for k, _, overflow in _cleared_traces(tw.psi, tw.marked_points)
+        if overflow
+    )
+    return TraceConsistencyReport(ok=not failing, failing=failing)
 
 
 # ---------------------------------------------------------------------------

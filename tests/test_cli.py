@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hyperpoly import cli
-from hyperpoly.quiver import QuiverPoint
+from hyperpoly.quiver import QuiverPoint, sample_exact
 
 from conftest import X24
 
@@ -90,6 +90,16 @@ def test_sample_roundtrip(tmp_path, capsys):
     assert pt.dumps() == text
 
 
+def test_commute_exact_rank6(tmp_path, capsys):
+    path = tmp_path / "pt.json"
+    code, _, _ = run(capsys, "sample", "-r", "6", "-n", "8", "--seed", "0",
+                     "-o", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "commute", "--point", str(path))
+    assert code == 0
+    assert json.loads(out)["all_zero"] is True
+
+
 def test_sample_determinism(capsys):
     code1, out1, _ = run(capsys, "sample", "-r", "3", "-n", "6", "--seed", "9")
     code2, out2, _ = run(capsys, "sample", "-r", "3", "-n", "6", "--seed", "9")
@@ -171,6 +181,16 @@ def test_point_file_errors(tmp_path, capsys):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"r": 2}))
     code, _, _ = run(capsys, "hitchin", "--point", str(partial))
+    assert code == 3
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([1, 2]))
+    code, _, _ = run(capsys, "hitchin", "--point", str(listed))
+    assert code == 3
+    obj = json.loads(sample_exact(2, 4, seed=0).dumps())
+    obj["y"][0][0] = "1/0"
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps(obj))
+    code, _, _ = run(capsys, "hitchin", "--point", str(zero_den))
     assert code == 3
 
 

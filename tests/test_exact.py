@@ -224,7 +224,7 @@ small_polys = st.lists(
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=3).flatmap(
+@given(st.integers(min_value=1, max_value=4).flatmap(
     lambda k: st.lists(
         st.lists(small_polys, min_size=k, max_size=k), min_size=k, max_size=k
     )

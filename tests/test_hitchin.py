@@ -91,6 +91,17 @@ def test_hitchin_map_float_agrees(point24):
     for k, vec in base.g.items():
         for exact_c, float_c in zip(vec, fbase.g[k]):
             assert abs(complex(float_c) - complex(exact_c)) < 1e-8
+    # sampled points carry large coefficients: compare relative to the
+    # largest coefficient of each g_k
+    for r, n in [(2, 8), (3, 6), (3, 7)]:
+        pt = sample_exact(r, n, seed=0)
+        base = hitchin_map(residues(pt))
+        fbase = hitchin_map(residues(_float_copy(pt)))
+        assert fbase.g.keys() == base.g.keys()
+        for k, vec in base.g.items():
+            scale = max(abs(complex(c)) for c in vec)
+            for exact_c, float_c in zip(vec, fbase.g[k]):
+                assert abs(complex(float_c) - complex(exact_c)) < 1e-8 * scale
 
 
 def test_hitchin_map_coefficient_counts():
@@ -195,6 +206,12 @@ def test_commutation_report_exact(point24):
     assert rep.all_zero
     assert rep.max_abs == 0.0
     assert len(rep.pairs) == 3  # one observable, three eval points
+    # squared gradient norms here pass 2^1024; zero brackets must not
+    # convert them to float
+    for r, n, seed in [(6, 8, 0), (5, 15, 105)]:
+        rep = commutation_report(sample_exact(r, n, seed=seed))
+        assert rep.all_zero
+        assert rep.max_abs == rep.max_rel == 0.0
 
 
 def test_commutation_report_float(solved):
