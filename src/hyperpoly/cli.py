@@ -189,95 +189,50 @@ def _cmd_spectral(args) -> int:
     return 0
 
 
-def _fixture_checks():
-    x_fix = [[1, 0, 1, 1], [0, 1, 1, 2]]
+def _worked_point():
+    """The paper's worked example: rank 2, four edges of length 1."""
+    return quiver.exact_point_from_x(((1, 0, 1, 1), (0, 1, 1, 2)), alpha=[1] * 4)
 
-    def betti_values():
-        return (
-            betti.poincare(2, 4).coeffs_u() == [1, 4]
-            and betti.poincare(2, 3).coeffs_u() == [1]
-        )
 
-    def rank2_oracle():
-        return all(
-            betti.poincare(2, n).coeffs_u() == betti.poincare_rank2(n).coeffs_u()
-            for n in range(3, 9)
-        )
+def _worked_charpoly():
+    return spectral.spectral_charpoly(spectral.twist(hitchin.residues(_worked_point())))
 
-    def exact_sample():
-        pt = quiver.exact_point_from_x(x_fix, alpha=[1, 1, 1, 1])
-        res = quiver.moment_residual(pt)
-        return pt.y == (
-            (Fraction(0), Fraction(1)),
-            (Fraction(2), Fraction(0)),
-            (Fraction(2), Fraction(-2)),
-            (Fraction(-2), Fraction(1)),
-        ) and not res.complex_norm
 
-    def base_coordinates():
-        pt = quiver.exact_point_from_x(x_fix)
-        base = hitchin.hitchin_map(hitchin.residues(pt))
-        return base.g == {2: (Fraction(20),)}
-
-    def char_coefficient():
-        pt = quiver.exact_point_from_x(x_fix)
-        cp = spectral.spectral_charpoly(spectral.twist(hitchin.residues(pt)))
-        return cp.c[2] == DensePoly([-10]) * poly_from_roots([1, 2, 3, 4])
-
-    def order_bounds():
-        pt = quiver.exact_point_from_x(x_fix)
-        cp = spectral.spectral_charpoly(spectral.twist(hitchin.residues(pt)))
-        return spectral.order_check(cp).all_pass
-
-    def trace_tie():
-        pt = quiver.exact_point_from_x(x_fix)
-        return spectral.trace_consistency(hitchin.residues(pt)).ok
-
-    def bracket_zero():
-        pt = quiver.exact_point_from_x(x_fix)
-        val = hitchin.poisson_bracket(
-            pt, hitchin.BracketObservable(2, 5), hitchin.BracketObservable(2, 6)
-        )
-        return val == 0
-
-    def kernel_identity():
-        pt = quiver.exact_point_from_x(x_fix)
-        return hitchin.delta_check(pt, 5, 6) == 0
-
-    def local_models():
-        rank3, rank4 = spectral.local_models(seed=0)
-        return (
-            quiver.min_orbit_check(rank3.residue) is True
-            and quiver.min_orbit_check(rank4.residue) is False
-        )
-
-    return [
-        ("betti-values", betti_values),
-        ("rank2-oracle", rank2_oracle),
-        ("exact-sample", exact_sample),
-        ("base-coordinates", base_coordinates),
-        ("char-coefficient", char_coefficient),
-        ("order-bounds", order_bounds),
-        ("trace-tie", trace_tie),
-        ("bracket-zero", bracket_zero),
-        ("kernel-identity", kernel_identity),
-        ("local-models", local_models),
-    ]
+# (name, computation, frozen value): a row passes when its computation
+# returns its value; local_models() validates its own fixtures
+_FIXTURES = (
+    ("betti-values", lambda: [betti.poincare(2, n).coeffs_u() for n in (4, 3)], [[1, 4], [1]]),
+    ("rank2-oracle", lambda: [
+        betti.poincare(2, n).coeffs_u() == betti.poincare_rank2(n).coeffs_u()
+        for n in range(3, 9)
+    ], [True] * 6),
+    ("exact-sample", lambda: (
+        (pt := _worked_point()).y, quiver.moment_residual(pt).complex_norm
+    ), (((0, 1), (2, 0), (2, -2), (-2, 1)), 0)),
+    ("base-coordinates", lambda: hitchin.hitchin_map(hitchin.residues(_worked_point())).g,
+     {2: (20,)}),
+    ("char-coefficient", lambda: _worked_charpoly().c[2],
+     DensePoly([-10]) * poly_from_roots([1, 2, 3, 4])),
+    ("order-bounds", lambda: spectral.order_check(_worked_charpoly()).all_pass, True),
+    ("trace-tie", lambda: spectral.trace_consistency(hitchin.residues(_worked_point())).ok, True),
+    ("bracket-zero", lambda: hitchin.poisson_bracket(
+        _worked_point(), hitchin.BracketObservable(2, 5), hitchin.BracketObservable(2, 6)
+    ), 0),
+    ("kernel-identity", lambda: hitchin.delta_check(_worked_point(), 5, 6), 0),
+    ("local-models", lambda: [m.name for m in spectral.local_models(seed=0)], ["rank3", "rank4"]),
+)
 
 
 def _cmd_fixtures(args) -> int:
-    failures = 0
     lines = []
-    for name, check in _fixture_checks():
+    for name, compute, frozen in _FIXTURES:
         try:
-            ok = bool(check())
+            ok = compute() == frozen
         except Exception:
             ok = False
-        if not ok:
-            failures += 1
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}\n")
     _emit("".join(lines), args.output)
-    return 1 if failures else 0
+    return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 def _cmd_plot_data(args) -> int:

@@ -5,6 +5,8 @@ complex) plus :class:`GaussianRational`.  All exact code in this package is
 duck-typed over that protocol: a scalar must support field arithmetic,
 ``.conjugate()``, ``.real`` and ``.imag``.  Rationals are plain
 ``fractions.Fraction``; there is no custom real-rational class.
+`PolyMatrix` is a validated container of polynomials; its arithmetic is
+the generic matrix code in `linalg`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from . import linalg
 
 Rat = Union[int, Fraction]
 
@@ -139,11 +143,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-def norm_sq(v):
-    """|v|^2 as an exact rational (or float for float inputs)."""
-    return (v * v.conjugate()).real
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +567,11 @@ def geom_power(s: int, order: int) -> TruncatedSeries:
 # square matrices of polynomials
 
 class PolyMatrix:
-    """Square matrix with DensePoly entries, all in the same variable."""
+    """Square matrix with DensePoly entries, all in the same variable.
+
+    A validated container: its arithmetic is the generic ring code of
+    `linalg` applied to ``rows``.
+    """
 
     __slots__ = ("rows", "size", "var")
 
@@ -586,43 +589,6 @@ class PolyMatrix:
         self.rows = rows
         self.size = n
         self.var = var
-
-    @classmethod
-    def identity(cls, n: int, var: str = "z") -> "PolyMatrix":
-        one = DensePoly.one(var)
-        zero = DensePoly.zero(var)
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-            var,
-        )
-
-    def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix(
-            [[e * c for e in row] for row in self.rows], self.var
-        )
-
-    def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.var,
-        )
-
-    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        n = self.size
-        ocols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = DensePoly.zero(self.var)
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * ocols[j][k]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out, self.var)
 
     def trace(self) -> DensePoly:
         acc = DensePoly.zero(self.var)
@@ -659,12 +625,14 @@ def _faddeev_leverrier(m: PolyMatrix):
     M_1 = m, M_k = m (M_(k-1) + c_(k-1) Id) and c_k = -Tr(M_k) / k, so c_k
     costs k - 1 matrix products and a caller that stops early pays no more.
     """
-    ident = PolyMatrix.identity(m.size, m.var)
-    mk = m
+    ident = linalg.identity(m.size)
+    mk = m.rows
     for k in range(1, m.size + 1):
         if k > 1:
-            mk = m.mul(mk.add(ident.scale(ck)))
-        ck = mk.trace().map_coeffs(lambda c: _div_int(c, k)) * (-1)
+            mk = linalg.mat_mul(
+                m.rows, linalg.mat_add(mk, linalg.mat_scale(ident, ck))
+            )
+        ck = linalg.mat_trace(mk).map_coeffs(lambda c: _div_int(c, k)) * (-1)
         yield ck
 
 

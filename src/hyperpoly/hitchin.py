@@ -27,10 +27,10 @@ from .exact import (
     GaussianRational,
     PolyMatrix,
     _faddeev_leverrier,
-    norm_sq,
     poly_from_roots,
     scalar_to_json,
 )
+from .linalg import norm_sq
 from .quiver import QuiverPoint
 
 
@@ -231,7 +231,7 @@ def hitchin_map(field: HiggsField) -> BasePoint:
         if count <= 0:
             g[k] = ()
             continue
-        zs = np.array([float(n + 1 + t) for t in range(count)])
+        zs = np.array([float(z) for z in default_eval_points(n, count)])
         vals = []
         for z in zs:
             a = np.array(

@@ -3,16 +3,22 @@
 Matrices are tuples of tuples of scalars.  The same code serves exact
 entries (int, Fraction, GaussianRational) and floating entries (float,
 complex) because every scalar type used here supports field arithmetic,
-``.conjugate()`` and ``.real``.
+``.conjugate()`` and ``.real``.  The ring helpers (`identity`, `mat_add`,
+`mat_scale`, `mat_mul`, `mat_trace`) need only ring arithmetic with the
+integers 0 and 1, so they also serve matrices of `exact.DensePoly`
+entries.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .exact import norm_sq
-
 Matrix = tuple[tuple, ...]
+
+
+def norm_sq(v):
+    """|v|^2 as an exact rational (or float for float inputs)."""
+    return (v * v.conjugate()).real
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:

@@ -29,11 +29,11 @@ from .errors import (
 )
 from .exact import (
     GaussianRational,
-    norm_sq,
     parse_rational,
     scalar_from_json,
     scalar_to_json,
 )
+from .linalg import norm_sq
 
 
 def default_marked_points(n: int) -> tuple[Fraction, ...]:
@@ -56,6 +56,8 @@ class QuiverPoint:
     def __post_init__(self):
         if self.flavor not in ("exact", "float"):
             raise ValueError("flavor must be 'exact' or 'float'")
+        if self.r < 1 or self.n < 1:
+            raise ValueError("rank and edge count must be positive")
         if len(self.x) != self.r or any(len(row) != self.n for row in self.x):
             raise ValueError("x must be r x n")
         if len(self.y) != self.n or any(len(row) != self.r for row in self.y):
@@ -522,9 +524,7 @@ def polygon_edges(x: Sequence[Sequence], alpha: Sequence, tol: float = 1e-9) -> 
     avec = tuple(Fraction(a) for a in alpha)
     if len(avec) != n:
         raise ValueError("length vector size must match the edge count")
-    exact = all(
-        isinstance(v, (int, Fraction, GaussianRational)) for row in xm for v in row
-    )
+    exact = _is_exact_matrix(xm)
     total = sum(avec)
     if exact:
         center = total / r

@@ -192,14 +192,47 @@ def test_point_file_errors(tmp_path, capsys):
     zero_den.write_text(json.dumps(obj))
     code, _, _ = run(capsys, "hitchin", "--point", str(zero_den))
     assert code == 3
+    no_edges = dict(obj, n=0, x=[[], []], y=[], marked_points=[])
+    no_rank = dict(obj, r=0, x=[], y=[[] for _ in obj["y"]])
+    for name, empty in (("no_edges", no_edges), ("no_rank", no_rank)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(empty))
+        for cmd in ("hitchin", "commute", "jacobian", "spectral"):
+            code, _, _ = run(capsys, cmd, "--point", str(path))
+            assert code == 3, (name, cmd)
+
+
+FIXTURE_NAMES = [
+    "betti-values",
+    "rank2-oracle",
+    "exact-sample",
+    "base-coordinates",
+    "char-coefficient",
+    "order-bounds",
+    "trace-tie",
+    "bracket-zero",
+    "kernel-identity",
+    "local-models",
+]
 
 
 def test_fixtures_all_pass(capsys):
     code, out, _ = run(capsys, "fixtures", "--check")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 10
-    assert all(line.startswith("PASS ") for line in lines)
+    assert out == "".join(f"PASS {name}\n" for name in FIXTURE_NAMES)
+
+
+def test_fixtures_failing_row_is_isolated(capsys, monkeypatch):
+    def broken(field):
+        raise RuntimeError("broken base map")
+
+    monkeypatch.setattr("hyperpoly.hitchin.hitchin_map", broken)
+    code, out, _ = run(capsys, "fixtures", "--check")
+    assert code == 1
+    assert out == "".join(
+        f"{'FAIL' if name == 'base-coordinates' else 'PASS'} {name}\n"
+        for name in FIXTURE_NAMES
+    )
 
 
 def test_plot_data_rows(capsys):

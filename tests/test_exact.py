@@ -10,7 +10,6 @@ from hyperpoly.exact import (
     PolyMatrix,
     TruncatedSeries,
     geom_power,
-    norm_sq,
     parse_rational,
     poly_from_roots,
     poly_matrix_charpoly,
@@ -18,6 +17,7 @@ from hyperpoly.exact import (
     scalar_to_json,
     vanishing_order,
 )
+from hyperpoly.linalg import norm_sq
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=20
