@@ -34,7 +34,7 @@ def _emit(text: str, path: str | None = None):
 
 
 def _emit_json(obj, path: str | None = None):
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
 
 
 def _parse_alpha(text: str) -> tuple[Fraction, ...]:
@@ -52,7 +52,7 @@ def _load_point(path: str) -> quiver.QuiverPoint:
             raise ValueError(f"not valid JSON: {path}: {e}") from e
     try:
         return quiver.QuiverPoint.from_json_dict(obj)
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as e:
         raise ValueError(f"not a valid point file: {path}: {e}") from e
 
 
@@ -228,7 +228,8 @@ def _cmd_fixtures(args) -> int:
     for name, compute, frozen in _FIXTURES:
         try:
             ok = compute() == frozen
-        except Exception:
+        except Exception as e:
+            print(f"{name}: {type(e).__name__}: {e}", file=sys.stderr)
             ok = False
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}\n")
     _emit("".join(lines), args.output)

@@ -178,11 +178,21 @@ def scalar_to_json(v):
     raise TypeError(f"cannot serialize scalar {v!r}")
 
 
+def _finite_float(v) -> float:
+    try:
+        f = float(v)
+    except OverflowError as e:
+        raise ValueError(f"scalar outside the float range: {v!r}") from e
+    if not math.isfinite(f):
+        raise ValueError(f"non-finite scalar: {v!r}")
+    return f
+
+
 def scalar_from_json(obj):
     if isinstance(obj, str):
         return parse_rational(obj)
     if isinstance(obj, (int, float)):
-        return float(obj)
+        return _finite_float(obj)
     if isinstance(obj, dict):
         re, im = obj["re"], obj["im"]
         if isinstance(re, str) or isinstance(im, str):
@@ -190,7 +200,7 @@ def scalar_from_json(obj):
             if im == 0:
                 return re
             return GaussianRational(re, im)
-        return complex(float(re), float(im))
+        return complex(_finite_float(re), _finite_float(im))
     raise ValueError(f"cannot parse scalar from {obj!r}")
 
 
@@ -573,7 +583,7 @@ class PolyMatrix:
     `linalg` applied to ``rows``.
     """
 
-    __slots__ = ("rows", "size", "var")
+    __slots__ = ("rows", "size", "var", "_charpoly")
 
     def __init__(self, rows: Sequence[Sequence[DensePoly]], var: str = "z"):
         rows = tuple(tuple(e for e in row) for row in rows)
@@ -589,6 +599,7 @@ class PolyMatrix:
         self.rows = rows
         self.size = n
         self.var = var
+        self._charpoly = None
 
     def trace(self) -> DensePoly:
         acc = DensePoly.zero(self.var)
@@ -613,27 +624,22 @@ def poly_matrix_charpoly(m: PolyMatrix) -> list[DensePoly]:
 
     Returns [c_1, ..., c_r] with det(t*Id - m) = t^r + c_1 t^(r-1) + ... + c_r,
     each c_i a polynomial in the matrix variable.  Uses the Faddeev-LeVerrier
-    recurrence, whose only divisions are by the integers 1..r and therefore
-    stay exact over the rationals.
+    recurrence M_1 = m, M_k = m (M_(k-1) + c_(k-1) Id), c_k = -Tr(M_k) / k:
+    r - 1 matrix products, and the only divisions are by the integers 1..r,
+    which stay exact over the rationals.  The pass runs once per matrix.
     """
-    return list(_faddeev_leverrier(m))
-
-
-def _faddeev_leverrier(m: PolyMatrix):
-    """Yield c_1, c_2, ... of det(t*Id - m) one at a time.
-
-    M_1 = m, M_k = m (M_(k-1) + c_(k-1) Id) and c_k = -Tr(M_k) / k, so c_k
-    costs k - 1 matrix products and a caller that stops early pays no more.
-    """
-    ident = linalg.identity(m.size)
-    mk = m.rows
-    for k in range(1, m.size + 1):
-        if k > 1:
-            mk = linalg.mat_mul(
-                m.rows, linalg.mat_add(mk, linalg.mat_scale(ident, ck))
-            )
-        ck = linalg.mat_trace(mk).map_coeffs(lambda c: _div_int(c, k)) * (-1)
-        yield ck
+    if m._charpoly is None:
+        ident = linalg.identity(m.size)
+        mk = m.rows
+        cs = []
+        for k in range(1, m.size + 1):
+            if k > 1:
+                mk = linalg.mat_mul(
+                    m.rows, linalg.mat_add(mk, linalg.mat_scale(ident, cs[-1]))
+                )
+            cs.append(linalg.mat_trace(mk).map_coeffs(lambda c: _div_int(c, k)) * (-1))
+        m._charpoly = tuple(cs)
+    return list(m._charpoly)
 
 
 def _div_int(c, k: int):

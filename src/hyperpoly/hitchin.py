@@ -8,13 +8,14 @@ maps it to base coordinates (coefficient vectors of the cleared trace
 powers), and checks the Poisson geometry: the bracket kernel identity, the
 pairwise commutation of base components, and the rank of their Jacobian.
 Exact base coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k,
-in `_cleared_traces`.
+built once per field and read by `hitchin_map` and the spectral layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,17 +27,28 @@ from .exact import (
     DensePoly,
     GaussianRational,
     PolyMatrix,
-    _faddeev_leverrier,
     poly_from_roots,
+    poly_matrix_charpoly,
     scalar_to_json,
 )
 from .linalg import norm_sq
 from .quiver import QuiverPoint
 
 
+# relative mismatch of a float g_k fit at its check point, k >= 4
+_FLOAT_FIT_TOL = 1e-6
+
+
+def _pole_overflow(k: int) -> str:
+    return f"degree overflow: trace power {k} has a higher-order pole at a marked point"
+
+
 @dataclass(frozen=True)
 class HiggsField:
-    """Residue data of sum_i phi_i / (z - p_i)."""
+    """Residue data of sum_i phi_i / (z - p_i).
+
+    `psi` and `cleared_traces` are cached outside the dataclass fields.
+    """
 
     residues: tuple  # n matrices, each r x r
     marked_points: tuple
@@ -49,6 +61,70 @@ class HiggsField:
     @property
     def r(self) -> int:
         return len(self.residues[0])
+
+    @cached_property
+    def psi(self) -> PolyMatrix:
+        """phi(z) * prod_j (z - p_j) assembled as a polynomial matrix.
+
+        Entry degrees must not exceed n - 2: the z^(n-1) coefficient of
+        each entry is the corresponding entry of sum_i phi_i.  Exact
+        fields only.
+        """
+        if self.flavor != "exact":
+            raise ValueError("polynomial twisting requires exact residues")
+        n, r = self.n, self.r
+        cofactors = [
+            poly_from_roots([p for j, p in enumerate(self.marked_points) if j != i])
+            for i in range(n)
+        ]
+        rows = []
+        for a in range(r):
+            row = []
+            for b in range(r):
+                acc = DensePoly.zero("z")
+                for i in range(n):
+                    acc = acc + cofactors[i] * self.residues[i][a][b]
+                if acc.degree > n - 2:
+                    raise DegreeOverflowError(
+                        "degree overflow: residues do not sum to zero"
+                    )
+                row.append(acc)
+            rows.append(row)
+        return PolyMatrix(rows, "z")
+
+    @cached_property
+    def cleared_traces(self) -> tuple:
+        """(k, g_k, None) or (k, None, overflow message) for k = 2..r.
+
+        Newton's identities turn the charpoly coefficients c_i of psi into
+        t_k = Tr(psi^k) = -k c_k - sum_(i<k) c_i t_(k-i), and
+        g_k = t_k / prod(z - p_j)^(k-1) must be a polynomial of degree at
+        most n - 2k.
+        """
+        n = self.n
+        divisor = poly_from_roots(self.marked_points)
+        den = DensePoly.one("z")
+        cs = poly_matrix_charpoly(self.psi)
+        traces, out = [], []
+        for k, ck in enumerate(cs, start=1):
+            tk = ck * (-k)
+            for i in range(1, k):
+                tk = tk - cs[i - 1] * traces[k - i - 1]
+            traces.append(tk)
+            if k == 1:
+                continue
+            den = den * divisor
+            quot, rem = tk.divmod(den)
+            bound = n - 2 * k
+            gk = overflow = None
+            if rem:
+                overflow = _pole_overflow(k)
+            elif quot and quot.degree > bound:
+                overflow = f"degree overflow: g_{k} has degree {quot.degree} > {bound}"
+            else:
+                gk = quot.padded(bound + 1) if bound >= 0 else ()
+            out.append((k, gk, overflow))
+        return tuple(out)
 
 
 def _edge_scale(col, row) -> float:
@@ -90,8 +166,9 @@ def residues(point: QuiverPoint, tol: float = 1e-8) -> HiggsField:
     if exact:
         bad = bool(defect)
     else:
-        scale = max(float(linalg.frob_sq(m)) for m in mats)
-        bad = float(defect) > (tol * max(1.0, scale)) ** 2
+        bound = tol * max(1.0, max(float(linalg.frob_sq(m)) for m in mats))
+        # bound * bound is inf past the float range, where ** 2 raises
+        bad = float(defect) > bound * bound
     if bad:
         raise MomentMapError(
             "complex moment map violated: residues do not sum to zero"
@@ -117,37 +194,6 @@ def higgs_eval(field: HiggsField, z):
     return acc
 
 
-def _twisted_matrix(field: HiggsField) -> PolyMatrix:
-    """phi(z) * prod_j (z - p_j) assembled as a polynomial matrix.
-
-    Entry degrees must not exceed n - 2: the z^(n-1) coefficient of each
-    entry is the corresponding entry of sum_i phi_i.  Exact fields only.
-    """
-    if field.flavor != "exact":
-        raise ValueError("polynomial twisting requires exact residues")
-    n, r = field.n, field.r
-    cofactors = [
-        poly_from_roots(
-            [p for j, p in enumerate(field.marked_points) if j != i]
-        )
-        for i in range(n)
-    ]
-    rows = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            acc = DensePoly.zero("z")
-            for i in range(n):
-                acc = acc + cofactors[i] * field.residues[i][a][b]
-            if acc.degree > n - 2:
-                raise DegreeOverflowError(
-                    "degree overflow: residues do not sum to zero"
-                )
-            row.append(acc)
-        rows.append(row)
-    return PolyMatrix(rows, "z")
-
-
 @dataclass(frozen=True)
 class BasePoint:
     """Coefficient vectors of the cleared trace powers g_k, k = 2..r."""
@@ -169,81 +215,51 @@ class BasePoint:
         }
 
 
-def _cleared_traces(psi: PolyMatrix, marked_points: Sequence):
-    """Yield (k, g_k, None) or (k, None, overflow message) for k = 2..r.
-
-    The charpoly coefficients c_i of psi come lazily from Faddeev-LeVerrier,
-    Newton's identities give t_k = Tr(psi^k) = -k c_k - sum_(i<k) c_i t_(k-i),
-    and g_k = t_k / prod(z - p_j)^(k-1) must be a polynomial of degree at
-    most n - 2k.  Stopping after power k stops the matrix work there.
-    """
-    n = len(marked_points)
-    divisor = poly_from_roots(marked_points)
-    den = DensePoly.one("z")
-    cs, traces = [], []
-    for k, ck in enumerate(_faddeev_leverrier(psi), start=1):
-        cs.append(ck)
-        tk = ck * (-k)
-        for i in range(1, k):
-            tk = tk - cs[i - 1] * traces[k - i - 1]
-        traces.append(tk)
-        if k == 1:
-            continue
-        den = den * divisor
-        quot, rem = tk.divmod(den)
-        bound = n - 2 * k
-        if rem:
-            yield k, None, (
-                f"degree overflow: trace power {k} has a higher-order "
-                "pole at a marked point"
-            )
-        elif quot and quot.degree > bound:
-            yield k, None, (
-                f"degree overflow: g_{k} has degree {quot.degree} > {bound}"
-            )
-        else:
-            yield k, quot.padded(bound + 1) if bound >= 0 else (), None
-
-
 def hitchin_map(field: HiggsField) -> BasePoint:
     """Base coordinates g_k(z) = Tr(phi(z)^k) * prod_j (z - p_j), k = 2..r.
 
-    On the exact path g_k comes from `_cleared_traces`; the first power
-    whose trace has a higher-order pole at a marked point, or a quotient
-    of degree above n - 2k, raises a degree overflow.  Float fields are
-    fitted from evaluations at integer points beyond the marked ones.
+    On the exact path g_k comes from `field.cleared_traces`; the first
+    power whose trace has a higher-order pole at a marked point, or a
+    quotient of degree above n - 2k, raises a degree overflow.  Float
+    fields are fitted from evaluations at integer points beyond the marked
+    ones; from k = 4 on, a fit that misses Tr(phi^k) * prod(z - p_j) at
+    one more point by a relative 1e-6 raises the same degree overflow.
     """
     r, n = field.r, field.n
     if field.flavor == "exact":
         g: dict[int, tuple] = {}
-        for k, gk, overflow in _cleared_traces(
-            _twisted_matrix(field), field.marked_points
-        ):
+        for k, gk, overflow in field.cleared_traces:
             if overflow:
                 raise DegreeOverflowError(overflow, power=k)
             g[k] = gk
         return BasePoint(r=r, n=n, g=g)
 
     pts = [float(p) for p in field.marked_points]
+
+    def cleared(z, k):
+        a = np.array([[complex(v) for v in row] for row in higgs_eval(field, z)])
+        return complex(np.trace(np.linalg.matrix_power(a, k))) * math.prod(
+            z - p for p in pts
+        )
+
     g = {}
     for k in range(2, r + 1):
-        count = n - 2 * k + 1
-        if count <= 0:
-            g[k] = ()
-            continue
-        zs = np.array([float(z) for z in default_eval_points(n, count)])
-        vals = []
-        for z in zs:
-            a = np.array(
-                [[complex(v) for v in row] for row in higgs_eval(field, z)]
+        count = max(n - 2 * k + 1, 0)
+        zs = np.array([float(z) for z in default_eval_points(n, count + 1)])
+        coeffs = ()
+        if count:
+            vander = np.vander(zs[:-1], count, increasing=True)
+            coeffs = np.linalg.solve(
+                vander, np.array([cleared(z, k) for z in zs[:-1]])
             )
-            vals.append(
-                complex(np.trace(np.linalg.matrix_power(a, k)))
-                * math.prod(z - p for p in pts)
-            )
-        vander = np.vander(zs, count, increasing=True)
-        coeffs = np.linalg.solve(vander, np.array(vals))
         g[k] = tuple(complex(c) for c in coeffs)
+        if k >= 4:
+            # a fit cannot see the higher-order pole Tr(phi^k) may carry
+            # from k = 4 on, so the fit must also match one more point
+            want = cleared(zs[-1], k)
+            got = np.polyval(coeffs[::-1], zs[-1]) if count else 0
+            if abs(got - want) > _FLOAT_FIT_TOL * abs(want):
+                raise DegreeOverflowError(_pole_overflow(k), power=k)
     return BasePoint(r=r, n=n, g=g)
 
 
@@ -474,12 +490,17 @@ class JacobianReport:
 def _float_point(point: QuiverPoint) -> QuiverPoint:
     if point.flavor == "float":
         return point
+    try:
+        x = tuple(tuple(complex(v) for v in row) for row in point.x)
+        y = tuple(tuple(complex(v) for v in row) for row in point.y)
+    except OverflowError as e:
+        raise ValueError(f"point entries outside the float range: {e}") from e
     return QuiverPoint(
         r=point.r,
         n=point.n,
         flavor="float",
-        x=tuple(tuple(complex(v) for v in row) for row in point.x),
-        y=tuple(tuple(complex(v) for v in row) for row in point.y),
+        x=x,
+        y=y,
         alpha=point.alpha,
         marked_points=point.marked_points,
     )

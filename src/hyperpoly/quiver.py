@@ -9,6 +9,7 @@ satisfy real and complex equations to a tolerance.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import random
@@ -34,6 +35,13 @@ from .exact import (
     scalar_to_json,
 )
 from .linalg import norm_sq
+
+
+def _in_float_range(v) -> bool:
+    try:
+        return cmath.isfinite(complex(v))
+    except OverflowError:
+        return False
 
 
 def default_marked_points(n: int) -> tuple[Fraction, ...]:
@@ -68,6 +76,10 @@ class QuiverPoint:
             )
         if len(set(self.marked_points)) != self.n:
             raise ValueError("marked points must be distinct")
+        if self.flavor == "float":
+            values = [v for row in self.x + self.y for v in row]
+            if not all(map(_in_float_range, values + list(self.marked_points))):
+                raise ValueError("float point has a value outside the float range")
 
     def x_col(self, i: int) -> tuple:
         return tuple(self.x[a][i] for a in range(self.r))

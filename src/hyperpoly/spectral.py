@@ -3,15 +3,14 @@
 The meromorphic field of a quiver point, multiplied by prod_j (z - p_j),
 is a polynomial matrix psi(z) with entry degrees at most n - 2.  Its
 characteristic polynomial f(z, lam) = lam^r + sum_i c_i(z) lam^(r-i) cuts
-out the spectral curve.  The c_i come from the Faddeev-LeVerrier kernel
-that also yields the base coordinates (`hitchin._cleared_traces` turns them
-into Tr(psi^k) and g_k), so spectral and base data share one exact route
-and `trace_consistency` flags exactly the powers at which `hitchin_map`
-raises.  This module computes the c_i, checks the vanishing-order bounds
-ord_{p_j}(c_i) >= floor((i+1)/2) at the marked points, probes for singular
-points away from the marked fibers through an exact discriminant, and
-carries two small hardcoded local models (one of rank 3, one of rank 4)
-used as fixtures.
+out the spectral curve.  `twist` wraps the field's own psi, whose c_i
+also give the field's cleared traces Tr(psi^k) and g_k: spectral and base
+data share one exact pass, and `trace_consistency` flags exactly the
+powers at which `hitchin_map` raises.  This module computes the c_i,
+checks the vanishing-order bounds ord_{p_j}(c_i) >= floor((i+1)/2) at the
+marked points, probes for singular points away from the marked fibers
+through an exact discriminant, and carries two small hardcoded local
+models (one of rank 3, one of rank 4) used as fixtures.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .exact import (
     scalar_to_json,
     vanishing_order,
 )
-from .hitchin import HiggsField, _cleared_traces, _twisted_matrix
+from .hitchin import HiggsField
 from .quiver import min_orbit_check
 
 
@@ -68,7 +67,7 @@ class TwistedHiggs:
 def twist(field: HiggsField) -> TwistedHiggs:
     """Clear the poles of a field by prod_j (z - p_j)."""
     return TwistedHiggs(
-        psi=_twisted_matrix(field),
+        psi=field.psi,
         n=field.n,
         marked_points=field.marked_points,
     )
@@ -152,16 +151,12 @@ class TraceConsistencyReport:
 def trace_consistency(field: HiggsField) -> TraceConsistencyReport:
     """Powers k = 2..r at which Tr(psi^k) is not g_k * prod(z - p_j)^(k-1).
 
-    The powers come from the same route as `hitchin_map`
-    (`hitchin._cleared_traces` on this module's twist), so the report is
-    ok exactly when the base map succeeds, and the first failing power is
-    the one at which it raises.
+    The powers are read from the field's cleared traces, the same ones
+    `hitchin_map` reads, so the report is ok exactly when the base map
+    succeeds, and the first failing power is the one at which it raises.
     """
-    tw = twist(field)
-    failing = tuple(
-        k for k, _, overflow in _cleared_traces(tw.psi, tw.marked_points)
-        if overflow
-    )
+    twist(field)  # validates psi
+    failing = tuple(k for k, _, overflow in field.cleared_traces if overflow)
     return TraceConsistencyReport(ok=not failing, failing=failing)
 
 

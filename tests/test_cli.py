@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import cli
 from hyperpoly.quiver import QuiverPoint, sample_exact
@@ -192,6 +198,40 @@ def test_point_file_errors(tmp_path, capsys):
     zero_den.write_text(json.dumps(obj))
     code, _, _ = run(capsys, "hitchin", "--point", str(zero_den))
     assert code == 3
+    # entries beyond the float range: a float point whose products
+    # overflow, a NaN entry, and an exact point that has no float copy
+    clean = json.loads(sample_exact(2, 4, seed=0).dumps())
+
+    def scaled(rows, f):
+        return [[f(Fraction(v)) for v in row] for row in rows]
+
+    huge_float = dict(
+        clean,
+        flavor="float",
+        x=scaled(clean["x"], lambda v: float(v) * 1e200),
+        y=scaled(clean["y"], lambda v: float(v) * 1e200),
+    )
+    nan_float = dict(huge_float, x=[[float("nan")] * 4, huge_float["x"][1]])
+    for name, bad_obj, cmds in (
+        ("huge_float", huge_float, ("hitchin", "commute")),
+        ("nan_float", nan_float, ("hitchin", "commute", "jacobian", "spectral")),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad_obj))
+        for cmd in cmds:
+            code, out, err = run(capsys, cmd, "--point", str(path))
+            assert (code, out) == (3, ""), (name, cmd)
+            assert err.startswith("error: ")
+    huge_exact = dict(
+        clean,
+        x=scaled(clean["x"], lambda v: str(v * 10 ** 400)),
+        y=scaled(clean["y"], lambda v: str(v / 10 ** 400)),
+    )
+    path = tmp_path / "huge_exact.json"
+    path.write_text(json.dumps(huge_exact))
+    for cmd, want in (("hitchin", 0), ("commute", 0), ("spectral", 0), ("jacobian", 3)):
+        code, _, _ = run(capsys, cmd, "--point", str(path))
+        assert code == want, cmd
     no_edges = dict(obj, n=0, x=[[], []], y=[], marked_points=[])
     no_rank = dict(obj, r=0, x=[], y=[[] for _ in obj["y"]])
     for name, empty in (("no_edges", no_edges), ("no_rank", no_rank)):
@@ -200,6 +240,77 @@ def test_point_file_errors(tmp_path, capsys):
         for cmd in ("hitchin", "commute", "jacobian", "spectral"):
             code, _, _ = run(capsys, cmd, "--point", str(path))
             assert code == 3, (name, cmd)
+
+
+# values a hand-edited or corrupted point file may carry in any position
+_ODD_VALUES = st.one_of(
+    st.sampled_from([
+        None, True, "", "x", "1/0", "nan", "float", float("nan"), float("inf"),
+        1e200, 10 ** 400, f"{10 ** 400}/3", f"1/{10 ** 400}", [], [1, 2],
+        {"re": float("nan"), "im": 0.0}, {"re": "1/2"},
+    ]),
+    st.integers(),
+    st.floats(),
+    st.text(alphabet="0123456789/-.e ", max_size=6),
+)
+
+
+@st.composite
+def _mutated_points(draw):
+    """sample_exact(2, 4) point JSON, exact or as floats, with one to three
+    corruptions: a key replaced or dropped, an entry replaced, a list cut."""
+    obj = json.loads(sample_exact(2, 4, seed=0).dumps())
+
+    def odd():
+        # a copy, so that later corruptions never edit a sampled value
+        return copy.deepcopy(draw(_ODD_VALUES))
+
+    if draw(st.booleans()):
+        obj["flavor"] = "float"
+        for key in ("x", "y"):
+            obj[key] = [[float(Fraction(v)) for v in row] for row in obj[key]]
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["replace", "drop", "entry", "entry", "shape"]))
+        if how in ("replace", "drop"):
+            key = draw(st.sampled_from(sorted(obj) or ["r"]))
+            if how == "drop":
+                obj.pop(key, None)
+            else:
+                obj[key] = odd()
+            continue
+        lists = [k for k in ("x", "y", "marked_points") if isinstance(obj.get(k), list) and obj[k]]
+        if not lists:
+            continue
+        key = draw(st.sampled_from(lists))
+        if how == "shape":
+            obj[key] = obj[key][: draw(st.integers(0, len(obj[key]) - 1))]
+            continue
+        i = draw(st.integers(0, len(obj[key]) - 1))
+        if isinstance(obj[key][i], list) and obj[key][i]:
+            j = draw(st.integers(0, len(obj[key][i]) - 1))
+            obj[key][i][j] = odd()
+        else:
+            obj[key][i] = odd()
+    return obj
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=_mutated_points(), cmd=st.sampled_from(["hitchin", "commute", "jacobian", "spectral"]))
+def test_point_file_fuzz_keeps_exit_contract(tmp_path_factory, obj, cmd):
+    path = tmp_path_factory.mktemp("fuzz") / "pt.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([cmd, "--point", str(path)])
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert code != 0 and err.getvalue().startswith("error: ")
 
 
 FIXTURE_NAMES = [
@@ -227,12 +338,13 @@ def test_fixtures_failing_row_is_isolated(capsys, monkeypatch):
         raise RuntimeError("broken base map")
 
     monkeypatch.setattr("hyperpoly.hitchin.hitchin_map", broken)
-    code, out, _ = run(capsys, "fixtures", "--check")
+    code, out, err = run(capsys, "fixtures", "--check")
     assert code == 1
     assert out == "".join(
         f"{'FAIL' if name == 'base-coordinates' else 'PASS'} {name}\n"
         for name in FIXTURE_NAMES
     )
+    assert err == "base-coordinates: RuntimeError: broken base map\n"
 
 
 def test_plot_data_rows(capsys):

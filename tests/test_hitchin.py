@@ -121,6 +121,23 @@ def test_hitchin_map_overflow_at_rank4():
     assert exc.value.power == 4
 
 
+@pytest.mark.parametrize("r,n", [(4, 9), (5, 11)])
+def test_hitchin_map_float_overflow_at_rank4(solved, r, n):
+    # a fit from off-pole values cannot see the pole of the fourth trace
+    # power; the float map must raise where the exact one does
+    with pytest.raises(DegreeOverflowError) as exc:
+        hitchin_map(residues(solved(r, n, seed=0)))
+    assert exc.value.power == 4
+
+
+def test_higgs_field_cache_outside_equality():
+    pt = sample_exact(3, 7, seed=0)
+    field, other = residues(pt), residues(pt)
+    field.psi
+    assert field == other
+    assert hash(field) == hash(other)
+
+
 # ---------------------------------------------------------------------------
 # gradients and brackets
 

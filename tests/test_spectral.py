@@ -85,6 +85,27 @@ def test_trace_consistency_low_rank(point24):
     assert trace_consistency(residues(sample_exact(3, 7, seed=3))).ok
 
 
+def test_one_charpoly_pass_per_field(monkeypatch):
+    # hitchin_map, spectral_charpoly and trace_consistency share psi and
+    # its Faddeev-LeVerrier pass: r - 1 matrix products in all
+    from hyperpoly import linalg
+    from hyperpoly.hitchin import hitchin_map
+
+    field = residues(sample_exact(3, 7, seed=0))
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    hitchin_map(field)
+    spectral_charpoly(twist(field))
+    trace_consistency(field)
+    assert len(calls) == 2
+
+
 def test_trace_consistency_rank4_gap():
     rep = trace_consistency(residues(sample_exact(4, 8, seed=0)))
     assert not rep.ok
