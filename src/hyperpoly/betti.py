@@ -7,6 +7,14 @@ rank and admissible size tuples.  The family attached to the full partition
 (r) with size tuple (n) carries weight one and no pole, so the recursion can
 be solved for it.
 
+Each family is summed as sum_s N_s / (1-u)^s with integer numerators N_s,
+one per pole order s.  Within a partition the pole order is fixed by the
+number of edges its larger parts take, so the leaves of that size are
+collected in one bucket, the closed-form factor of the size-1 parts
+multiplies each bucket once, and the numerators are folded by Horner in
+1/(1-u), one prefix sum per pole order.  The Grassmannian side is the same
+fold with a single numerator.
+
 Two independent routes are kept alongside the solver: a closed three-term
 formula special to rank 2, and a direct term-by-term re-evaluation of the
 recursion used as a residual check.  They share no series bookkeeping with
@@ -72,27 +80,6 @@ class GenericityReport:
     witness: Optional[tuple[int, tuple[int, ...]]]
 
 
-def _geom_coeffs(s: int, order: int) -> list[int]:
-    return [math.comb(s - 1 + k, k) for k in range(order + 1)] if s else [1] + [0] * order
-
-
-def _mul_into(acc: list, poly: Sequence, geom: Sequence, shift: int, scale: int):
-    """acc += scale * u^shift * poly * geom, truncated to len(acc)-1."""
-    top = len(acc)
-    for i, p in enumerate(poly):
-        if not p:
-            continue
-        base = shift + i
-        if base >= top:
-            break
-        w = scale * p
-        for j in range(top - base):
-            g = geom[j]
-            if g:
-                acc[base + j] += w * g
-    return acc
-
-
 def _poly_mul_int(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
@@ -117,51 +104,74 @@ def _binomial_line_power(a: int, npow: int) -> list[int]:
     return [math.comb(npow, t) * pa[npow - t] * pb[t] for t in range(npow + 1)]
 
 
+@functools.cache
+def _light_factor(m: int, n1: int) -> tuple[int, ...]:
+    """Collapsed sum over the sizes of m size-1 parts sharing n1 edges:
+    sum_j (-1)^j C(m,j) ((m-j) + (1-m+j) u)^n1 (see `_family_sum`)."""
+    out = [0] * (n1 + 1)
+    for j in range(m + 1):
+        cmj = (-1) ** j * math.comb(m, j)
+        for t, q in enumerate(_binomial_line_power(m - j, n1)):
+            out[t] += cmj * q
+    return tuple(out)
+
+
+def _fold(numerators: dict[int, Sequence], order: int) -> list:
+    """sum_s N_s / (1-u)^s through u^order, as a coefficient list.
+
+    Horner in 1/(1-u): ((N_S/(1-u) + N_(S-1))/(1-u) + ...)/(1-u)^(s_min),
+    where each division by (1-u) is one prefix sum.
+    """
+    acc = [0] * (order + 1)
+    for s in range(max(numerators, default=0), -1, -1):
+        for k, c in enumerate(numerators.get(s, ())[: order + 1]):
+            acc[k] += c
+        if s:
+            acc = list(itertools.accumulate(acc))
+    return acc
+
+
 def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool) -> list:
     """Sum over all admissible size tuples for the partition lam of
-    weight * u^beta * geom(s) * prod_j P(lam_j, rho_j), as a coefficient list.
+    weight * u^beta * prod_j P(lam_j, rho_j) / (1-u)^s, as a coefficient list.
 
     Size-1 parts are summed in closed form: for fixed sizes on the larger
     parts, the inclusion-exclusion identity
         sum_K (ordered nonempty subsets, total K) ((1-u)/u)^K
             = sum_j (-1)^j C(m,j) ((m-j) + (1-m+j) u)^n' / u^n'
-    collapses the m-fold sum over their sizes into one polynomial factor.
+    collapses the m-fold sum over their sizes into the light factor
+    `_light_factor(m, n')`.
+
+    The sizes on the larger parts fix both n' = n - taken and the pole order
+    s = len(lam) + n - 1 - taken.  So the leaves c_h * u^beta_h * prod P are
+    added into one integer bucket per total `taken`, each bucket is
+    multiplied once by its light factor and shifted by m - n' into the
+    numerator N_s, and the numerators are folded by `_fold`.
     """
     r = sum(lam)
     ell = len(lam)
     heavy = [p for p in lam if p >= 2]
     m = ell - len(heavy)
-    acc = [0] * (order + 1)
+    buckets: dict[int, list] = {}
+
+    def drop(taken: int) -> int:
+        # the light factor comes with u^(m - n'), where n' = n - taken
+        return n - taken - m if m else 0
 
     def leaf(rho_h: tuple[int, ...], c_h: int):
         taken = sum(rho_h)
-        n1 = n - taken
-        if m and n1 < m:
-            return
+        top = order + drop(taken)
         beta_h = r * (n - r) + sum(p * (p - k) for p, k in zip(heavy, rho_h))
-        s_h = ell + n - 1 - taken
+        if beta_h > top:
+            return
         pprod = [1]
         for p, k in zip(heavy, rho_h):
-            sub = _poincare_coeffs(p, k)
-            if not sub:
-                return
-            pprod = _poly_mul_int(pprod, sub)
-        if m:
-            shift = beta_h + m - n1
-            rpoly = [0] * (n1 + 1)
-            for j in range(m + 1):
-                sign = -1 if j & 1 else 1
-                cmj = sign * math.comb(m, j)
-                for t, q in enumerate(_binomial_line_power(m - j, n1)):
-                    rpoly[t] += cmj * q
-            pprod = _poly_mul_int(pprod, rpoly)
-        else:
-            shift = beta_h
-        if shift < 0:
-            raise ArithmeticError("negative exponent in collapsed family sum")
-        if shift > order:
-            return
-        _mul_into(acc, pprod, _geom_coeffs(s_h, order - shift), shift, c_h)
+            pprod = _poly_mul_int(pprod, _poincare_coeffs(p, k))
+        bucket = buckets.get(taken)
+        if bucket is None:
+            bucket = buckets[taken] = [0] * (top + 1)
+        for i, c in enumerate(pprod[: top + 1 - beta_h], beta_h):
+            bucket[i] += c_h * c
 
     def rec(idx: int, avail: int, rho_h: tuple[int, ...], c_h: int):
         if idx == len(heavy):
@@ -175,19 +185,19 @@ def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool) -> 
             rec(idx + 1, avail - k, rho_h + (k,), c_h * math.comb(avail, k))
 
     rec(0, n, (), 1)
-    return acc
+    numerators = {}
+    for taken, bucket in buckets.items():
+        low = drop(taken)
+        if m:
+            bucket = _poly_mul_int(bucket, _light_factor(m, n - taken))
+        if any(bucket[:low]):
+            raise ArithmeticError("negative exponent in collapsed family sum")
+        numerators[ell + n - 1 - taken] = bucket[low:]
+    return _fold(numerators, order)
 
 
 def _lhs_coeffs(r: int, n: int, order: int) -> list[int]:
-    acc = [0] * (order + 1)
-    _mul_into(
-        acc,
-        gaussian_binomial(r, n).coeffs,
-        _geom_coeffs(n - 1, order),
-        0,
-        1,
-    )
-    return acc
+    return _fold({n - 1: gaussian_binomial(r, n).coeffs}, order)
 
 
 @functools.cache

@@ -188,14 +188,23 @@ def _finite_float(v) -> float:
     return f
 
 
-def scalar_from_json(obj):
-    if isinstance(obj, str):
+def _is_rational_json(v, exact: bool) -> bool:
+    return isinstance(v, str) or (exact and type(v) is int)
+
+
+def scalar_from_json(obj, exact: bool = False):
+    """Parse one scalar written by `scalar_to_json`.
+
+    "p/q" strings are exact.  A bare JSON integer is exact too when
+    ``exact`` is set (an exact point file), and a float otherwise.
+    """
+    if _is_rational_json(obj, exact):
         return parse_rational(obj)
     if isinstance(obj, (int, float)):
         return _finite_float(obj)
     if isinstance(obj, dict):
         re, im = obj["re"], obj["im"]
-        if isinstance(re, str) or isinstance(im, str):
+        if _is_rational_json(re, exact) or _is_rational_json(im, exact):
             re, im = parse_rational(re), parse_rational(im)
             if im == 0:
                 return re

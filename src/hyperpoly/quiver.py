@@ -109,15 +109,19 @@ class QuiverPoint:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "QuiverPoint":
         alpha = obj.get("alpha")
+        r, n, flavor = obj["r"], obj["n"], obj["flavor"]
+        if type(r) is not int or type(n) is not int:
+            raise ValueError("r and n must be JSON integers")
+        exact = flavor == "exact"
         return cls(
-            r=int(obj["r"]),
-            n=int(obj["n"]),
-            flavor=obj["flavor"],
+            r=r,
+            n=n,
+            flavor=flavor,
             x=tuple(
-                tuple(scalar_from_json(v) for v in row) for row in obj["x"]
+                tuple(scalar_from_json(v, exact) for v in row) for row in obj["x"]
             ),
             y=tuple(
-                tuple(scalar_from_json(v) for v in row) for row in obj["y"]
+                tuple(scalar_from_json(v, exact) for v in row) for row in obj["y"]
             ),
             alpha=None
             if alpha is None

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,41 @@ KNOWN = {
 }
 
 
+# sha256 of the comma-joined coefficients of larger levels, frozen from the
+# solver that multiplied every leaf by its own 1/(1-u)^s series
+DIGESTS = {
+    (3, 40): "06642f379727db3b87a94e6a90937cab40c86646db45105ff8bc5901b0bbe75f",
+    (4, 24): "2043c0ffd8d3fad2b0a4132a0d0d03c9a730740d75a078d09c591a23e92e9760",
+    (5, 30): "58cc943214992383437d08c520e38290f13bdc42346469d35fe96216aaadae3c",
+    (8, 20): "95e9fe3a42392201e31504fe30d94f224dcbda16e6adb0e4ba613f36afcd0d21",
+}
+
+
+def _digest(coeffs):
+    return hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("rn,coeffs", sorted(KNOWN.items()))
 def test_known_values(rn, coeffs):
     r, n = rn
     assert poincare(r, n).coeffs_u() == coeffs
+
+
+@pytest.mark.parametrize("r,n", sorted(DIGESTS))
+def test_frozen_digests(r, n):
+    assert _digest(poincare(r, n).coeffs_u()) == DIGESTS[r, n]
+
+
+def test_margin_does_not_change_coefficients():
+    for margin in (0, 2, 9):
+        assert poincare(3, 7, margin=margin).coeffs_u() == [1, 7, 29, 85, 190, 308, 302]
+
+
+def test_reflection_duality():
+    # P(r, n) = P(n - r, n); the solver never uses this symmetry
+    for n in range(3, 17):
+        for r in range(2, n - 1):
+            assert poincare(r, n).coeffs_u() == poincare(n - r, n).coeffs_u(), (r, n)
 
 
 def test_rank1_is_a_point():
@@ -53,10 +85,12 @@ def test_input_validation():
 
 
 def test_recursion_residual_zero_small():
-    for r in range(2, 5):
-        for n in range(r + 1, 8):
-            res = recursion_residual(r, n, margin=3)
-            assert not any(res.coeffs), (r, n)
+    levels = [(r, n) for r in range(2, 5) for n in range(r + 1, 8)]
+    # several heavy parts and many pole orders per family
+    levels += [(5, 12), (6, 12), (4, 14)]
+    for r, n in levels:
+        res = recursion_residual(r, n, margin=3)
+        assert not any(res.coeffs), (r, n)
 
 
 def test_truncation_stability():

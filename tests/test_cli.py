@@ -106,6 +106,21 @@ def test_commute_exact_rank6(tmp_path, capsys):
     assert json.loads(out)["all_zero"] is True
 
 
+def test_exact_point_with_json_integer_stays_exact(tmp_path, capsys):
+    # a hand-edited exact point may write the entry "3/1" as the integer 3
+    obj = json.loads(sample_exact(2, 4, seed=0).dumps())
+    assert obj["x"][0][1] == "3/1"
+    obj["x"][0][1] = 3
+    path = tmp_path / "int_entry.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "hitchin", "--point", str(path))
+    assert code == 0
+    assert json.loads(out) == {"g": {"2": ["1133196480/1"]}}
+    code, out, _ = run(capsys, "commute", "--point", str(path))
+    assert code == 0
+    assert json.loads(out)["all_zero"] is True
+
+
 def test_sample_determinism(capsys):
     code1, out1, _ = run(capsys, "sample", "-r", "3", "-n", "6", "--seed", "9")
     code2, out2, _ = run(capsys, "sample", "-r", "3", "-n", "6", "--seed", "9")
@@ -234,9 +249,19 @@ def test_point_file_errors(tmp_path, capsys):
         assert code == want, cmd
     no_edges = dict(obj, n=0, x=[[], []], y=[], marked_points=[])
     no_rank = dict(obj, r=0, x=[], y=[[] for _ in obj["y"]])
-    for name, empty in (("no_edges", no_edges), ("no_rank", no_rank)):
+    # r and n must be JSON integers, never truncated floats or bools
+    float_shape = dict(clean, r=2.9, n=4.5)
+    bool_rank = dict(
+        clean, r=True, x=clean["x"][:1], y=[row[:1] for row in clean["y"]]
+    )
+    for name, bad_shape in (
+        ("no_edges", no_edges),
+        ("no_rank", no_rank),
+        ("float_shape", float_shape),
+        ("bool_rank", bool_rank),
+    ):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(empty))
+        path.write_text(json.dumps(bad_shape))
         for cmd in ("hitchin", "commute", "jacobian", "spectral"):
             code, _, _ = run(capsys, cmd, "--point", str(path))
             assert code == 3, (name, cmd)

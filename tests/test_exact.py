@@ -68,6 +68,16 @@ def test_scalar_json_roundtrip_gaussian(a):
     assert back == a
 
 
+def test_scalar_json_integers_follow_the_point_flavor():
+    # a bare JSON integer is exact in an exact point and a float elsewhere
+    assert type(scalar_from_json(3, exact=True)) is Fraction
+    assert type(scalar_from_json(3)) is float
+    assert scalar_from_json({"re": 1, "im": -2}, exact=True) == GaussianRational(
+        Fraction(1), Fraction(-2)
+    )
+    assert scalar_from_json({"re": 1, "im": -2}) == complex(1, -2)
+
+
 def test_parse_rational_forms():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
