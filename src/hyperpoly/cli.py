@@ -78,11 +78,11 @@ def _cmd_betti_table(args) -> int:
         for n in range(args.r + 1, args.n_max + 1)
     ]
     if args.format == "csv":
-        out = []
-        for n, pp in rows:
-            for deg, b in pp.betti_numbers():
-                out.append(f"{args.r},{n},{deg},{b}\n")
-        _emit("".join(out), args.output)
+        _emit("".join(
+            f"{args.r},{n},{line}\n"
+            for n, pp in rows
+            for line in pp.to_csv().splitlines()
+        ), args.output)
     else:
         _emit_json(
             {

@@ -196,12 +196,11 @@ def scalar_from_json(obj, exact: bool = False):
     """Parse one scalar written by `scalar_to_json`.
 
     "p/q" strings are exact.  A bare JSON integer is exact too when
-    ``exact`` is set (an exact point file), and a float otherwise.
+    ``exact`` is set (an exact point file), and a float otherwise.  With
+    ``exact`` set, a JSON float raises ValueError, inside {"re", "im"} too.
     """
     if _is_rational_json(obj, exact):
         return parse_rational(obj)
-    if isinstance(obj, (int, float)):
-        return _finite_float(obj)
     if isinstance(obj, dict):
         re, im = obj["re"], obj["im"]
         if _is_rational_json(re, exact) or _is_rational_json(im, exact):
@@ -209,8 +208,11 @@ def scalar_from_json(obj, exact: bool = False):
             if im == 0:
                 return re
             return GaussianRational(re, im)
-        return complex(_finite_float(re), _finite_float(im))
-    raise ValueError(f"cannot parse scalar from {obj!r}")
+        if not exact:
+            return complex(_finite_float(re), _finite_float(im))
+    elif isinstance(obj, (int, float)) and not exact:
+        return _finite_float(obj)
+    raise ValueError(f"cannot parse {'exact ' if exact else ''}scalar from {obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +342,6 @@ class DensePoly:
             k >>= 1
         return out
 
-    def shift(self, k: int) -> "DensePoly":
-        """Multiply by var**k."""
-        if not self.coeffs:
-            return self
-        return DensePoly((0,) * k + self.coeffs, self.var)
-
     def divmod(self, other: "DensePoly"):
         """Euclidean division; requires an invertible leading coefficient."""
         if not isinstance(other, DensePoly):
@@ -369,12 +365,6 @@ class DensePoly:
             for j, dj in enumerate(d):
                 rem[i + j] = rem[i + j] - f * dj
         return DensePoly(q, self.var), DensePoly(rem, self.var)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
     def exact_div(self, other: "DensePoly") -> "DensePoly":
         q, r = self.divmod(other)
@@ -443,9 +433,6 @@ def vanishing_order(p: DensePoly, a):
             DensePoly((-a, 1), cur.var)
         )
         order += 1
-        if cur.is_zero():
-            # only reachable from the zero polynomial, handled above
-            return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +462,12 @@ class TruncatedSeries:
         self.order = order
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0], order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1], order)
 
     @classmethod
     def from_poly(cls, p: DensePoly, order: int) -> "TruncatedSeries":
         return cls(list(p.coeffs), order)
-
-    def to_poly(self, var: str = "u") -> DensePoly:
-        return DensePoly(self.coeffs, var)
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)

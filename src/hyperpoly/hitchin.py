@@ -221,8 +221,8 @@ def hitchin_map(field: HiggsField) -> BasePoint:
     On the exact path g_k comes from `field.cleared_traces`; the first
     power whose trace has a higher-order pole at a marked point, or a
     quotient of degree above n - 2k, raises a degree overflow.  Float
-    fields are fitted from evaluations at integer points beyond the marked
-    ones; from k = 4 on, a fit that misses Tr(phi^k) * prod(z - p_j) at
+    fields are fitted from evaluations at max(p_j) + 1, + 2, ...; from
+    k = 4 on, a fit that misses Tr(phi^k) * prod(z - p_j) at
     one more point by a relative 1e-6 raises the same degree overflow.
     """
     r, n = field.r, field.n
@@ -245,7 +245,7 @@ def hitchin_map(field: HiggsField) -> BasePoint:
     g = {}
     for k in range(2, r + 1):
         count = max(n - 2 * k + 1, 0)
-        zs = np.array([float(z) for z in default_eval_points(n, count + 1)])
+        zs = np.array([float(z) for z in _eval_points(field.marked_points, count + 1)])
         coeffs = ()
         if count:
             vander = np.vander(zs[:-1], count, increasing=True)
@@ -278,23 +278,16 @@ class BracketObservable:
             raise ValueError("power must be an integer >= 2")
 
 
-@dataclass(frozen=True)
-class Gradient:
-    """Partial derivatives with respect to every entry of x and y."""
-
-    gx: tuple  # r x n
-    gy: tuple  # n x r
-
-
 def observable_grad(
     point: QuiverPoint,
     obs: BracketObservable,
     field: Optional[HiggsField] = None,
-) -> Gradient:
-    """Closed-form gradient of Tr(phi(z0)^m).
+) -> tuple:
+    """Closed-form gradient of Tr(phi(z0)^m) as one flat tuple.
 
-    With A = phi(z0): d/d(x_i)_a = m (y_i A^(m-1))_a / (z0 - p_i) and
-    d/d(y_i)_b = m (A^(m-1) x_i)_b / (z0 - p_i).
+    With A = phi(z0), entry a*n + i is d/d(x_i)_a = m (y_i A^(m-1))_a /
+    (z0 - p_i) and entry r*n + i*r + b is d/d(y_i)_b = m (A^(m-1) x_i)_b /
+    (z0 - p_i): the x entries row by row, then the y entries row by row.
     """
     if obs.m > point.r:
         raise ValueError("power must lie between 2 and the rank")
@@ -305,34 +298,28 @@ def observable_grad(
     if point.flavor == "exact" and isinstance(z0, int):
         z0 = Fraction(z0)
     apow = linalg.mat_pow(higgs_eval(field, z0), obs.m - 1)
-    weights = [obs.m / (z0 - p) for p in point.marked_points]
-    gx = [[0] * n for _ in range(r)]
-    gy = [[0] * r for _ in range(n)]
-    for i in range(n):
-        w = weights[i]
+    out = [0] * (2 * r * n)
+    for i, p in enumerate(point.marked_points):
+        w = obs.m / (z0 - p)
         row = point.y[i]
         col = point.x_col(i)
         for a in range(r):
-            gx[a][i] = w * sum(row[b] * apow[b][a] for b in range(r))
-            gy[i][a] = w * sum(apow[a][b] * col[b] for b in range(r))
-    return Gradient(
-        gx=tuple(tuple(v for v in row) for row in gx),
-        gy=tuple(tuple(v for v in row) for row in gy),
-    )
+            out[a * n + i] = w * sum(row[b] * apow[b][a] for b in range(r))
+            out[r * n + i * r + a] = w * sum(apow[a][b] * col[b] for b in range(r))
+    return tuple(out)
 
 
-def _contract(gf: Gradient, gg: Gradient):
-    """Canonical bracket pairing of two gradients.
+def _contract(r: int, n: int, f: tuple, g: tuple):
+    """Canonical bracket pairing of two flat gradients.
 
     The sign is fixed so that the bracket induced on the residue entries
     M = x_i y_i is delta_jk M_il - delta_il M_kj.
     """
-    n = len(gf.gy)
-    r = len(gf.gx)
     acc = 0
     for i in range(n):
         for a in range(r):
-            acc = acc + gf.gy[i][a] * gg.gx[a][i] - gf.gx[a][i] * gg.gy[i][a]
+            x, y = a * n + i, r * n + i * r + a
+            acc = acc + f[y] * g[x] - f[x] * g[y]
     return acc
 
 
@@ -346,24 +333,22 @@ def poisson_bracket(
     if field is None:
         field = residues(point)
     return _contract(
-        observable_grad(point, f, field), observable_grad(point, g, field)
+        point.r,
+        point.n,
+        observable_grad(point, f, field),
+        observable_grad(point, g, field),
     )
 
 
-def _entry_grad(point: QuiverPoint, a: int, b: int, z) -> Gradient:
-    # gradient of the single matrix entry phi(z)[a][b]
+def _entry_grad(point: QuiverPoint, a: int, b: int, z) -> tuple:
+    # flat gradient of the single matrix entry phi(z)[a][b]: 2n nonzeros
     r, n = point.r, point.n
-    weights = [1 / (z - p) for p in point.marked_points]
-    gx = [[0] * n for _ in range(r)]
-    gy = [[0] * r for _ in range(n)]
-    for i in range(n):
-        w = weights[i]
-        gx[a][i] = w * point.y[i][b]
-        gy[i][b] = w * point.x[a][i]
-    return Gradient(
-        gx=tuple(tuple(v for v in row) for row in gx),
-        gy=tuple(tuple(v for v in row) for row in gy),
-    )
+    out = [0] * (2 * r * n)
+    for i, p in enumerate(point.marked_points):
+        w = 1 / (z - p)
+        out[a * n + i] = w * point.y[i][b]
+        out[r * n + i * r + b] = w * point.x[a][i]
+    return tuple(out)
 
 
 def delta_check(point: QuiverPoint, z, w):
@@ -382,7 +367,7 @@ def delta_check(point: QuiverPoint, z, w):
     if z == w:
         raise ValueError("coincident evaluation points")
     field = residues(point)
-    r = point.r
+    r, n = point.r, point.n
     phi_z = higgs_eval(field, z)
     phi_w = higgs_eval(field, w)
     delta = linalg.mat_add(
@@ -404,7 +389,7 @@ def delta_check(point: QuiverPoint, z, w):
         for b in range(r):
             for c in range(r):
                 for d in range(r):
-                    lhs = _contract(grads_z[(a, b)], grads_w[(c, d)])
+                    lhs = _contract(r, n, grads_z[(a, b)], grads_w[(c, d)])
                     rhs = 0
                     if b == c:
                         rhs = rhs + delta[a][d]
@@ -419,14 +404,16 @@ def delta_check(point: QuiverPoint, z, w):
 # ---------------------------------------------------------------------------
 # reports
 
-def default_eval_points(n: int, count: int) -> tuple:
-    """Integer evaluation points n+1, ..., n+count, off the default poles."""
-    return tuple(Fraction(n + 1 + t) for t in range(count))
+def _eval_points(marked_points: Sequence, count: int) -> tuple:
+    """Evaluation points max(p_j) + 1, ..., max(p_j) + count, off every pole."""
+    top = Fraction(max(marked_points))
+    return tuple(top + 1 + t for t in range(count))
 
 
-def _grad_norm(g: Gradient) -> float:
-    total = sum(float(norm_sq(v)) for row in g.gx for v in row)
-    total += sum(float(norm_sq(v)) for row in g.gy for v in row)
+def _grad_norm(g: tuple) -> float:
+    half = len(g) // 2
+    total = sum(float(norm_sq(v)) for v in g[:half])
+    total += sum(float(norm_sq(v)) for v in g[half:])
     return math.sqrt(total)
 
 
@@ -445,7 +432,7 @@ def commutation_report(point: QuiverPoint, eval_points: Sequence | None = None) 
     n, r = point.n, point.r
     field = residues(point)
     if eval_points is None:
-        eval_points = default_eval_points(n, 3)
+        eval_points = _eval_points(point.marked_points, 3)
     obs = [
         BracketObservable(m, z0)
         for m in range(2, r + 1)
@@ -460,7 +447,7 @@ def commutation_report(point: QuiverPoint, eval_points: Sequence | None = None) 
     all_zero = True
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
-            val = _contract(grads[i], grads[j])
+            val = _contract(r, n, grads[i], grads[j])
             a = rel = 0.0
             if val:
                 all_zero = False
@@ -509,27 +496,44 @@ def _float_point(point: QuiverPoint) -> QuiverPoint:
 def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport:
     """Rank of the derivative of all base coordinates in (x, y).
 
-    The coordinates of g_m are represented by the evaluations of
-    Tr(phi(z)^m) at n-2m+1 integer points off the poles; the change of
-    basis to monomial coefficients is an invertible Vandermonde system
-    scaled by the nonvanishing values of prod(z - p_j), so the rank is
-    unchanged.  Rank counts singular values above threshold times the
-    largest one.
+    The N = n-2m+1 coordinates of g_m are sampled at z_j = c + R w^j, the
+    N-th roots of unity w^j on a circle around every pole (c the mean of
+    the p_j, R = 1.2 max|p_j - c| + 1).  Each flat gradient row of
+    Tr(phi(z_j)^m) is multiplied by prod(z_j - p), which gives the gradient
+    of g_m(z_j), and the N x N DFT across the block turns the values into
+    the coefficients of g_m in the basis ((z - c)/R)^k.  Both steps are
+    invertible, so the rank is unchanged.  Each row is then scaled to unit
+    norm, a zero row staying zero; a non-finite row raises ValueError.
+    Rank counts singular values above threshold times the largest one.
     """
     fp = _float_point(point)
     r, n = fp.r, fp.n
     field = residues(fp)
-    rows = []
+    poles = np.array([float(p) for p in fp.marked_points])
+    centre = poles.mean()
+    radius = 1.2 * np.abs(poles - centre).max() + 1
+    blocks = []
     for m in range(2, r + 1):
-        for z0 in default_eval_points(n, max(n - 2 * m + 1, 0)):
-            grad = observable_grad(fp, BracketObservable(m, float(z0)), field)
-            row = [complex(v) for grow in grad.gx for v in grow]
-            row += [complex(v) for grow in grad.gy for v in grow]
-            rows.append(row)
+        count = n - 2 * m + 1
+        if count <= 0:
+            continue
+        k = np.arange(count)
+        zs = centre + radius * np.exp(2j * np.pi * k / count)
+        block = np.array([
+            observable_grad(fp, BracketObservable(m, complex(z)), field) for z in zs
+        ])
+        block *= np.prod(zs[:, None] - poles, axis=1)[:, None]
+        blocks.append(np.exp(-2j * np.pi * np.outer(k, k) / count) @ block)
     dim_b = (r - 1) * (n - r - 1)
-    if not rows:
+    if not blocks:
         return JacobianReport(rank=0, dim_b=dim_b, singular_values=())
-    mat = np.array(rows)
+    mat = np.vstack(blocks)
+    if not np.isfinite(mat).all():
+        raise ValueError("Jacobian rows outside the float range")
+    peak = np.abs(mat).max(axis=1, keepdims=True)
+    mat = np.divide(mat, peak, out=np.zeros_like(mat), where=peak > 0)
+    norm = np.linalg.norm(mat, axis=1, keepdims=True)
+    mat = np.divide(mat, norm, out=np.zeros_like(mat), where=norm > 0)
     svals = np.linalg.svd(mat, compute_uv=False)
     top = float(svals[0]) if svals.size else 0.0
     if top == 0.0:

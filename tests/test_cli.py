@@ -151,6 +151,20 @@ def test_solve_then_commute_and_jacobian(tmp_path, capsys):
     assert rep["rank"] == 1
 
 
+def test_point_commands_with_shifted_marked_points(tmp_path, capsys):
+    # evaluation points must clear the largest marked point, not n
+    for argv, first in ((("-r", "2", "-n", "4"), 5), (("-r", "2", "-n", "5", "--solve"), 6)):
+        code, out, _ = run(capsys, "sample", *argv)
+        assert code == 0
+        obj = json.loads(out)
+        obj["marked_points"] = [f"{first + i}/1" for i in range(obj["n"])]
+        path = tmp_path / f"shifted_{obj['flavor']}.json"
+        path.write_text(json.dumps(obj))
+        for cmd in ("hitchin", "commute", "jacobian"):
+            code, _, err = run(capsys, cmd, "--point", str(path))
+            assert code == 0, (obj["flavor"], cmd, err)
+
+
 def test_solve_nonconvergence_exit2(capsys):
     code, _, err = run(capsys, "sample", "-r", "2", "-n", "4", "--solve",
                        "--tol", "1e-30", "--max-iter", "4", "--restarts", "1")
@@ -254,11 +268,18 @@ def test_point_file_errors(tmp_path, capsys):
     bool_rank = dict(
         clean, r=True, x=clean["x"][:1], y=[row[:1] for row in clean["y"]]
     )
+    # an exact point takes "p/q" strings and JSON integers, never floats
+    float_entry = copy.deepcopy(clean)
+    float_entry["x"][0][1] = 3.0
+    float_complex = copy.deepcopy(clean)
+    float_complex["x"][0][1] = {"re": 3.0, "im": 0.0}
     for name, bad_shape in (
         ("no_edges", no_edges),
         ("no_rank", no_rank),
         ("float_shape", float_shape),
         ("bool_rank", bool_rank),
+        ("float_entry", float_entry),
+        ("float_complex", float_complex),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad_shape))
