@@ -17,8 +17,10 @@ fold with a single numerator.
 
 Two independent routes are kept alongside the solver: a closed three-term
 formula special to rank 2, and a direct term-by-term re-evaluation of the
-recursion used as a residual check.  They share no series bookkeeping with
-the fast path.
+recursion used as a residual check.  Each of their terms is one product of
+a polynomial with the binomial expansion of 1/(1-u)^s, subtracted at its
+shift with its weight.  They share only `_poly_mul_int` and the solved
+sub-levels with the fast path, none of its bucket or Horner bookkeeping.
 """
 
 from __future__ import annotations
@@ -31,15 +33,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combinat import (
-    Partition,
     admissible_rho,
-    critical_datum,
     gaussian_binomial,
+    morse_data,
     mult_factorial,
     multinomial,
     partitions,
 )
-from .exact import DensePoly, TruncatedSeries, geom_power
+from .exact import DensePoly
 
 DEFAULT_MARGIN = 5
 
@@ -213,9 +214,8 @@ def _solve_level(r: int, n: int, order: int) -> tuple[int, ...]:
     total = _lhs_coeffs(r, n, order)
     result: list = list(total)
     for lam in partitions(r):
-        parts = tuple(lam)
-        fam = _family_sum(parts, n, order, exclude_top=(parts == (r,)))
-        mfact = mult_factorial(parts)
+        fam = _family_sum(lam, n, order, exclude_top=(lam == (r,)))
+        mfact = mult_factorial(lam)
         if mfact == 1:
             for k in range(order + 1):
                 result[k] -= fam[k]
@@ -272,31 +272,38 @@ def poincare_rank2(n: int, margin: int = DEFAULT_MARGIN) -> PoincarePoly:
     return PoincarePoly(r=2, n=n, poly=DensePoly(coeffs, "u"))
 
 
+def _geom_coeffs(s: int, order: int) -> list[int]:
+    """1/(1-u)^s through u^order: the coefficient of u^k is C(s-1+k, k);
+    s = 0 gives 1."""
+    if s == 0:
+        return [1] + [0] * order
+    return [math.comb(s - 1 + k, k) for k in range(order + 1)]
+
+
+def _subtract_term(total: list, poly: Sequence, s: int, shift: int, weight) -> None:
+    """total -= weight * u^shift * poly / (1-u)^s, cut at the end of total."""
+    room = len(total) - shift
+    if room <= 0:
+        return
+    term = _poly_mul_int(poly, _geom_coeffs(s, room - 1))
+    for k, c in enumerate(term[:room], shift):
+        total[k] -= weight * c
+
+
 @functools.cache
 def _rank2_coeffs(n: int, margin: int) -> tuple[int, ...]:
     order = (n - 3) + margin
-    lhs = TruncatedSeries.from_poly(gaussian_binomial(2, n), order) * geom_power(
-        n - 1, order
-    )
-    total = lhs
+    total = _poly_mul_int(gaussian_binomial(2, n).coeffs, _geom_coeffs(n - 1, order))
+    del total[order + 1:]
     for k in range(3, n):
-        sub = DensePoly(_rank2_coeffs(k, DEFAULT_MARGIN), "u")
-        term = (
-            TruncatedSeries.from_poly(sub, order)
-            * geom_power(n - k, order)
-            * multinomial(n, (k,))
-        ).shift(2 * (n - k))
-        total = total - term
+        _subtract_term(total, _rank2_coeffs(k, DEFAULT_MARGIN), n - k,
+                       2 * (n - k), multinomial(n, (k,)))
     for k1 in range(1, n):
         for k2 in range(1, n - k1 + 1):
-            e = 2 * n - 2 - k1 - k2
-            term = (
-                geom_power(n + 1 - k1 - k2, order)
-                * Fraction(multinomial(n, (k1, k2)), 2)
-            ).shift(e)
-            total = total - term
+            _subtract_term(total, (1,), n + 1 - k1 - k2, 2 * n - 2 - k1 - k2,
+                           Fraction(multinomial(n, (k1, k2)), 2))
     out = []
-    for c in total.coeffs:
+    for c in total:
         f = Fraction(c)
         if f.denominator != 1:
             raise ArithmeticError("rank-2 recursion produced a non-integer")
@@ -306,43 +313,29 @@ def _rank2_coeffs(n: int, margin: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def recursion_residual(
-    r: int, n: int, margin: int = DEFAULT_MARGIN
-) -> TruncatedSeries:
+def recursion_residual(r: int, n: int, margin: int = DEFAULT_MARGIN) -> list:
     """Left minus right hand side of the recursion, all terms substituted.
 
     Every admissible critical family is re-evaluated directly (no collapsed
-    sums), with the solved Poincare polynomials plugged in.  The result must
-    be the zero series through the truncation order.
+    sums), with the solved Poincare polynomials plugged in.  The result is
+    the coefficient list for u^0 .. u^order and must be all zero.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("rank must be a positive integer")
     if not isinstance(n, int) or n <= r:
         raise ValueError("need more edges than the rank")
     order = max(0, (r - 1) * (n - r - 1)) + margin
-    lhs = TruncatedSeries.from_poly(gaussian_binomial(r, n), order) * geom_power(
-        n - 1, order
-    )
-    total = lhs
+    total = _poly_mul_int(gaussian_binomial(r, n).coeffs, _geom_coeffs(n - 1, order))
+    del total[order + 1:]
     for lam in partitions(r):
+        mfact = mult_factorial(lam)
         for rho in admissible_rho(lam, n):
-            datum = critical_datum(lam, rho, n)
-            prod = TruncatedSeries.one(order)
-            dead = False
+            beta, s = morse_data(lam, rho, n)
+            prod = [1]
             for p, k in zip(lam, rho):
-                sub = _poincare_coeffs(p, k)
-                if not sub:
-                    dead = True
-                    break
-                prod = prod * DensePoly(sub, "u")
-            if dead:
-                continue
-            term = (
-                prod
-                * geom_power(datum.s, order)
-                * Fraction(datum.weight, datum.multfact)
-            ).shift(datum.beta)
-            total = total - term
+                prod = _poly_mul_int(prod, _poincare_coeffs(p, k))
+            _subtract_term(total, prod, s, beta,
+                           Fraction(multinomial(n, rho), mfact))
     return total
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -44,6 +45,27 @@ def _parse_alpha(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
+def _positive_float(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    return v
+
+
+def _unit_fraction(text: str) -> float:
+    v = float(text)
+    if not 0 < v < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1: {text!r}")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return v
+
+
 def _load_point(path: str) -> quiver.QuiverPoint:
     with open(path) as fh:
         try:
@@ -52,7 +74,7 @@ def _load_point(path: str) -> quiver.QuiverPoint:
             raise ValueError(f"not valid JSON: {path}: {e}") from e
     try:
         return quiver.QuiverPoint.from_json_dict(obj)
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as e:
+    except (KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ValueError(f"not a valid point file: {path}: {e}") from e
 
 
@@ -278,20 +300,20 @@ def build_parser() -> _Parser:
     mode.add_argument("--exact", action="store_true", help="exact fiber point (default)")
     mode.add_argument("--solve", action="store_true", help="solve all moment equations numerically")
     p.add_argument("--alpha", type=_parse_alpha, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--max-iter", type=_positive_int, default=2000)
+    p.add_argument("--restarts", type=_positive_int, default=10)
 
     p = add("hitchin", _cmd_hitchin, help="base coordinates of a point file")
     p.add_argument("--point", required=True)
 
     p = add("commute", _cmd_commute, help="pairwise brackets of the observable family")
     p.add_argument("--point", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
 
     p = add("jacobian", _cmd_jacobian, help="rank of the base-coordinate differential")
     p.add_argument("--point", required=True)
-    p.add_argument("--threshold", type=float, default=1e-8)
+    p.add_argument("--threshold", type=_unit_fraction, default=1e-8)
 
     p = add("spectral", _cmd_spectral, help="spectral charpoly of a point file")
     p.add_argument("--point", required=True)

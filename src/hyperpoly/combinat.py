@@ -1,43 +1,17 @@
 """Partitions, size tuples and the combinatorial data attached to critical
-loci of the circle-action Morse function used by the Betti recursion."""
+loci of the circle-action Morse function used by the Betti recursion.
+
+A partition is a plain tuple of positive parts in weakly decreasing order.
+The data of one critical family (lam, rho) are the values of `morse_data`,
+`multinomial` and `mult_factorial`."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .exact import DensePoly
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Integer partition with parts sorted in weakly decreasing order."""
-
-    parts: tuple[int, ...]
-
-    def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
 
 
 @lru_cache(maxsize=None)
@@ -51,15 +25,15 @@ def _partitions_tuples(r: int, largest: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def partitions(r: int) -> list[Partition]:
-    """All partitions of r, in reverse lexicographic order: (r) first,
-    (1,...,1) last."""
+def partitions(r: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of r as weakly decreasing tuples, in reverse
+    lexicographic order: (r) first, (1,...,1) last."""
     if r < 1:
         raise ValueError("can only partition a positive integer")
-    return [Partition(t) for t in _partitions_tuples(r, r)]
+    return _partitions_tuples(r, r)
 
 
-def admissible_rho(lam: Partition, n: int) -> Iterator[tuple[int, ...]]:
+def admissible_rho(lam: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
     """Size tuples rho with rho_j >= lam_j componentwise and sum(rho) <= n.
 
     Yielded in lexicographic order.  The stream is empty when even the
@@ -67,28 +41,26 @@ def admissible_rho(lam: Partition, n: int) -> Iterator[tuple[int, ...]]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    parts = tuple(lam)
 
     def rec(j: int, remaining: int, prefix: tuple[int, ...]):
-        if j == len(parts):
+        if j == len(lam):
             yield prefix
             return
-        lo = parts[j]
+        lo = lam[j]
         # leave room for the parts still to be placed
-        reserve = sum(parts[j + 1:])
+        reserve = sum(lam[j + 1:])
         for k in range(lo, remaining - reserve + 1):
             yield from rec(j + 1, remaining - k, prefix + (k,))
 
     yield from rec(0, n, ())
 
 
-def mult_factorial(lam: Partition | tuple[int, ...]) -> int:
+def mult_factorial(lam: tuple[int, ...]) -> int:
     """Product of m! over the multiplicities m of the distinct part values."""
-    parts = tuple(lam)
     out = 1
     run = 1
-    for i in range(1, len(parts) + 1):
-        if i < len(parts) and parts[i] == parts[i - 1]:
+    for i in range(1, len(lam) + 1):
+        if i < len(lam) and lam[i] == lam[i - 1]:
             run += 1
         else:
             out *= math.factorial(run)
@@ -114,7 +86,7 @@ def multinomial(n: int, rho: tuple[int, ...]) -> int:
 
 
 def morse_data(
-    lam: Partition | tuple[int, ...], rho: tuple[int, ...], n: int
+    lam: tuple[int, ...], rho: tuple[int, ...], n: int
 ) -> tuple[int, int]:
     """Morse index exponent beta and pole order s of one critical family.
 
@@ -124,45 +96,16 @@ def morse_data(
     Both are nonnegative for admissible input, and both vanish exactly for
     the top family lam = (r), rho = (n).
     """
-    parts = tuple(lam)
-    if len(parts) != len(rho):
+    if len(lam) != len(rho):
         raise ValueError("partition and size tuple must have equal length")
-    if any(k < p for p, k in zip(parts, rho)):
+    if any(k < p for p, k in zip(lam, rho)):
         raise ValueError("size tuple must dominate the partition")
     if sum(rho) > n:
         raise ValueError("size tuple exceeds the ambient set")
-    r = sum(parts)
-    beta = r * (n - r) + sum(p * (p - k) for p, k in zip(parts, rho))
-    s = len(parts) + n - 1 - sum(rho)
+    r = sum(lam)
+    beta = r * (n - r) + sum(p * (p - k) for p, k in zip(lam, rho))
+    s = len(lam) + n - 1 - sum(rho)
     return beta, s
-
-
-@dataclass(frozen=True)
-class CriticalDatum:
-    """One critical family: partition, size tuple and its derived weights."""
-
-    lam: Partition
-    rho: tuple[int, ...]
-    n: int
-    beta: int
-    s: int
-    weight: int
-    multfact: int
-
-
-def critical_datum(
-    lam: Partition, rho: tuple[int, ...], n: int
-) -> CriticalDatum:
-    beta, s = morse_data(lam, rho, n)
-    return CriticalDatum(
-        lam=lam,
-        rho=tuple(rho),
-        n=n,
-        beta=beta,
-        s=s,
-        weight=multinomial(n, tuple(rho)),
-        multfact=mult_factorial(lam),
-    )
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial and truncated power series arithmetic.
+"""Exact scalar and polynomial arithmetic.
 
 Scalars are anything from Python's numeric tower (int, Fraction, float,
 complex) plus :class:`GaussianRational`.  All exact code in this package is
@@ -6,7 +6,8 @@ duck-typed over that protocol: a scalar must support field arithmetic,
 ``.conjugate()``, ``.real`` and ``.imag``.  Rationals are plain
 ``fractions.Fraction``; there is no custom real-rational class.
 `PolyMatrix` is a validated container of polynomials; its arithmetic is
-the generic matrix code in `linalg`.
+the generic matrix code in `linalg`.  Truncated power series have no type
+here: the Betti layer keeps them as plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -155,10 +156,15 @@ def format_rational(v: Rat) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    """Parse "p/q", an int or a Fraction; ValueError on anything else,
+    a zero denominator included."""
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError as e:
+            raise ValueError(f"zero denominator in {s!r}") from e
     raise ValueError(f"cannot parse rational from {s!r}")
 
 
@@ -436,133 +442,6 @@ def vanishing_order(p: DensePoly, a):
 
 
 # ---------------------------------------------------------------------------
-# truncated power series in u
-
-class TruncatedSeries:
-    """Power series in ``u`` truncated at a fixed order.
-
-    ``coeffs[k]`` is the coefficient of u^k for k = 0 .. order; everything
-    above the order is unknown, not zero.  Mixed-order arithmetic truncates
-    to the smaller order.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence, order: int | None = None):
-        cs = list(coeffs)
-        if order is None:
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(cs) < order + 1:
-            cs.extend([0] * (order + 1 - len(cs)))
-        else:
-            del cs[order + 1:]
-        self.coeffs = cs
-        self.order = order
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    @classmethod
-    def from_poly(cls, p: DensePoly, order: int) -> "TruncatedSeries":
-        return cls(list(p.coeffs), order)
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1] and (
-            self.order == other.order
-        )
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, DensePoly):
-            return TruncatedSeries.from_poly(other, self.order)
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([other], self.order)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.order, o.order)
-        return TruncatedSeries(
-            [self.coeffs[k] + o.coeffs[k] for k in range(n + 1)], n
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(
-                [c * other for c in self.coeffs], self.order
-            )
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.order, o.order)
-        out = [0] * (n + 1)
-        a, b = self.coeffs, o.coeffs
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(out, n)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by u**k, keeping the truncation order."""
-        if k == 0:
-            return self
-        return TruncatedSeries([0] * k + self.coeffs, self.order)
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.coeffs}, order={self.order})"
-
-
-def geom_power(s: int, order: int) -> TruncatedSeries:
-    """Series expansion of 1/(1-u)^s to the given truncation order.
-
-    The coefficient of u^k is binomial(s-1+k, k); s = 0 gives the constant
-    series 1.
-    """
-    if s < 0:
-        raise ValueError("exponent must be nonnegative")
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    if s == 0:
-        return TruncatedSeries.one(order)
-    return TruncatedSeries(
-        [math.comb(s - 1 + k, k) for k in range(order + 1)], order
-    )
-
-
-# ---------------------------------------------------------------------------
 # square matrices of polynomials
 
 class PolyMatrix:
@@ -595,9 +474,6 @@ class PolyMatrix:
         for i in range(self.size):
             acc = acc + self.rows[i][i]
         return acc
-
-    def max_degree(self):
-        return max(e.degree for row in self.rows for e in row)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

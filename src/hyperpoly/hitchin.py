@@ -25,7 +25,6 @@ from . import linalg
 from .errors import DegreeOverflowError, MomentMapError, PoleEvaluationError
 from .exact import (
     DensePoly,
-    GaussianRational,
     PolyMatrix,
     poly_from_roots,
     poly_matrix_charpoly,

@@ -70,6 +70,8 @@ class QuiverPoint:
             raise ValueError("x must be r x n")
         if len(self.y) != self.n or any(len(row) != self.r for row in self.y):
             raise ValueError("y must be n x r")
+        if self.alpha is not None and len(self.alpha) != self.n:
+            raise ValueError("length vector size must match the edge count")
         if not self.marked_points:
             object.__setattr__(
                 self, "marked_points", default_marked_points(self.n)
@@ -83,9 +85,6 @@ class QuiverPoint:
 
     def x_col(self, i: int) -> tuple:
         return tuple(self.x[a][i] for a in range(self.r))
-
-    def y_row(self, i: int) -> tuple:
-        return self.y[i]
 
     def residue(self, i: int) -> tuple[tuple, ...]:
         """Outer product x_i y_i for edge i."""

@@ -90,7 +90,7 @@ def test_recursion_residual_zero_small():
     levels += [(5, 12), (6, 12), (4, 14)]
     for r, n in levels:
         res = recursion_residual(r, n, margin=3)
-        assert not any(res.coeffs), (r, n)
+        assert not any(res), (r, n)
 
 
 def test_truncation_stability():

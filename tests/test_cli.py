@@ -165,6 +165,48 @@ def test_point_commands_with_shifted_marked_points(tmp_path, capsys):
             assert code == 0, (obj["flavor"], cmd, err)
 
 
+def _exit_code(capsys, *argv):
+    # argparse rejects an option value by raising SystemExit
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    capsys.readouterr()
+    return code
+
+
+def test_zero_denominator_exits_3(capsys):
+    assert _exit_code(capsys, "genericity", "-r", "2", "--alpha", "1/0,1") == 3
+    assert _exit_code(capsys, "sample", "-r", "2", "-n", "4",
+                      "--alpha", "1/0,1,1,1") == 3
+
+
+def test_alpha_of_wrong_size_exits_3(tmp_path, capsys):
+    assert _exit_code(capsys, "sample", "-r", "2", "-n", "4", "--alpha", "1,1") == 3
+    obj = json.loads(sample_exact(2, 4, seed=0, alpha=(1, 1, 1, 2)).dumps())
+    obj["alpha"] = ["1/1", "1/1"]
+    path = tmp_path / "short_alpha.json"
+    path.write_text(json.dumps(obj))
+    for cmd in ("hitchin", "commute", "jacobian", "spectral"):
+        assert _exit_code(capsys, cmd, "--point", str(path)) == 3, cmd
+
+
+def test_numeric_options_out_of_range_exit_3(tmp_path, capsys):
+    path = tmp_path / "pt.json"
+    path.write_text(sample_exact(2, 4, seed=0).dumps())
+    point = ("--point", str(path))
+    for argv in (
+        ("commute", *point, "--tol", "nan"),
+        ("commute", *point, "--tol", "0"),
+        ("jacobian", *point, "--threshold", "nan"),
+        ("jacobian", *point, "--threshold", "2"),
+        ("sample", "-r", "2", "-n", "4", "--solve", "--tol", "inf"),
+        ("sample", "-r", "2", "-n", "4", "--solve", "--max-iter", "-1"),
+        ("sample", "-r", "2", "-n", "4", "--solve", "--restarts", "0"),
+    ):
+        assert _exit_code(capsys, *argv) == 3, argv
+
+
 def test_solve_nonconvergence_exit2(capsys):
     code, _, err = run(capsys, "sample", "-r", "2", "-n", "4", "--solve",
                        "--tol", "1e-30", "--max-iter", "4", "--restarts", "1")

@@ -6,9 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperpoly.combinat import (
-    Partition,
     admissible_rho,
-    critical_datum,
     gaussian_binomial,
     morse_data,
     mult_factorial,
@@ -19,31 +17,21 @@ from hyperpoly.combinat import (
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
-    p = Partition([3, 1, 1])
-    assert p.total == 5 and p.length == 3
-
-
 @pytest.mark.parametrize("r,count", sorted(PARTITION_COUNTS.items()))
 def test_partition_counts(r, count):
     ps = partitions(r)
     assert len(ps) == count
-    assert all(p.total == r for p in ps)
-    assert ps[0].parts == (r,)
-    assert ps[-1].parts == (1,) * r
+    assert all(sum(p) == r and min(p) >= 1 for p in ps)
+    assert all(list(p) == sorted(p, reverse=True) for p in ps)
+    assert ps[0] == (r,)
+    assert ps[-1] == (1,) * r
     # reverse lexicographic, no duplicates
-    tuples = [p.parts for p in ps]
-    assert tuples == sorted(tuples, reverse=True)
-    assert len(set(tuples)) == len(tuples)
+    assert list(ps) == sorted(ps, reverse=True)
+    assert len(set(ps)) == len(ps)
 
 
 def test_admissible_rho_constraints():
-    lam = Partition((2, 1))
-    rhos = list(admissible_rho(lam, 6))
+    rhos = list(admissible_rho((2, 1), 6))
     for rho in rhos:
         assert len(rho) == 2
         assert rho[0] >= 2 and rho[1] >= 1
@@ -56,7 +44,7 @@ def test_admissible_rho_constraints():
 
 
 def test_admissible_rho_empty_when_overshooting():
-    assert list(admissible_rho(Partition((4,)), 3)) == []
+    assert list(admissible_rho((4,), 3)) == []
 
 
 def test_mult_factorial():
@@ -107,7 +95,7 @@ def test_morse_data_nonnegative():
                     beta, s = morse_data(lam, rho, n)
                     assert beta >= 0
                     assert s >= 0
-                    if lam.parts == (r,) and rho == (n,):
+                    if lam == (r,) and rho == (n,):
                         assert (beta, s) == (0, 0)
 
 
@@ -118,13 +106,6 @@ def test_morse_data_validation():
         morse_data((2, 1), (1, 1), 7)
     with pytest.raises(ValueError):
         morse_data((2,), (8,), 7)
-
-
-def test_critical_datum_weights():
-    d = critical_datum(Partition((1, 1)), (2, 1), 4)
-    assert d.weight == multinomial(4, (2, 1))
-    assert d.multfact == 2
-    assert (d.beta, d.s) == morse_data((1, 1), (2, 1), 4)
 
 
 @pytest.mark.parametrize("r,n", [(1, 4), (2, 5), (3, 7), (4, 8)])

@@ -74,7 +74,7 @@ def test_sample_exact_full_rank():
 def test_residue_is_outer_product(point24):
     m = point24.residue(2)
     x2 = point24.x_col(2)
-    y2 = point24.y_row(2)
+    y2 = point24.y[2]
     for a in range(2):
         for b in range(2):
             assert m[a][b] == x2[a] * y2[b]
