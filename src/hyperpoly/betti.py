@@ -19,7 +19,7 @@ Two independent routes are kept alongside the solver: a closed three-term
 formula special to rank 2, and a direct term-by-term re-evaluation of the
 recursion used as a residual check.  Each of their terms is one product of
 a polynomial with the binomial expansion of 1/(1-u)^s, subtracted at its
-shift with its weight.  They share only `_poly_mul_int` and the solved
+shift with its weight.  They share only `poly_mul` and the solved
 sub-levels with the fast path, none of its bucket or Horner bookkeeping.
 """
 
@@ -40,7 +40,7 @@ from .combinat import (
     multinomial,
     partitions,
 )
-from .exact import DensePoly
+from .exact import DensePoly, poly_mul
 
 DEFAULT_MARGIN = 5
 
@@ -79,19 +79,6 @@ class GenericityReport:
     alpha: tuple[Fraction, ...]
     generic: bool
     witness: Optional[tuple[int, tuple[int, ...]]]
-
-
-def _poly_mul_int(a: Sequence, b: Sequence) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
 
 
 def _binomial_line_power(a: int, npow: int) -> list[int]:
@@ -167,7 +154,7 @@ def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool) -> 
             return
         pprod = [1]
         for p, k in zip(heavy, rho_h):
-            pprod = _poly_mul_int(pprod, _poincare_coeffs(p, k))
+            pprod = poly_mul(pprod, _poincare_coeffs(p, k))
         bucket = buckets.get(taken)
         if bucket is None:
             bucket = buckets[taken] = [0] * (top + 1)
@@ -190,7 +177,7 @@ def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool) -> 
     for taken, bucket in buckets.items():
         low = drop(taken)
         if m:
-            bucket = _poly_mul_int(bucket, _light_factor(m, n - taken))
+            bucket = poly_mul(bucket, _light_factor(m, n - taken))
         if any(bucket[:low]):
             raise ArithmeticError("negative exponent in collapsed family sum")
         numerators[ell + n - 1 - taken] = bucket[low:]
@@ -285,7 +272,7 @@ def _subtract_term(total: list, poly: Sequence, s: int, shift: int, weight) -> N
     room = len(total) - shift
     if room <= 0:
         return
-    term = _poly_mul_int(poly, _geom_coeffs(s, room - 1))
+    term = poly_mul(poly, _geom_coeffs(s, room - 1))
     for k, c in enumerate(term[:room], shift):
         total[k] -= weight * c
 
@@ -293,7 +280,7 @@ def _subtract_term(total: list, poly: Sequence, s: int, shift: int, weight) -> N
 @functools.cache
 def _rank2_coeffs(n: int, margin: int) -> tuple[int, ...]:
     order = (n - 3) + margin
-    total = _poly_mul_int(gaussian_binomial(2, n).coeffs, _geom_coeffs(n - 1, order))
+    total = poly_mul(gaussian_binomial(2, n).coeffs, _geom_coeffs(n - 1, order))
     del total[order + 1:]
     for k in range(3, n):
         _subtract_term(total, _rank2_coeffs(k, DEFAULT_MARGIN), n - k,
@@ -325,7 +312,7 @@ def recursion_residual(r: int, n: int, margin: int = DEFAULT_MARGIN) -> list:
     if not isinstance(n, int) or n <= r:
         raise ValueError("need more edges than the rank")
     order = max(0, (r - 1) * (n - r - 1)) + margin
-    total = _poly_mul_int(gaussian_binomial(r, n).coeffs, _geom_coeffs(n - 1, order))
+    total = poly_mul(gaussian_binomial(r, n).coeffs, _geom_coeffs(n - 1, order))
     del total[order + 1:]
     for lam in partitions(r):
         mfact = mult_factorial(lam)
@@ -333,7 +320,7 @@ def recursion_residual(r: int, n: int, margin: int = DEFAULT_MARGIN) -> list:
             beta, s = morse_data(lam, rho, n)
             prod = [1]
             for p, k in zip(lam, rho):
-                prod = _poly_mul_int(prod, _poincare_coeffs(p, k))
+                prod = poly_mul(prod, _poincare_coeffs(p, k))
             _subtract_term(total, prod, s, beta,
                            Fraction(multinomial(n, rho), mfact))
     return total

@@ -5,9 +5,14 @@ complex) plus :class:`GaussianRational`.  All exact code in this package is
 duck-typed over that protocol: a scalar must support field arithmetic,
 ``.conjugate()``, ``.real`` and ``.imag``.  Rationals are plain
 ``fractions.Fraction``; there is no custom real-rational class.
-`PolyMatrix` is a validated container of polynomials; its arithmetic is
-the generic matrix code in `linalg`.  Truncated power series have no type
-here: the Betti layer keeps them as plain coefficient lists.
+The exact kernels (`linalg.rref`, `poly_matrix_charpoly`,
+`vanishing_order` and the cleared traces of a Higgs field) run on
+numerators: `numerators` clears the denominators of their input once, the
+kernel works in that numerator ring (Python ints, or GaussianRational with
+integral parts for complex input, where ``//`` is exact division in both),
+and `ratio` divides once at the end.  `PolyMatrix` is a validated container
+of polynomials.  Truncated power series have no type here: the Betti layer
+keeps them as plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-from . import linalg
 
 Rat = Union[int, Fraction]
 
@@ -113,6 +116,12 @@ class GaussianRational:
             return NotImplemented
         return o / self
 
+    def __floordiv__(self, other):
+        """Floor of each part of the exact quotient, so that ``//`` is exact
+        division of Gaussian integers whenever the quotient is integral."""
+        q = self / other
+        return GaussianRational(q.re // 1, q.im // 1)
+
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
@@ -144,6 +153,33 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+# ---------------------------------------------------------------------------
+# numerators: exact kernels clear denominators once and divide once
+
+def numerators(values: Iterable) -> tuple[list, int]:
+    """Numerators and least common denominator of exact scalars.
+
+    Returns (nums, d) with values[i] = nums[i] / d.  The numerators are
+    ints when every value is rational, and GaussianRationals with integral
+    parts as soon as one value is complex.
+    """
+    vals = list(values)
+    if all(isinstance(v, (int, Fraction)) for v in vals):
+        d = math.lcm(*(v.denominator for v in vals))
+        return [v.numerator * (d // v.denominator) for v in vals], d
+    parts = [(v.real, v.imag) for v in vals]
+    d = math.lcm(*(x.denominator for pair in parts for x in pair))
+    return [GaussianRational(re * d, im * d) for re, im in parts], d
+
+
+def ratio(num, den):
+    """The exact scalar num / den of two numerators: a Fraction for ints,
+    a GaussianRational otherwise."""
+    if isinstance(num, GaussianRational):
+        return num / den
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +425,6 @@ class DensePoly:
             tuple(k * c for k, c in enumerate(self.coeffs) if k), self.var
         )
 
-    def map_coeffs(self, fn) -> "DensePoly":
-        return DensePoly(tuple(fn(c) for c in self.coeffs), self.var)
-
     def padded(self, length: int) -> tuple:
         """Coefficient tuple padded with zeros up to the given length."""
         if length < len(self.coeffs):
@@ -425,20 +458,87 @@ def poly_from_roots(roots: Sequence, var: str = "z") -> DensePoly:
 def vanishing_order(p: DensePoly, a):
     """Order of vanishing of ``p`` at the point ``a``.
 
-    Returns ``math.inf`` for the zero polynomial.  Computed by repeated
-    synthetic division, exactly.
+    Returns ``math.inf`` for the zero polynomial.  With p = P / D and
+    a = u / v cleared to numerators, the order is the multiplicity of the
+    root u of R(w) = v^deg(P) P(w / v), whose coefficients P_k v^(deg-k)
+    are numerators too.  It is counted by repeated synthetic division by
+    w - u, which needs no division at all; only the first nonzero remainder
+    R(u) ends the count.
     """
     if p.is_zero():
         return math.inf
+    nums, _ = numerators(p.coeffs)
+    (u,), v = numerators((a,))
+    top = len(nums) - 1
+    cur = [c * v ** (top - k) for k, c in enumerate(nums)]
     order = 0
-    cur = p
     while True:
-        if cur(a) != 0:
+        acc = 0
+        quot = []
+        for c in reversed(cur):
+            acc = acc * u + c
+            quot.append(acc)
+        if quot.pop():
             return order
-        cur = cur.exact_div(
-            DensePoly((-a, 1), cur.var)
-        )
+        cur = quot[::-1]
         order += 1
+
+
+# ---------------------------------------------------------------------------
+# coefficient lists, lowest degree first, over a numerator ring
+
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    """Product of two coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def poly_add(a: Sequence, b: Sequence) -> list:
+    """Sum of two coefficient lists, with no trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Long division of coefficient lists in a numerator ring.
+
+    Each step divides by the leading coefficient of ``b`` with ``//``.  For
+    a primitive ``b`` (content 1, as a product of factors v z - u with u, v
+    coprime is) the remainder is zero exactly when ``b`` divides ``a`` over
+    the field of fractions: then every step is exact by Gauss's lemma, and
+    otherwise some step or the tail leaves a nonzero remainder.  Quotient
+    and remainder have no trailing zeros.
+    """
+    rem = list(a)
+    dn = len(b)
+    lead = b[-1]
+    q = [0] * max(len(rem) - dn + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + dn - 1]
+        if not c:
+            continue
+        f = c // lead
+        q[i] = f
+        for j, bj in enumerate(b):
+            rem[i + j] -= f * bj
+    for cs in (q, rem):
+        while cs and not cs[-1]:
+            cs.pop()
+    return q, rem
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +551,7 @@ class PolyMatrix:
     `linalg` applied to ``rows``.
     """
 
-    __slots__ = ("rows", "size", "var", "_charpoly")
+    __slots__ = ("rows", "size", "var", "_numerators", "_charpoly")
 
     def __init__(self, rows: Sequence[Sequence[DensePoly]], var: str = "z"):
         rows = tuple(tuple(e for e in row) for row in rows)
@@ -467,6 +567,7 @@ class PolyMatrix:
         self.rows = rows
         self.size = n
         self.var = var
+        self._numerators = None
         self._charpoly = None
 
     def trace(self) -> DensePoly:
@@ -484,33 +585,70 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows!r})"
 
 
+def _poly_matmul(a: list, b: list, diagonal_only: bool = False) -> list:
+    """Product of square matrices of coefficient lists; with diagonal_only
+    the entries off the diagonal are left empty."""
+    size = len(a)
+    out = []
+    for i, row in enumerate(a):
+        new = []
+        for j in range(size):
+            acc: list = []
+            if not diagonal_only or i == j:
+                for f, brow in zip(row, b):
+                    acc = poly_add(acc, poly_mul(f, brow[j]))
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def charpoly_numerators(m: PolyMatrix) -> tuple[tuple[list, ...], int]:
+    """Numerators (C_1, ..., C_r) and D with c_i = C_i / D^i.
+
+    D is the least common denominator of the coefficients of ``m``, and the
+    C_i, coefficient lists lowest degree first, are the characteristic
+    coefficients of the numerator matrix D*m.  They come from the
+    Faddeev-LeVerrier recurrence M_1 = D*m, M_k = D*m (M_(k-1) + C_(k-1) Id),
+    C_k = -Tr(M_k) / k, run on numerators: Tr(M_k) is divisible by k, so
+    the pass never leaves the numerator ring.  r - 1 matrix products, the
+    last one on the diagonal only; the pass runs once per matrix.
+    """
+    if m._numerators is None:
+        size = m.size
+        nums, d = numerators(c for row in m.rows for e in row for c in e.coeffs)
+        it = iter(nums)
+        a = [[[next(it) for _ in e.coeffs] for e in row] for row in m.rows]
+        mk = a
+        cs = []
+        for k in range(1, size + 1):
+            if k > 1:
+                shifted = [
+                    [poly_add(e, cs[-1]) if i == j else e for j, e in enumerate(row)]
+                    for i, row in enumerate(mk)
+                ]
+                # only the trace of the last product is read
+                mk = _poly_matmul(a, shifted, diagonal_only=k == size)
+            trace: list = []
+            for i in range(size):
+                trace = poly_add(trace, mk[i][i])
+            cs.append([-(t // k) for t in trace])
+        m._numerators = (tuple(cs), d)
+    return m._numerators
+
+
 def poly_matrix_charpoly(m: PolyMatrix) -> list[DensePoly]:
     """Characteristic polynomial coefficients of a polynomial matrix.
 
     Returns [c_1, ..., c_r] with det(t*Id - m) = t^r + c_1 t^(r-1) + ... + c_r,
-    each c_i a polynomial in the matrix variable.  Uses the Faddeev-LeVerrier
-    recurrence M_1 = m, M_k = m (M_(k-1) + c_(k-1) Id), c_k = -Tr(M_k) / k:
-    r - 1 matrix products, and the only divisions are by the integers 1..r,
-    which stay exact over the rationals.  The pass runs once per matrix.
+    each c_i a polynomial in the matrix variable.  The recurrence runs on
+    the numerators of `charpoly_numerators`; the only division is the one
+    boundary division c_i = C_i / D^i per coefficient, made once per
+    matrix.
     """
     if m._charpoly is None:
-        ident = linalg.identity(m.size)
-        mk = m.rows
-        cs = []
-        for k in range(1, m.size + 1):
-            if k > 1:
-                mk = linalg.mat_mul(
-                    m.rows, linalg.mat_add(mk, linalg.mat_scale(ident, cs[-1]))
-                )
-            cs.append(linalg.mat_trace(mk).map_coeffs(lambda c: _div_int(c, k)) * (-1))
-        m._charpoly = tuple(cs)
+        cs, d = charpoly_numerators(m)
+        m._charpoly = tuple(
+            DensePoly([ratio(c, d ** k) for c in ck], m.var)
+            for k, ck in enumerate(cs, start=1)
+        )
     return list(m._charpoly)
-
-
-def _div_int(c, k: int):
-    if isinstance(c, int):
-        q, rem = divmod(c, k)
-        if rem == 0:
-            return q
-        return Fraction(c, k)
-    return c / k

@@ -26,8 +26,12 @@ from .errors import DegreeOverflowError, MomentMapError, PoleEvaluationError
 from .exact import (
     DensePoly,
     PolyMatrix,
-    poly_from_roots,
-    poly_matrix_charpoly,
+    charpoly_numerators,
+    numerators,
+    poly_add,
+    poly_divmod,
+    poly_mul,
+    ratio,
     scalar_to_json,
 )
 from .linalg import norm_sq
@@ -62,32 +66,48 @@ class HiggsField:
         return len(self.residues[0])
 
     @cached_property
+    def _divisor(self) -> tuple[list, int, list]:
+        """prod_j (z - p_j) = P / V on numerators, with its cofactors.
+
+        With p_j = u_j / v_j in lowest terms, P = prod_j (v_j z - u_j) is a
+        primitive integer polynomial and V = prod_j v_j.  Cofactor i is
+        v_i P / (v_i z - u_i), that is V prod_(j != i) (z - p_j).
+        """
+        factors = [(-p.numerator, p.denominator) for p in map(Fraction, self.marked_points)]
+        full = [1]
+        for f in factors:
+            full = poly_mul(full, f)
+        cofactors = [[f[1] * c for c in poly_divmod(full, f)[0]] for f in factors]
+        return full, math.prod(f[1] for f in factors), cofactors
+
+    @cached_property
     def psi(self) -> PolyMatrix:
         """phi(z) * prod_j (z - p_j) assembled as a polynomial matrix.
 
-        Entry degrees must not exceed n - 2: the z^(n-1) coefficient of
-        each entry is the corresponding entry of sum_i phi_i.  Exact
-        fields only.
+        Entry (a, b) is sum_i (phi_i)_ab prod_(j != i) (z - p_j), summed on
+        numerators over the nonzero residue entries and divided once per
+        coefficient.  Entry degrees must not exceed n - 2: the z^(n-1)
+        coefficient of each entry is the corresponding entry of
+        sum_i phi_i.  Exact fields only.
         """
         if self.flavor != "exact":
             raise ValueError("polynomial twisting requires exact residues")
         n, r = self.n, self.r
-        cofactors = [
-            poly_from_roots([p for j, p in enumerate(self.marked_points) if j != i])
-            for i in range(n)
-        ]
+        _, v, cofactors = self._divisor
         rows = []
         for a in range(r):
             row = []
             for b in range(r):
-                acc = DensePoly.zero("z")
-                for i in range(n):
-                    acc = acc + cofactors[i] * self.residues[i][a][b]
-                if acc.degree > n - 2:
+                terms = [(i, m[a][b]) for i, m in enumerate(self.residues) if m[a][b]]
+                nums, d = numerators(c for _, c in terms)
+                acc: list = []
+                for (i, _), c in zip(terms, nums):
+                    acc = poly_add(acc, [c * q for q in cofactors[i]])
+                if len(acc) - 1 > n - 2:
                     raise DegreeOverflowError(
                         "degree overflow: residues do not sum to zero"
                     )
-                row.append(acc)
+                row.append(DensePoly([ratio(c, d * v) for c in acc], "z"))
             rows.append(row)
         return PolyMatrix(rows, "z")
 
@@ -98,30 +118,37 @@ class HiggsField:
         Newton's identities turn the charpoly coefficients c_i of psi into
         t_k = Tr(psi^k) = -k c_k - sum_(i<k) c_i t_(k-i), and
         g_k = t_k / prod(z - p_j)^(k-1) must be a polynomial of degree at
-        most n - 2k.
+        most n - 2k.  Both steps run on numerators: with c_i = C_i / D^i
+        (`charpoly_numerators`) the same recurrence gives T_k = D^k t_k, and
+        with prod(z - p_j) = P / V for a primitive integer P,
+        g_k = T_k V^(k-1) / (D^k P^(k-1)).  P^(k-1) divides T_k over the
+        rationals exactly when the numerator long division leaves no
+        remainder, and each coefficient of g_k is divided once.
         """
         n = self.n
-        divisor = poly_from_roots(self.marked_points)
-        den = DensePoly.one("z")
-        cs = poly_matrix_charpoly(self.psi)
+        cs, d = charpoly_numerators(self.psi)
+        divisor, v, _ = self._divisor
+        den = [1]
         traces, out = [], []
         for k, ck in enumerate(cs, start=1):
-            tk = ck * (-k)
+            tk = [-k * c for c in ck]
             for i in range(1, k):
-                tk = tk - cs[i - 1] * traces[k - i - 1]
+                tk = poly_add(tk, [-c for c in poly_mul(cs[i - 1], traces[k - i - 1])])
             traces.append(tk)
             if k == 1:
                 continue
-            den = den * divisor
-            quot, rem = tk.divmod(den)
+            den = poly_mul(den, divisor)
+            quot, rem = poly_divmod(tk, den)
             bound = n - 2 * k
             gk = overflow = None
             if rem:
                 overflow = _pole_overflow(k)
-            elif quot and quot.degree > bound:
-                overflow = f"degree overflow: g_{k} has degree {quot.degree} > {bound}"
+            elif quot and len(quot) - 1 > bound:
+                overflow = f"degree overflow: g_{k} has degree {len(quot) - 1} > {bound}"
             else:
-                gk = quot.padded(bound + 1) if bound >= 0 else ()
+                scale = v ** (k - 1)
+                gk = tuple(ratio(c * scale, d ** k) if c else 0 for c in quot)
+                gk += (0,) * (bound + 1 - len(gk))
             out.append((k, gk, overflow))
         return tuple(out)
 
@@ -312,13 +339,18 @@ def _contract(r: int, n: int, f: tuple, g: tuple):
     """Canonical bracket pairing of two flat gradients.
 
     The sign is fixed so that the bracket induced on the residue entries
-    M = x_i y_i is delta_jk M_il - delta_il M_kj.
+    M = x_i y_i is delta_jk M_il - delta_il M_kj.  A product with a zero
+    factor is skipped and the others are added in the full sum's order, so
+    float sums keep their bits up to the sign of a zero.
     """
     acc = 0
     for i in range(n):
         for a in range(r):
             x, y = a * n + i, r * n + i * r + a
-            acc = acc + f[y] * g[x] - f[x] * g[y]
+            if f[y] and g[x]:
+                acc = acc + f[y] * g[x]
+            if f[x] and g[y]:
+                acc = acc - f[x] * g[y]
     return acc
 
 
@@ -339,15 +371,22 @@ def poisson_bracket(
     )
 
 
-def _entry_grad(point: QuiverPoint, a: int, b: int, z) -> tuple:
-    # flat gradient of the single matrix entry phi(z)[a][b]: 2n nonzeros
+def _entry_grads(point: QuiverPoint, z) -> dict:
+    # flat gradients of every matrix entry phi(z)[a][b], 2n nonzeros each;
+    # the scaled rows and columns are shared by the r^2 entries
     r, n = point.r, point.n
-    out = [0] * (2 * r * n)
-    for i, p in enumerate(point.marked_points):
-        w = 1 / (z - p)
-        out[a * n + i] = w * point.y[i][b]
-        out[r * n + i * r + b] = w * point.x[a][i]
-    return tuple(out)
+    ws = [1 / (z - p) for p in point.marked_points]
+    wy = [[w * point.y[i][b] for i, w in enumerate(ws)] for b in range(r)]
+    wx = [[w * point.x[a][i] for i, w in enumerate(ws)] for a in range(r)]
+    grads = {}
+    for a in range(r):
+        for b in range(r):
+            out = [0] * (2 * r * n)
+            for i in range(n):
+                out[a * n + i] = wy[b][i]
+                out[r * n + i * r + b] = wx[a][i]
+            grads[(a, b)] = tuple(out)
+    return grads
 
 
 def delta_check(point: QuiverPoint, z, w):
@@ -373,16 +412,8 @@ def delta_check(point: QuiverPoint, z, w):
         linalg.mat_scale(phi_z, 1 / (w - z)),
         linalg.mat_scale(phi_w, 1 / (z - w)),
     )
-    grads_z = {
-        (a, b): _entry_grad(point, a, b, z)
-        for a in range(r)
-        for b in range(r)
-    }
-    grads_w = {
-        (c, d): _entry_grad(point, c, d, w)
-        for c in range(r)
-        for d in range(r)
-    }
+    grads_z = _entry_grads(point, z)
+    grads_w = _entry_grads(point, w)
     worst = 0
     for a in range(r):
         for b in range(r):

@@ -1,17 +1,20 @@
 """Small generic matrix helpers.
 
-Matrices are tuples of tuples of scalars.  The same code serves exact
-entries (int, Fraction, GaussianRational) and floating entries (float,
-complex) because every scalar type used here supports field arithmetic,
-``.conjugate()`` and ``.real``.  The ring helpers (`identity`, `mat_add`,
-`mat_scale`, `mat_mul`, `mat_trace`) need only ring arithmetic with the
-integers 0 and 1, so they also serve matrices of `exact.DensePoly`
-entries.
+Matrices are tuples of tuples of scalars.  The arithmetic helpers serve
+exact entries (int, Fraction, GaussianRational) and floating entries
+(float, complex) alike, because every scalar type used here supports field
+arithmetic, ``.conjugate()`` and ``.real``.  The exact elimination `rref`
+(and `exact_rank` and `kernel_basis` on top of it) does not run on the
+entries themselves: it clears their denominators once, eliminates on the
+numerators (ints, or GaussianRationals with integral parts), and makes one
+boundary division per entry at the end.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .exact import numerators, ratio
 
 Matrix = tuple[tuple, ...]
 
@@ -91,33 +94,50 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form over an exact field, with pivot columns."""
-    rows = [list(r) for r in a]
-    if not rows:
+    """Reduced row echelon form over an exact field, with pivot columns.
+
+    The entries are cleared once to numerators (`exact.numerators`) and
+    Gauss-Jordan runs fraction-free (Bareiss): at each pivot every other row
+    becomes (pivot * row - row[c] * pivot_row) // previous pivot.  That
+    division is exact, every entry stays a minor of the cleared matrix, and
+    every pivot row ends with the last pivot as its leading entry, so one
+    division by it gives the canonical form.  Rows that are zero on input
+    come back as given.
+    """
+    if not a:
         return (), ()
-    p, q = len(rows), len(rows[0])
+    p, q = len(a), len(a[0])
+    nums, _ = numerators(v for row in a for v in row)
+    rows = [nums[i * q:(i + 1) * q] for i in range(p)]
+    given = list(a)
     pivots = []
-    ri = 0
+    prev = 1
     for c in range(q):
-        pivot = None
-        for i in range(ri, p):
-            if rows[i][c]:
-                pivot = i
-                break
+        ri = len(pivots)
+        pivot = next((i for i in range(ri, p) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[ri], rows[pivot] = rows[pivot], rows[ri]
-        inv = rows[ri][c]
-        rows[ri] = [x / inv for x in rows[ri]]
-        for i in range(p):
-            if i != ri and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ri])]
+        given[ri], given[pivot] = given[pivot], given[ri]
+        top = rows[ri]
+        lead = top[c]
+        for i, row in enumerate(rows):
+            if i == ri:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(lead * x - f * y) // prev for x, y in zip(row, top)]
+            else:
+                rows[i] = [lead * x // prev for x in row]
+        prev = lead
         pivots.append(c)
-        ri += 1
-        if ri == p:
+        if len(pivots) == p:
             break
-    return mat(rows), tuple(pivots)
+    zero = ratio(0 * prev, 1)  # Fraction(0), or a Gaussian zero
+    return tuple(
+        tuple(ratio(x, prev) if x else zero for x in row) if any(src) else tuple(src)
+        for row, src in zip(rows, given)
+    ), tuple(pivots)
 
 
 def exact_rank(a: Matrix) -> int:

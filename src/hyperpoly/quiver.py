@@ -70,8 +70,11 @@ class QuiverPoint:
             raise ValueError("x must be r x n")
         if len(self.y) != self.n or any(len(row) != self.r for row in self.y):
             raise ValueError("y must be n x r")
-        if self.alpha is not None and len(self.alpha) != self.n:
-            raise ValueError("length vector size must match the edge count")
+        if self.alpha is not None:
+            if len(self.alpha) != self.n:
+                raise ValueError("length vector size must match the edge count")
+            if any(a <= 0 for a in self.alpha):
+                raise ValueError("length vector entries must be positive")
         if not self.marked_points:
             object.__setattr__(
                 self, "marked_points", default_marked_points(self.n)

@@ -191,6 +191,19 @@ def test_alpha_of_wrong_size_exits_3(tmp_path, capsys):
         assert _exit_code(capsys, cmd, "--point", str(path)) == 3, cmd
 
 
+def test_nonpositive_alpha_exits_3(tmp_path, capsys):
+    for alpha in ("0,1,1,1", "-1,1,1,1", "1,1,-1/2,1"):
+        assert _exit_code(capsys, "sample", "-r", "2", "-n", "4", f"--alpha={alpha}") == 3
+    obj = json.loads(sample_exact(2, 4, seed=0, alpha=(1, 1, 1, 2)).dumps())
+    obj["alpha"] = ["0/1", "1/1", "1/1", "1/1"]
+    path = tmp_path / "zero_alpha.json"
+    path.write_text(json.dumps(obj))
+    for cmd in ("hitchin", "commute", "jacobian", "spectral"):
+        code, _, err = run(capsys, cmd, "--point", str(path))
+        assert code == 3, cmd
+        assert "length vector entries must be positive" in err
+
+
 def test_numeric_options_out_of_range_exit_3(tmp_path, capsys):
     path = tmp_path / "pt.json"
     path.write_text(sample_exact(2, 4, seed=0).dumps())

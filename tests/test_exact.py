@@ -11,11 +11,12 @@ from hyperpoly.exact import (
     parse_rational,
     poly_from_roots,
     poly_matrix_charpoly,
+    poly_mul,
     scalar_from_json,
     scalar_to_json,
     vanishing_order,
 )
-from hyperpoly.betti import _geom_coeffs, _poly_mul_int
+from hyperpoly.betti import _geom_coeffs
 from hyperpoly.linalg import norm_sq
 
 rationals = st.fractions(
@@ -170,7 +171,7 @@ orders = st.integers(min_value=0, max_value=8)
 
 @given(coeff_lists, coeff_lists, orders)
 def test_series_mul_commutes(a, b, order):
-    assert _poly_mul_int(a, b)[: order + 1] == _poly_mul_int(b, a)[: order + 1]
+    assert poly_mul(a, b)[: order + 1] == poly_mul(b, a)[: order + 1]
 
 
 @given(st.integers(min_value=0, max_value=6), orders)
@@ -178,10 +179,10 @@ def test_geom_power_inverts_binomial(s, order):
     # (1-u)^s * 1/(1-u)^s == 1 through the truncation order
     acc = [1]
     for _ in range(s):
-        acc = _poly_mul_int(acc, [1, -1])
+        acc = poly_mul(acc, [1, -1])
     geom = _geom_coeffs(s, order)
     assert len(geom) == order + 1
-    assert _poly_mul_int(acc, geom)[: order + 1] == [1] + [0] * order
+    assert poly_mul(acc, geom)[: order + 1] == [1] + [0] * order
 
 
 # ---------------------------------------------------------------------------

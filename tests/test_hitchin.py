@@ -19,6 +19,7 @@ from hyperpoly.hitchin import (
     residues,
 )
 from hyperpoly.quiver import QuiverPoint, sample_exact
+from hyperpoly.spectral import order_check, spectral_charpoly, twist
 
 from conftest import X24
 
@@ -117,6 +118,20 @@ def test_hitchin_map_overflow_at_rank4():
     pt = sample_exact(4, 8, seed=0)
     with pytest.raises(DegreeOverflowError) as exc:
         hitchin_map(residues(pt))
+    assert exc.value.power == 4
+
+
+@pytest.mark.parametrize("r,n", [(5, 9), (6, 12)])
+def test_exact_chain_at_ranks_5_and_6(r, n):
+    # the whole exact chain past the paper's range: brackets and the
+    # two-pole kernel vanish, the order bounds hold, the base map overflows
+    pt = sample_exact(r, n, seed=0)
+    assert commutation_report(pt).all_zero
+    assert delta_check(pt, Fraction(1, 2), Fraction(-3, 2)) == 0
+    field = residues(pt)
+    assert order_check(spectral_charpoly(twist(field))).all_pass
+    with pytest.raises(DegreeOverflowError) as exc:
+        hitchin_map(field)
     assert exc.value.power == 4
 
 

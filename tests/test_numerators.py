@@ -1,0 +1,267 @@
+"""The exact kernels on numerators against Fraction references.
+
+`linalg.rref`, `exact.poly_matrix_charpoly`, `HiggsField.cleared_traces`
+and `exact.vanishing_order` clear denominators once and divide once at the
+end.  The references below are the field eliminations they replaced, kept
+here only.  Typed reprs must agree: same values and same scalar types.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperpoly import linalg
+from hyperpoly.exact import (
+    DensePoly,
+    GaussianRational,
+    PolyMatrix,
+    poly_from_roots,
+    poly_matrix_charpoly,
+    vanishing_order,
+)
+from hyperpoly.hitchin import residues
+from hyperpoly.quiver import exact_point_from_x, sample_exact
+
+
+# ---------------------------------------------------------------------------
+# Fraction references
+
+def _rref_reference(a):
+    rows = [list(r) for r in a]
+    if not rows:
+        return (), ()
+    p, q = len(rows), len(rows[0])
+    pivots = []
+    ri = 0
+    for c in range(q):
+        pivot = next((i for i in range(ri, p) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[ri], rows[pivot] = rows[pivot], rows[ri]
+        inv = rows[ri][c]
+        rows[ri] = [x / inv for x in rows[ri]]
+        for i in range(p):
+            if i != ri and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ri])]
+        pivots.append(c)
+        ri += 1
+        if ri == p:
+            break
+    return linalg.mat(rows), tuple(pivots)
+
+
+def _kernel_reference(a):
+    reduced, pivots = _rref_reference(a)
+    q = len(a[0])
+    basis = []
+    for fc in (c for c in range(q) if c not in pivots):
+        v = [0] * q
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = -reduced[ri][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _div_int(c, k):
+    if isinstance(c, int):
+        q, rem = divmod(c, k)
+        return q if rem == 0 else Fraction(c, k)
+    return c / k
+
+
+def _charpoly_reference(m: PolyMatrix):
+    ident = linalg.identity(m.size)
+    mk = m.rows
+    cs = []
+    for k in range(1, m.size + 1):
+        if k > 1:
+            mk = linalg.mat_mul(m.rows, linalg.mat_add(mk, linalg.mat_scale(ident, cs[-1])))
+        cs.append(DensePoly([_div_int(c, k) for c in linalg.mat_trace(mk).coeffs], m.var) * (-1))
+    return cs
+
+
+def _cleared_traces_reference(field):
+    divisor = poly_from_roots(field.marked_points)
+    den = DensePoly.one("z")
+    cs = _charpoly_reference(field.psi)
+    traces, out = [], []
+    for k, ck in enumerate(cs, start=1):
+        tk = ck * (-k)
+        for i in range(1, k):
+            tk = tk - cs[i - 1] * traces[k - i - 1]
+        traces.append(tk)
+        if k == 1:
+            continue
+        den = den * divisor
+        quot, rem = tk.divmod(den)
+        bound = field.n - 2 * k
+        if rem:
+            out.append((k, None, "pole"))
+        elif quot and quot.degree > bound:
+            out.append((k, None, "degree"))
+        else:
+            out.append((k, quot.padded(bound + 1) if bound >= 0 else (), None))
+    return out
+
+
+def _vanishing_order_reference(p: DensePoly, a):
+    if p.is_zero():
+        return math.inf
+    order = 0
+    while p(a) == 0:
+        p = p.exact_div(DensePoly((-a, 1), p.var))
+        order += 1
+    return order
+
+
+def _typed(polys):
+    return [repr(p.coeffs) for p in polys]
+
+
+# ---------------------------------------------------------------------------
+# rref and kernel_basis
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+gaussian = st.builds(GaussianRational, small, small)
+
+
+@st.composite
+def matrices(draw, entries):
+    """Matrices of rank at most k, built as a product B C, with a duplicate
+    row and a zero row (int or typed zeros) spliced in on request."""
+    p = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(p, q)))
+    b = [[draw(entries) for _ in range(k)] for _ in range(p)]
+    c = [[draw(entries) for _ in range(q)] for _ in range(k)]
+    rows = [tuple(sum(b[i][l] * c[l][j] for l in range(k)) for j in range(q)) for i in range(p)]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, p - 1))])
+    if draw(st.booleans()):
+        zero = draw(st.sampled_from([0, rows[0][0] * 0]))
+        rows.insert(draw(st.integers(0, len(rows))), (zero,) * q)
+    return tuple(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(small))
+def test_rref_and_kernel_match_reference_on_rationals(a):
+    assert repr(linalg.rref(a)) == repr(_rref_reference(a))
+    assert repr(linalg.kernel_basis(a)) == repr(_kernel_reference(a))
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrices(gaussian))
+def test_rref_and_kernel_match_reference_on_gaussians(a):
+    assert repr(linalg.rref(a)) == repr(_rref_reference(a))
+    assert repr(linalg.kernel_basis(a)) == repr(_kernel_reference(a))
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrices(st.one_of(small, gaussian)))
+def test_rref_mixed_entries_come_back_gaussian(a):
+    # with real and complex entries mixed, the numerator ring is the
+    # Gaussian one and every pivot row comes back as GaussianRationals;
+    # the field elimination kept some of their entries as Fractions
+    got, pivots = linalg.rref(a)
+    want, want_pivots = _rref_reference(a)
+    assert got == want and pivots == want_pivots
+    if any(isinstance(v, GaussianRational) for row in a for v in row):
+        assert all(isinstance(v, GaussianRational) for row in got[: len(pivots)] for v in row)
+
+
+def test_rref_on_the_sampling_fiber():
+    # the system sample_exact solves for y: int zeros around Fraction entries
+    r, n = 5, 9
+    x = sample_exact(r, n, seed=0).x
+    rows = []
+    for i in range(n):
+        row = [0] * (n * r)
+        for a in range(r):
+            row[i * r + a] = x[a][i]
+        rows.append(tuple(row))
+    for a in range(r):
+        for b in range(r):
+            row = [0] * (n * r)
+            for i in range(n):
+                row[i * r + b] = x[a][i]
+            rows.append(tuple(row))
+    assert repr(linalg.rref(tuple(rows))) == repr(_rref_reference(tuple(rows)))
+
+
+# ---------------------------------------------------------------------------
+# charpoly and cleared traces
+
+def _rational_field(r, n, seed):
+    # non-integral x entries and marked points: psi has real denominators
+    # and prod(z - p_j) is not monic on numerators
+    base = sample_exact(r, n, seed=seed).x
+    x = [[v / (i + 2) for i, v in enumerate(row)] for row in base]
+    points = [Fraction(2 * i + 1, 3) for i in range(n)]
+    return residues(exact_point_from_x(x, seed=seed, marked_points=points))
+
+
+def _gaussian_field():
+    g = GaussianRational
+    x = (
+        (g(1, 2), 0, 1, g(0, -1), 3),
+        (2, g(Fraction(1, 2), 1), g(-1, 1), 1, 0),
+        (0, 1, g(2, -3), 1, g(1, 1)),
+    )
+    return residues(exact_point_from_x(x, seed=3))
+
+
+def test_charpoly_matches_reference_with_real_denominators():
+    for r, n, seed in [(2, 6, 0), (3, 7, 1), (4, 8, 2)]:
+        psi = _rational_field(r, n, seed).psi
+        assert any(c.denominator > 1 for row in psi.rows for e in row for c in e.coeffs)
+        assert _typed(poly_matrix_charpoly(psi)) == _typed(_charpoly_reference(psi))
+
+
+def test_charpoly_matches_reference_on_gaussian_psi():
+    psi = _gaussian_field().psi
+    assert any(isinstance(c, GaussianRational) for row in psi.rows for e in row for c in e.coeffs)
+    assert _typed(poly_matrix_charpoly(psi)) == _typed(_charpoly_reference(psi))
+
+
+def test_cleared_traces_match_reference():
+    fields = [_rational_field(3, 7, 1), _rational_field(4, 9, 0), _gaussian_field()]
+    for field in fields:
+        got = [(k, gk, "pole" if err and "pole" in err else "degree" if err else None)
+               for k, gk, err in field.cleared_traces]
+        assert repr(got) == repr(_cleared_traces_reference(field))
+    # the rank-4 field leaves a remainder at the fourth power
+    assert fields[1].cleared_traces[-1][2].endswith("higher-order pole at a marked point")
+
+
+# ---------------------------------------------------------------------------
+# vanishing orders
+
+def test_vanishing_order_at_a_half_integer():
+    p = poly_from_roots([Fraction(3, 2)] * 3 + [Fraction(-1, 3), 5]) * Fraction(7, 4)
+    for a, want in [(Fraction(3, 2), 3), (Fraction(-1, 3), 1), (Fraction(5), 1),
+                    (Fraction(5, 2), 0), (Fraction(3), 0)]:
+        assert vanishing_order(p, a) == want == _vanishing_order_reference(p, a)
+
+
+def test_vanishing_order_at_a_gaussian_point():
+    # 2z - (1 + i) is not primitive over the Gaussian integers
+    a = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    p = poly_from_roots([a, a, Fraction(1, 2)]) * Fraction(3, 2)
+    assert vanishing_order(p, a) == 2 == _vanishing_order_reference(p, a)
+    assert vanishing_order(p, Fraction(1, 2)) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+def test_vanishing_order_matches_reference(roots, a, scale):
+    p = poly_from_roots(roots) * scale
+    assert vanishing_order(p, a) == _vanishing_order_reference(p, a) == roots.count(a)
