@@ -3,7 +3,8 @@
 
 Samples a point (exact fiber by default, numerical with --solve), then
 walks the full pipeline: moment residuals, base coordinates, bracket
-report, spectral characteristic polynomial, and vanishing orders.
+report, spectral characteristic polynomial, vanishing orders and, for
+exact points, the smoothness probe of the spectral curve.
 """
 
 import argparse
@@ -58,6 +59,11 @@ def main() -> int:
         }
         print(f"charpoly degrees: {degs}")
         print(f"order bounds: all_pass={orders.all_pass}")
+        probe = spectral.smoothness_probe(cp)
+        print(
+            f"smoothness probe: {probe.verdict} "
+            f"(discriminant degree {probe.discriminant_degree})"
+        )
     else:
         rank = hitchin.jacobian_rank(pt)
         print(f"jacobian rank: {rank.rank} (base dim {rank.dim_b})")

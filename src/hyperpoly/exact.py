@@ -395,6 +395,8 @@ class DensePoly:
         d = other.coeffs
         dn = len(d)
         lead = d[-1]
+        if isinstance(lead, int):  # int / int would give a float
+            lead = Fraction(lead)
         if len(rem) < dn:
             return DensePoly.zero(self.var), self
         q = [0] * (len(rem) - dn + 1)

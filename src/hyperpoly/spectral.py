@@ -9,8 +9,10 @@ data share one exact pass, and `trace_consistency` flags exactly the
 powers at which `hitchin_map` raises.  This module computes the c_i,
 checks the vanishing-order bounds ord_{p_j}(c_i) >= floor((i+1)/2) at the
 marked points, probes for singular points away from the marked fibers
-through an exact discriminant, and carries two small hardcoded local
-models (one of rank 3, one of rank 4) used as fixtures.
+through the exact discriminant det g(C) (g = df/dlam, C the companion
+matrix of f), read off the Faddeev-LeVerrier kernel that gives the c_i,
+and carries two small hardcoded local models (one of rank 3, one of
+rank 4) used as fixtures.
 """
 
 from __future__ import annotations
@@ -261,53 +263,40 @@ def local_models(seed: int = 0) -> tuple[LocalModelFixture, LocalModelFixture]:
 # ---------------------------------------------------------------------------
 # smoothness probe
 
-def _bareiss_det(mat: list[list[DensePoly]]) -> DensePoly:
-    """Fraction-free determinant over the polynomial ring."""
-    m = [row[:] for row in mat]
-    size = len(m)
-    sign = 1
-    prev = DensePoly.one("z")
-    for k in range(size - 1):
-        if not m[k][k]:
-            pivot = next(
-                (i for i in range(k + 1, size) if m[i][k]), None
-            )
-            if pivot is None:
-                return DensePoly.zero("z")
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = DensePoly.zero("z")
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return -det if sign < 0 else det
-
-
 def _resultant_lambda(f_coeffs: list[DensePoly], g_coeffs: list[DensePoly]) -> DensePoly:
-    """Resultant in the fiber variable of two coefficient lists.
+    """Resultant in the fiber variable of a monic f and any g.
 
     Coefficient lists are highest power first; entries are polynomials in z.
+    Res(f, g) = det g(C) for the companion matrix C of f (Cohen, GTM 138,
+    section 3.3).  g(C) comes from Horner's rule, and its determinant is
+    (-1)^r times the last coefficient of its Faddeev-LeVerrier
+    characteristic polynomial.
     """
-    dn = len(f_coeffs) - 1
-    dm = len(g_coeffs) - 1
-    size = dn + dm
-    zero = DensePoly.zero("z")
-    rows = []
-    for s in range(dm):
-        rows.append([zero] * s + f_coeffs + [zero] * (dm - 1 - s))
-    for s in range(dn):
-        rows.append([zero] * s + g_coeffs + [zero] * (dn - 1 - s))
-    return _bareiss_det(rows)
+    if f_coeffs[0] != 1:
+        raise ValueError("the resultant needs a monic f")
+    r = len(f_coeffs) - 1
+    ident = [[DensePoly.constant(int(i == j), "z") for j in range(r)] for i in range(r)]
+    # C: ones below the diagonal, -a_r .. -a_1 down the last column
+    comp = [row[1:] + [-a] for row, a in zip(ident, reversed(f_coeffs[1:]))]
+    g_of_c = linalg.zeros(r, r)
+    for b in g_coeffs:
+        g_of_c = linalg.mat_add(linalg.mat_mul(g_of_c, comp), linalg.mat_scale(ident, b))
+    det = poly_matrix_charpoly(PolyMatrix(g_of_c, "z"))[-1]
+    return -det if r % 2 else det
 
 
-def _poly_floats(p: DensePoly) -> list[float]:
-    # normalize by the largest magnitude before float conversion so huge
-    # exact coefficients cannot overflow
-    biggest = max(abs(c) for c in p.coeffs)
-    return [float(c / biggest) for c in p.coeffs]
+def _poly_floats(p: DensePoly) -> list:
+    # normalize by the coefficient of largest modulus before leaving the
+    # exact ring, so huge exact coefficients cannot overflow; real
+    # coefficients stay real, so that np.roots keeps conjugate roots paired
+    biggest = max(p.coeffs, key=linalg.norm_sq)
+    vals = [complex(c / biggest) for c in p.coeffs]
+    return vals if any(v.imag for v in vals) else [v.real for v in vals]
+
+
+def _at(p: DensePoly, z0: complex) -> complex:
+    """p(z0) in floating point, with the exact coefficients made complex."""
+    return DensePoly([complex(c) for c in p.coeffs])(z0)
 
 
 @dataclass(frozen=True)
@@ -383,9 +372,9 @@ def smoothness_probe(
                 )
             )
             continue
-        fc = [complex(c(z0)) for c in f_coeffs]
+        fc = [_at(c, z0) for c in f_coeffs]
         scale = max(1.0, max(abs(v) for v in fc))
-        flc = [complex(c(z0)) for c in flam_coeffs]
+        flc = [_at(c, z0) for c in flam_coeffs]
         lam_roots = np.roots(flc) if len(flc) > 1 else np.array([])
         if lam_roots.size == 0:
             continue
@@ -394,7 +383,7 @@ def smoothness_probe(
         lam = complex(lam_roots[best])
         f_abs = float(fvals[best])
         fz = sum(
-            complex(cp.c[i].derivative()(z0)) * lam ** (r - i)
+            _at(cp.c[i].derivative(), z0) * lam ** (r - i)
             for i in range(1, r + 1)
         )
         fz_abs = float(abs(fz))

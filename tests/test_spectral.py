@@ -7,12 +7,13 @@ from hyperpoly.errors import (
     DegreeOverflowError,
     ValidationError,
 )
-from hyperpoly.exact import DensePoly, PolyMatrix, poly_from_roots
+from hyperpoly.exact import DensePoly, GaussianRational, PolyMatrix, poly_from_roots
 from hyperpoly.hitchin import residues
-from hyperpoly.quiver import min_orbit_check, sample_exact
+from hyperpoly.quiver import exact_point_from_x, min_orbit_check, sample_exact
 from hyperpoly.spectral import (
     CharPoly,
     TwistedHiggs,
+    _resultant_lambda,
     local_models,
     order_check,
     smoothness_probe,
@@ -189,19 +190,97 @@ def test_probe_fixture_curve_clean(point24):
     assert all(p.classification == "on-divisor" for p in rep.points)
 
 
+def _discriminant_lists(cp):
+    """f and its fiber derivative as coefficient lists, highest power first."""
+    r = cp.r
+    f = [DensePoly.one("z")] + [cp.c[i] for i in range(1, r + 1)]
+    f_lam = [cp.c[i] * (r - i) if i else DensePoly.constant(r, "z") for i in range(r)]
+    return f, f_lam
+
+
+def _sylvester_det(f, g):
+    """Determinant of the scalar Sylvester matrix of f and g (highest power
+    first), by Gaussian elimination over Fractions."""
+    dn, dm = len(f) - 1, len(g) - 1
+    rows = [[Fraction(0)] * s + f + [Fraction(0)] * (dm - 1 - s) for s in range(dm)]
+    rows += [[Fraction(0)] * s + g + [Fraction(0)] * (dn - 1 - s) for s in range(dn)]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            q = rows[i][k] / rows[k][k]
+            rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+@pytest.mark.parametrize("r,n", [(2, 6), (3, 7), (4, 8)])
+def test_resultant_matches_sylvester_oracle(r, n):
+    cp = spectral_charpoly(twist(residues(sample_exact(r, n, seed=0))))
+    f, f_lam = _discriminant_lists(cp)
+    res = _resultant_lambda(f, f_lam)
+    for z0 in (Fraction(1, 2), Fraction(7, 3), Fraction(-2)):
+        f0 = [Fraction(c(z0)) for c in f]
+        f_lam0 = [Fraction(c(z0)) for c in f_lam]
+        assert res(z0) == _sylvester_det(f0, f_lam0)
+
+
+def test_resultant_needs_monic_f():
+    z = DensePoly.gen("z")
+    with pytest.raises(ValueError):
+        _resultant_lambda([z, DensePoly.one("z")], [z])
+
+
+@pytest.mark.parametrize("r,n", [(2, 8), (3, 7), (4, 8), (5, 9)])
+def test_probe_runs_on_sampled_points(r, n):
+    cp = spectral_charpoly(twist(residues(sample_exact(r, n, seed=0))))
+    rep = smoothness_probe(cp)
+    res = _resultant_lambda(*_discriminant_lists(cp))
+    # the discriminant has weight r(r-1) and deg c_i <= i(n-2); these
+    # points reach the bound
+    assert rep.discriminant_degree == res.degree == r * (r - 1) * (n - 2)
+    assert len(rep.points) == res.degree
+    assert rep.verdict == "no singularities detected away from D"
+
+
+def test_probe_on_complex_exact_point():
+    x = ((GaussianRational(1, 1), 0, 1, 1, 2), (0, 1, GaussianRational(1, -1), 2, 1))
+    cp = spectral_charpoly(twist(residues(exact_point_from_x(x, seed=0))))
+    rep = smoothness_probe(cp)
+    assert rep.verdict == "no singularities detected away from D"
+    assert rep.discriminant_degree == 6
+    classes = sorted(p.classification for p in rep.points)
+    assert classes == ["on-divisor"] * 5 + ["smooth-candidate"]
+    # lam^2 + c_2 is singular over z only where c_2 has a double root: the
+    # one root of c_2 off the marked points is simple, so the curve is
+    # smooth there
+    (probe,) = [p for p in rep.points if p.classification == "smooth-candidate"]
+    lin = cp.c[2].exact_div(poly_from_roots(cp.marked_points))
+    assert abs(probe.z - complex(-lin.coeffs[0] / lin.coeffs[1])) < 1e-9
+    assert abs(probe.lambda_fiber) < 1e-6
+
+
 def test_resultant_against_sympy():
     sympy = pytest.importorskip("sympy")
     rank3, _ = local_models(seed=0)
     z, lam = sympy.symbols("z lam")
-    f = lam ** 3 - z * lam - z ** 2
-    res = sympy.resultant(f, sympy.diff(f, lam), lam)
-    got = sympy.Poly(res, z).all_coeffs()
-    from hyperpoly.spectral import _resultant_lambda
-    c = rank3.charpoly.c
-    ours = _resultant_lambda(
-        [DensePoly.one("z"), c[1], c[2], c[3]],
-        [DensePoly.constant(3, "z"), c[1] * 2, c[2]],
-    )
-    mine = list(reversed([Fraction(v) for v in ours.padded(ours.degree + 1)]))
-    theirs = [Fraction(int(v)) for v in got]
-    assert mine == theirs
+
+    def to_sympy(cp):
+        return lam ** cp.r + sum(
+            sum(sympy.Rational(str(Fraction(v))) * z ** k for k, v in enumerate(cp.c[i].coeffs))
+            * lam ** (cp.r - i)
+            for i in range(1, cp.r + 1)
+        )
+
+    cp37 = spectral_charpoly(twist(residues(sample_exact(3, 7, seed=0))))
+    for cp, f in [(rank3.charpoly, lam ** 3 - z * lam - z ** 2), (cp37, to_sympy(cp37))]:
+        res = sympy.resultant(f, sympy.diff(f, lam), lam)
+        theirs = [Fraction(str(v)) for v in sympy.Poly(res, z).all_coeffs()]
+        ours = _resultant_lambda(*_discriminant_lists(cp))
+        mine = list(reversed([Fraction(v) for v in ours.padded(ours.degree + 1)]))
+        assert mine == theirs
