@@ -10,9 +10,11 @@ The exact kernels (`linalg.rref`, `poly_matrix_charpoly`,
 numerators: `numerators` clears the denominators of their input once, the
 kernel works in that numerator ring (Python ints, or GaussianRational with
 integral parts for complex input, where ``//`` is exact division in both),
-and `ratio` divides once at the end.  `PolyMatrix` is a validated container
-of polynomials.  Truncated power series have no type here: the Betti layer
-keeps them as plain coefficient lists.
+and `ratio` divides once at the end.  `poly_add`, `poly_mul` and
+`poly_divmod` on coefficient lists are the only polynomial sum, product and
+division loops; `DensePoly` is a value type over the first two, and
+`PolyMatrix` a validated container of polynomials.  Truncated power series
+have no type here: the Betti layer keeps them as plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -121,18 +123,6 @@ class GaussianRational:
         division of Gaussian integers whenever the quotient is integral."""
         q = self / other
         return GaussianRational(q.re // 1, q.im // 1)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = GaussianRational(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -265,7 +255,9 @@ class DensePoly:
 
     Coefficients are stored lowest degree first with no trailing zeros, so
     representations are canonical and ``==`` is semantic equality.  ``var``
-    tags the variable; operations on mismatched tags are rejected.
+    tags the variable; operations on mismatched tags are rejected.  A value
+    type: sums and products are `poly_add` and `poly_mul` on the
+    coefficient tuples.
     """
 
     __slots__ = ("coeffs", "var")
@@ -332,13 +324,7 @@ class DensePoly:
         if not isinstance(other, DensePoly):
             other = DensePoly.constant(other, self.var)
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return DensePoly(out, self._var_of(other))
+        return DensePoly(poly_add(self.coeffs, other.coeffs), self._var_of(other))
 
     __radd__ = __add__
 
@@ -359,16 +345,7 @@ class DensePoly:
                 return DensePoly.zero(self.var)
             return DensePoly(tuple(c * other for c in self.coeffs), self.var)
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return DensePoly.zero(self._var_of(other))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return DensePoly(out, self._var_of(other))
+        return DensePoly(poly_mul(self.coeffs, other.coeffs), self._var_of(other))
 
     __rmul__ = __mul__
 
@@ -384,38 +361,6 @@ class DensePoly:
             k >>= 1
         return out
 
-    def divmod(self, other: "DensePoly"):
-        """Euclidean division; requires an invertible leading coefficient."""
-        if not isinstance(other, DensePoly):
-            other = DensePoly.constant(other, self.var)
-        self._check_var(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.coeffs
-        dn = len(d)
-        lead = d[-1]
-        if isinstance(lead, int):  # int / int would give a float
-            lead = Fraction(lead)
-        if len(rem) < dn:
-            return DensePoly.zero(self.var), self
-        q = [0] * (len(rem) - dn + 1)
-        for i in range(len(rem) - dn, -1, -1):
-            c = rem[i + dn - 1]
-            if not c:
-                continue
-            f = c / lead
-            q[i] = f
-            for j, dj in enumerate(d):
-                rem[i + j] = rem[i + j] - f * dj
-        return DensePoly(q, self.var), DensePoly(rem, self.var)
-
-    def exact_div(self, other: "DensePoly") -> "DensePoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
     def __call__(self, point):
         out = 0
         for c in reversed(self.coeffs):
@@ -426,12 +371,6 @@ class DensePoly:
         return DensePoly(
             tuple(k * c for k, c in enumerate(self.coeffs) if k), self.var
         )
-
-    def padded(self, length: int) -> tuple:
-        """Coefficient tuple padded with zeros up to the given length."""
-        if length < len(self.coeffs):
-            raise ValueError("padding shorter than polynomial")
-        return self.coeffs + (0,) * (length - len(self.coeffs))
 
     def __repr__(self):
         if not self.coeffs:

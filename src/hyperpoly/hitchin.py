@@ -40,6 +40,8 @@ from .quiver import QuiverPoint
 
 # relative mismatch of a float g_k fit at its check point, k >= 4
 _FLOAT_FIT_TOL = 1e-6
+# relative defect allowed in a float point's complex moment equations
+_MOMENT_TOL = 1e-8
 
 
 def _pole_overflow(k: int) -> str:
@@ -159,14 +161,14 @@ def _edge_scale(col, row) -> float:
     )
 
 
-def residues(point: QuiverPoint, tol: float = 1e-8) -> HiggsField:
+def residues(point: QuiverPoint) -> HiggsField:
     """Residue matrices phi_i = x_i y_i of a quiver point.
 
     Validates the complex moment map: every scalar y_i x_i must vanish and
     the residues must sum to zero.  Tracelessness, square-zero and rank <= 1
     of each phi_i then hold automatically for the outer products.  Exact
-    points are checked exactly, float points within tol relative to the
-    entry scale.
+    points are checked exactly, float points within _MOMENT_TOL relative to
+    the entry scale.
     """
     r, n = point.r, point.n
     exact = point.flavor == "exact"
@@ -178,7 +180,7 @@ def residues(point: QuiverPoint, tol: float = 1e-8) -> HiggsField:
         if exact:
             bad = bool(scalar)
         else:
-            bad = abs(complex(scalar)) > tol * max(1.0, _edge_scale(col, row))
+            bad = abs(complex(scalar)) > _MOMENT_TOL * max(1.0, _edge_scale(col, row))
         if bad:
             raise MomentMapError(
                 f"complex moment map violated: y_i x_i != 0 at edge {i + 1}",
@@ -192,7 +194,7 @@ def residues(point: QuiverPoint, tol: float = 1e-8) -> HiggsField:
     if exact:
         bad = bool(defect)
     else:
-        bound = tol * max(1.0, max(float(linalg.frob_sq(m)) for m in mats))
+        bound = _MOMENT_TOL * max(1.0, max(float(linalg.frob_sq(m)) for m in mats))
         # bound * bound is inf past the float range, where ** 2 raises
         bad = float(defect) > bound * bound
     if bad:
@@ -354,15 +356,9 @@ def _contract(r: int, n: int, f: tuple, g: tuple):
     return acc
 
 
-def poisson_bracket(
-    point: QuiverPoint,
-    f: BracketObservable,
-    g: BracketObservable,
-    field: Optional[HiggsField] = None,
-):
+def poisson_bracket(point: QuiverPoint, f: BracketObservable, g: BracketObservable):
     """Canonical holomorphic bracket of two trace-power observables."""
-    if field is None:
-        field = residues(point)
+    field = residues(point)
     return _contract(
         point.r,
         point.n,
@@ -457,16 +453,15 @@ class CommutationReport:
     all_zero: bool  # exact flavor: every bracket is identically zero
 
 
-def commutation_report(point: QuiverPoint, eval_points: Sequence | None = None) -> CommutationReport:
-    """Brackets of all observable pairs at the default evaluation points."""
+def commutation_report(point: QuiverPoint) -> CommutationReport:
+    """Brackets of all observable pairs at the evaluation points
+    max(p_j) + 1, + 2, + 3."""
     n, r = point.n, point.r
     field = residues(point)
-    if eval_points is None:
-        eval_points = _eval_points(point.marked_points, 3)
     obs = [
         BracketObservable(m, z0)
         for m in range(2, r + 1)
-        for z0 in eval_points
+        for z0 in _eval_points(point.marked_points, 3)
     ]
     grads = [observable_grad(point, o, field) for o in obs]
     # only a nonzero bracket needs norms; exact squared norms can pass 2^1024

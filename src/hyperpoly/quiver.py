@@ -30,6 +30,7 @@ from .errors import (
 )
 from .exact import (
     GaussianRational,
+    numerators,
     parse_rational,
     scalar_from_json,
     scalar_to_json,
@@ -204,25 +205,20 @@ def moment_residual(point: QuiverPoint, alpha: Sequence | None = None) -> Moment
 # ---------------------------------------------------------------------------
 # exact sampling on the complex moment map fiber
 
+# draws of x before `sample_exact` gives up on a full-rank one
+_MAX_DRAWS = 20
+
+
 def _canonical_primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale a rational vector to a primitive integer vector whose first
     nonzero coordinate is positive."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    nums, _ = numerators(vec)
+    g = math.gcd(*nums)
     if g == 0:
         raise ValueError("zero vector cannot be normalized")
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    if next(v for v in nums if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in nums)
 
 
 def _as_real_fractions(vec) -> Optional[list[Fraction]]:
@@ -314,41 +310,35 @@ def exact_point_from_x(
 
 
 def sample_exact(
-    r: int,
-    n: int,
-    seed: int = 0,
-    alpha: Sequence | None = None,
-    marked_points: Sequence | None = None,
-    max_draws: int = 20,
+    r: int, n: int, seed: int = 0, alpha: Sequence | None = None
 ) -> QuiverPoint:
-    """Seeded exact point on the complex moment fiber.
+    """Seeded exact point on the complex moment fiber, marked points 1..n.
 
-    x gets small random integer entries and is redrawn while rank deficient;
-    y is then completed as in `exact_point_from_x`.
+    x gets small random integer entries and is redrawn while rank deficient,
+    at most _MAX_DRAWS times; y is then completed as in
+    `exact_point_from_x`.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("rank must be a positive integer")
     if not isinstance(n, int) or n < 1:
         raise ValueError("edge count must be a positive integer")
     rng = random.Random((seed, r, n).__repr__())
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         x = tuple(
             tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
             for _ in range(r)
         )
         if linalg.exact_rank(x) == min(r, n):
-            return exact_point_from_x(
-                x, seed=seed, alpha=alpha, marked_points=marked_points
-            )
+            return exact_point_from_x(x, seed=seed, alpha=alpha)
     raise DegenerateSampleError(
-        f"could not draw a full-rank x in {max_draws} attempts"
+        f"could not draw a full-rank x in {_MAX_DRAWS} attempts"
     )
 
 
 # ---------------------------------------------------------------------------
 # numerical solve of the full (real and complex) moment equations
 
-def _np_point(x: np.ndarray, y: np.ndarray, r, n, alpha, marked_points) -> QuiverPoint:
+def _np_point(x: np.ndarray, y: np.ndarray, r, n, alpha) -> QuiverPoint:
     return QuiverPoint(
         r=r,
         n=n,
@@ -356,9 +346,6 @@ def _np_point(x: np.ndarray, y: np.ndarray, r, n, alpha, marked_points) -> Quive
         x=tuple(tuple(complex(v) for v in row) for row in x),
         y=tuple(tuple(complex(v) for v in row) for row in y),
         alpha=tuple(Fraction(a) for a in alpha),
-        marked_points=tuple(
-            Fraction(p) for p in (marked_points or default_marked_points(n))
-        ),
     )
 
 
@@ -436,9 +423,9 @@ def solve_real(
     tol: float = 1e-9,
     max_iter: int = 2000,
     restarts: int = 10,
-    marked_points: Sequence | None = None,
 ) -> QuiverPoint:
-    """Find a float point satisfying all moment equations at level alpha.
+    """Find a float point satisfying all moment equations at level alpha,
+    marked points 1..n.
 
     Damped least squares with seeded restarts.  The accepted-step rule makes
     the residual norm monotonically non-increasing within each restart.
@@ -504,7 +491,7 @@ def solve_real(
             best = min(best, cost)
             if cost < tol:
                 xf, yf = _unpack(theta, r, n)
-                return _np_point(xf, yf, r, n, avec_frac, marked_points)
+                return _np_point(xf, yf, r, n, avec_frac)
             if not stepped:
                 stall += 1
             else:
@@ -625,7 +612,7 @@ def min_orbit_check(m: Sequence[Sequence], tol: float = 1e-8) -> bool:
     return svals.size < 2 or float(svals[1]) <= tol * scale
 
 
-def min_orbit_factor(m: Sequence[Sequence], tol: float = 1e-8) -> tuple[tuple, tuple]:
+def min_orbit_factor(m: Sequence[Sequence]) -> tuple[tuple, tuple]:
     """Factor a minimal-orbit matrix as an outer product M = x y with y x = 0.
 
     The factorization is unique up to a scalar.  Raises ZeroMatrixError on
@@ -652,7 +639,7 @@ def min_orbit_factor(m: Sequence[Sequence], tol: float = 1e-8) -> tuple[tuple, t
     svals = np.linalg.svd(arr, compute_uv=False)
     if not svals.size or float(svals[0]) == 0.0:
         raise ZeroMatrixError("the zero matrix has no rank-one factor")
-    if not min_orbit_check(mm, tol=tol):
+    if not min_orbit_check(mm):
         raise NotMinimalOrbitError("matrix is not in the minimal orbit closure")
     u, s, vh = np.linalg.svd(arr)
     x = tuple(complex(v) for v in (u[:, 0] * s[0]))

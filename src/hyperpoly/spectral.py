@@ -17,7 +17,6 @@ rank 4) used as fixtures.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,6 +262,13 @@ def local_models(seed: int = 0) -> tuple[LocalModelFixture, LocalModelFixture]:
 # ---------------------------------------------------------------------------
 # smoothness probe
 
+# a root of the discriminant this close to a marked point is on the divisor
+_DIVISOR_TOL = 1e-6
+# |f| and |df/dz| at a critical fiber point, relative to f's coefficients,
+# above which the point is off the curve and smooth respectively
+_PROBE_TOL = 1e-4
+
+
 def _resultant_lambda(f_coeffs: list[DensePoly], g_coeffs: list[DensePoly]) -> DensePoly:
     """Resultant in the fiber variable of a monic f and any g.
 
@@ -318,23 +324,17 @@ class SmoothnessReport:
     discriminant_degree: int
 
 
-def smoothness_probe(
-    cp: CharPoly,
-    divisor: Sequence | None = None,
-    precision: float = 1e-8,
-    divisor_tol: float = 1e-6,
-) -> SmoothnessReport:
+def smoothness_probe(cp: CharPoly) -> SmoothnessReport:
     """Probe the curve for singular points away from the marked fibers.
 
     Takes the exact resultant of f and its fiber-direction derivative,
-    finds its roots numerically, and at every root away from the divisor
-    locates the repeated fiber coordinate and classifies the point by the
-    magnitude of the base-direction derivative there.  A candidate is
-    never a proof in either direction: roots and magnitudes are floating
-    point.
+    finds its roots numerically, and at every root farther than
+    _DIVISOR_TOL from the marked points locates the repeated fiber
+    coordinate and classifies the point by the magnitude of the
+    base-direction derivative there, against _PROBE_TOL times the size of
+    f's coefficients.  A candidate is never a proof in either direction:
+    roots and magnitudes are floating point.
     """
-    if divisor is None:
-        divisor = cp.marked_points
     r = cp.r
     one = DensePoly.one("z")
     f_coeffs = [one] + [cp.c[i] for i in range(1, r + 1)]
@@ -356,12 +356,12 @@ def smoothness_probe(
             discriminant_degree=0,
         )
     roots = np.roots(list(reversed(_poly_floats(res))))
-    div_pts = [complex(p) for p in divisor]
+    div_pts = [complex(p) for p in cp.marked_points]
     points = []
     singular = []
     for z0 in roots:
         z0 = complex(z0)
-        if div_pts and min(abs(z0 - p) for p in div_pts) <= divisor_tol:
+        if div_pts and min(abs(z0 - p) for p in div_pts) <= _DIVISOR_TOL:
             points.append(
                 ProbePoint(
                     z=z0,
@@ -387,9 +387,9 @@ def smoothness_probe(
             for i in range(1, r + 1)
         )
         fz_abs = float(abs(fz))
-        if f_abs > math.sqrt(precision) * scale:
+        if f_abs > _PROBE_TOL * scale:
             cls = "off-curve"
-        elif fz_abs > math.sqrt(precision) * scale:
+        elif fz_abs > _PROBE_TOL * scale:
             cls = "smooth-candidate"
         else:
             cls = "singular-candidate"

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -464,3 +465,40 @@ def test_plot_data_determinism(capsys):
     _, out1, _ = run(capsys, "plot-data", "-r", "3", "-n", "20")
     _, out2, _ = run(capsys, "plot-data", "-r", "3", "-n", "20")
     assert out1 == out2
+
+
+# sha256 of stdout and the exit code of exact runs; the float commands
+# (jacobian and the probe's roots) are left out, since their values come
+# from LAPACK and may differ between machines
+_FROZEN = {
+    ("hitchin", 2, 8): (0, "ccc898d604262485c643bd3de8648e366a687b0164fca800232225fb6edcbc51"),
+    ("spectral", 2, 8): (0, "4131a220af5e728ed156bb3675019950fd1b2d335742f4fdf844a1b5b4b6df06"),
+    ("spectral --check-orders", 2, 8): (0, "4752a488baa89e00e4f2d8d148f724cc93ed3136fa45de7ca09f0a8ec8792514"),
+    ("commute", 2, 8): (0, "9d9b30c04854bb309670033a1d1276043432d47b5a260bad277bf2eee3f95342"),
+    ("hitchin", 3, 7): (0, "d788efa4f1e4c2d486c4a958464db3f7223abbe1030f87b73aab5ba9e0bcc289"),
+    ("spectral", 3, 7): (0, "9f10ed1b2e1561c33b87585b01c94647edc180d3526a3f6635d9ed70daa7592f"),
+    ("spectral --check-orders", 3, 7): (0, "891cf92de7be076e227e552d95a59f0bf01344cd49fe862db486a135944daa36"),
+    ("commute", 3, 7): (0, "962ded3c56ab13f4928f553d96f44b237b6a605e96fccd676a28b098f0c3046f"),
+    # rank 4 has no base map: exit 1 and empty stdout
+    ("hitchin", 4, 8): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("spectral", 4, 8): (0, "120312e8e893a6c87c2e3fe671e4d6de9d2f4862efd06d66fd34f3ddc8900bed"),
+    ("spectral --check-orders", 4, 8): (0, "cad689b3333383c098b0280d063e1b03f23bfb69bc3b35ff3efa9804b5b07ab9"),
+    ("commute", 4, 8): (0, "0730743a4776740c03f28d47a3acb44a66603fc9663d0618b2c6a50a751fb88f"),
+    ("fixtures --check",): (0, "4f119aea2119845fd62b795245e8315db8f39ea44f8ad909638a54859808976d"),
+    ("betti-table -r 3 --n-max 12 --format csv",): (0, "578bf888f8466adf190b77af635d675ec9495fc0b751e9112566905b64666737"),
+}
+
+
+def test_exact_outputs_are_frozen(tmp_path, capsys):
+    got = {}
+    for key in _FROZEN:
+        argv = key[0].split()
+        if len(key) == 3:
+            _, r, n = key
+            path = tmp_path / f"pt_{r}_{n}.json"
+            if not path.exists():
+                path.write_text(sample_exact(r, n, seed=0).dumps())
+            argv += ["--point", str(path)]
+        code, out, _ = run(capsys, *argv)
+        got[key] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == _FROZEN

@@ -107,37 +107,6 @@ def test_poly_ring_laws(a, b, c):
     assert pa - pa == P([])
 
 
-@given(coeff_lists, coeff_lists)
-def test_poly_divmod(a, b):
-    pa, pb = P(a), P(b)
-    if pb.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            pa.divmod(pb)
-        return
-    q, r = pa.divmod(pb)
-    assert q * pb + r == pa
-    assert r.is_zero() or r.degree < pb.degree
-
-
-@given(coeff_lists, coeff_lists)
-def test_poly_exact_div(a, b):
-    pa, pb = P(a), P(b)
-    if pb.is_zero():
-        return
-    prod = pa * pb
-    assert prod.exact_div(pb) == pa
-
-
-def test_poly_division_of_int_coefficients_is_exact():
-    # an int leading coefficient must not turn the quotient into floats
-    q, r = P([2, 3, 1]).divmod(P([1, 1]))
-    assert q == P([2, 1]) and r.is_zero()
-    half = P([2, 3, 1]).exact_div(P([2, 2]))
-    assert half == P([1, Fraction(1, 2)])
-    for c in q.coeffs + half.coeffs:
-        assert isinstance(c, (int, Fraction))
-
-
 def test_poly_degree_and_eval():
     p = P([1, 0, 2])
     assert p.degree == 2

@@ -3,12 +3,14 @@
 `linalg.rref`, `exact.poly_matrix_charpoly`, `HiggsField.cleared_traces`
 and `exact.vanishing_order` clear denominators once and divide once at the
 end.  The references below are the field eliminations they replaced, kept
-here only.  Typed reprs must agree: same values and same scalar types.
+here only, with the `DensePoly` division they need.  Typed reprs must
+agree: same values and same scalar types.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +68,48 @@ def _kernel_reference(a):
     return basis
 
 
+def _divmod_reference(a: DensePoly, b: DensePoly):
+    """Euclidean division over the field of fractions of the coefficients.
+
+    An int leading coefficient of b is lifted to a Fraction, so that int
+    coefficients give an exact quotient rather than floats.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    d = b.coeffs
+    dn = len(d)
+    lead = d[-1]
+    if isinstance(lead, int):
+        lead = Fraction(lead)
+    if len(rem) < dn:
+        return DensePoly.zero(a.var), a
+    q = [0] * (len(rem) - dn + 1)
+    for i in range(len(rem) - dn, -1, -1):
+        c = rem[i + dn - 1]
+        if not c:
+            continue
+        f = c / lead
+        q[i] = f
+        for j, dj in enumerate(d):
+            rem[i + j] = rem[i + j] - f * dj
+    return DensePoly(q, a.var), DensePoly(rem, a.var)
+
+
+def _exact_div_reference(a: DensePoly, b: DensePoly) -> DensePoly:
+    q, r = _divmod_reference(a, b)
+    if not r.is_zero():
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def _padded(p: DensePoly, length: int) -> tuple:
+    """Coefficient tuple of p padded with zeros up to the given length."""
+    if length < len(p.coeffs):
+        raise ValueError("padding shorter than polynomial")
+    return p.coeffs + (0,) * (length - len(p.coeffs))
+
+
 def _div_int(c, k):
     if isinstance(c, int):
         q, rem = divmod(c, k)
@@ -97,14 +141,14 @@ def _cleared_traces_reference(field):
         if k == 1:
             continue
         den = den * divisor
-        quot, rem = tk.divmod(den)
+        quot, rem = _divmod_reference(tk, den)
         bound = field.n - 2 * k
         if rem:
             out.append((k, None, "pole"))
         elif quot and quot.degree > bound:
             out.append((k, None, "degree"))
         else:
-            out.append((k, quot.padded(bound + 1) if bound >= 0 else (), None))
+            out.append((k, _padded(quot, bound + 1) if bound >= 0 else (), None))
     return out
 
 
@@ -113,13 +157,56 @@ def _vanishing_order_reference(p: DensePoly, a):
         return math.inf
     order = 0
     while p(a) == 0:
-        p = p.exact_div(DensePoly((-a, 1), p.var))
+        p = _exact_div_reference(p, DensePoly((-a, 1), p.var))
         order += 1
     return order
 
 
 def _typed(polys):
     return [repr(p.coeffs) for p in polys]
+
+
+# ---------------------------------------------------------------------------
+# the division the references use
+
+coeff_lists = st.lists(
+    st.fractions(min_value=-100, max_value=100, max_denominator=20), min_size=0, max_size=6
+)
+
+
+def P(cs):
+    return DensePoly(cs, "z")
+
+
+@given(coeff_lists, coeff_lists)
+def test_poly_divmod(a, b):
+    pa, pb = P(a), P(b)
+    if pb.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            _divmod_reference(pa, pb)
+        return
+    q, r = _divmod_reference(pa, pb)
+    assert q * pb + r == pa
+    assert r.is_zero() or r.degree < pb.degree
+
+
+@given(coeff_lists, coeff_lists)
+def test_poly_exact_div(a, b):
+    pa, pb = P(a), P(b)
+    if pb.is_zero():
+        return
+    prod = pa * pb
+    assert _exact_div_reference(prod, pb) == pa
+
+
+def test_poly_division_of_int_coefficients_is_exact():
+    # an int leading coefficient must not turn the quotient into floats
+    q, r = _divmod_reference(P([2, 3, 1]), P([1, 1]))
+    assert q == P([2, 1]) and r.is_zero()
+    half = _exact_div_reference(P([2, 3, 1]), P([2, 2]))
+    assert half == P([1, Fraction(1, 2)])
+    for c in q.coeffs + half.coeffs:
+        assert isinstance(c, (int, Fraction))
 
 
 # ---------------------------------------------------------------------------
