@@ -6,15 +6,16 @@ duck-typed over that protocol: a scalar must support field arithmetic,
 ``.conjugate()``, ``.real`` and ``.imag``.  Rationals are plain
 ``fractions.Fraction``; there is no custom real-rational class.
 The exact kernels (`linalg.rref`, `poly_matrix_charpoly`,
-`vanishing_order` and the cleared traces of a Higgs field) run on
-numerators: `numerators` clears the denominators of their input once, the
-kernel works in that numerator ring (Python ints, or GaussianRational with
-integral parts for complex input, where ``//`` is exact division in both),
-and `ratio` divides once at the end.  `poly_add`, `poly_mul` and
-`poly_divmod` on coefficient lists are the only polynomial sum, product and
-division loops; `DensePoly` is a value type over the first two, and
-`PolyMatrix` a validated container of polynomials.  Truncated power series
-have no type here: the Betti layer keeps them as plain coefficient lists.
+`vanishing_order`, the cleared traces of a Higgs field and its bracket
+checks) run on numerators: `numerators` clears the denominators of their
+input once, the kernel works in that numerator ring (Python ints, or
+GaussianRational with integral parts for complex input, where ``//`` is
+exact division in both), and `ratio` divides once at the end.  `poly_add`,
+`poly_mul` and `poly_divmod` on coefficient lists are the only polynomial
+sum, product and division loops; `DensePoly` is a value type over the
+first two, and `PolyMatrix` a validated container of polynomials.
+Truncated power series have no type here: the Betti layer keeps them as
+plain coefficient lists.
 """
 
 from __future__ import annotations

@@ -9,6 +9,9 @@ powers), and checks the Poisson geometry: the bracket kernel identity, the
 pairwise commutation of base components, and the rank of their Jacobian.
 Exact base coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k,
 built once per field and read by `hitchin_map` and the spectral layer.
+The exact bracket checks run on numerators too: x, y and phi(z) are
+cleared once, gradients are integer numerators over one denominator per
+half, and only a reported value is divided.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import linalg
 from .errors import DegreeOverflowError, MomentMapError, PoleEvaluationError
 from .exact import (
     DensePoly,
+    GaussianRational,
     PolyMatrix,
     charpoly_numerators,
     numerators,
@@ -306,6 +310,92 @@ class BracketObservable:
             raise ValueError("power must be an integer >= 2")
 
 
+def _exact_z(point: QuiverPoint, z):
+    """An evaluation point as an exact scalar on an exact point.
+
+    An int or a finite float becomes the Fraction of equal value and a
+    complex z a GaussianRational; a non-finite z raises ValueError.  Float
+    points take z as given.
+    """
+    if point.flavor != "exact":
+        return z
+    if isinstance(z, complex):
+        return GaussianRational(_exact_z(point, z.real), _exact_z(point, z.imag))
+    if isinstance(z, float) and not math.isfinite(z):
+        raise ValueError(f"non-finite evaluation point {z!r}")
+    if isinstance(z, (int, float)):
+        return Fraction(z)
+    return z
+
+
+def _cleared_xy(point: QuiverPoint) -> tuple:
+    """(X, dx, Y, dy) with x = X / dx and y = Y / dy, X r x n and Y n x r.
+
+    Exact points are cleared once with `numerators`; a float point is its
+    own numerator over 1.
+    """
+    if point.flavor != "exact":
+        return point.x, 1, point.y, 1
+    r, n = point.r, point.n
+    xs, dx = numerators(v for row in point.x for v in row)
+    ys, dy = numerators(v for row in point.y for v in row)
+    return (
+        [xs[a * n:(a + 1) * n] for a in range(r)], dx,
+        [ys[i * r:(i + 1) * r] for i in range(n)], dy,
+    )
+
+
+def _weights(point: QuiverPoint, z, scale=1) -> tuple[list, object]:
+    """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float point."""
+    ws = []
+    for i, p in enumerate(point.marked_points):
+        if z == p:
+            raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {p}")
+        ws.append(scale / (z - p))
+    if point.flavor != "exact":
+        return ws, 1
+    return numerators(ws)
+
+
+def _cleared_phi(r: int, n: int, xy: tuple, ws: list) -> tuple:
+    """phi(z) * dx dy dw, given the weights W of 1/(z - p_i) over dw: the
+    sum of X_i Y_i W_i, added in the order `higgs_eval` adds floats."""
+    xs, _, ys, _ = xy
+    return tuple(
+        tuple(sum(xs[a][i] * ys[i][b] * ws[i] for i in range(n)) for b in range(r))
+        for a in range(r)
+    )
+
+
+def _grad_numerators(point: QuiverPoint, xy: tuple, obs: BracketObservable) -> tuple:
+    """Gradient of Tr(phi(z0)^m) as numerators G and denominators (ex, ey).
+
+    With phi(z0) = A / D on numerators (D = dx dy dw) and m / (z0 - p_i) =
+    M_i / dm, the x entries M_i (Y_i A^(m-1))_a are over ex = dy e and the
+    y entries M_i (A^(m-1) X_i)_b over ey = dx e, where e = dm D^(m-1).
+    Every bracket of two such gradients therefore has the one denominator
+    ey_f ex_g = ex_f ey_g, and `_contract` on numerators is zero exactly
+    when the bracket is.  A float point is its own numerator, with the
+    same operations in the same order as the float formulas.
+    """
+    if obs.m > point.r:
+        raise ValueError("power must lie between 2 and the rank")
+    r, n, m = point.r, point.n, obs.m
+    z0 = _exact_z(point, obs.z0)
+    xs, dx, ys, dy = xy
+    ws, dw = _weights(point, z0)
+    ms, dm = _weights(point, z0, m)
+    apow = linalg.mat_pow(_cleared_phi(r, n, xy, ws), m - 1)
+    out = [0] * (2 * r * n)
+    for i, w in enumerate(ms):
+        row = ys[i]
+        for a in range(r):
+            out[a * n + i] = w * sum(row[b] * apow[b][a] for b in range(r))
+            out[r * n + i * r + a] = w * sum(apow[a][b] * xs[b][i] for b in range(r))
+    e = dm * (dx * dy * dw) ** (m - 1)
+    return tuple(out), dy * e, dx * e
+
+
 def observable_grad(
     point: QuiverPoint,
     obs: BracketObservable,
@@ -316,25 +406,16 @@ def observable_grad(
     With A = phi(z0), entry a*n + i is d/d(x_i)_a = m (y_i A^(m-1))_a /
     (z0 - p_i) and entry r*n + i*r + b is d/d(y_i)_b = m (A^(m-1) x_i)_b /
     (z0 - p_i): the x entries row by row, then the y entries row by row.
+    Exact points run on numerators and divide once per entry; ``field``,
+    when given, stands for the moment-map check `residues` makes.
     """
-    if obs.m > point.r:
-        raise ValueError("power must lie between 2 and the rank")
     if field is None:
-        field = residues(point)
-    r, n = point.r, point.n
-    z0 = obs.z0
-    if point.flavor == "exact" and isinstance(z0, int):
-        z0 = Fraction(z0)
-    apow = linalg.mat_pow(higgs_eval(field, z0), obs.m - 1)
-    out = [0] * (2 * r * n)
-    for i, p in enumerate(point.marked_points):
-        w = obs.m / (z0 - p)
-        row = point.y[i]
-        col = point.x_col(i)
-        for a in range(r):
-            out[a * n + i] = w * sum(row[b] * apow[b][a] for b in range(r))
-            out[r * n + i * r + a] = w * sum(apow[a][b] * col[b] for b in range(r))
-    return tuple(out)
+        residues(point)
+    g, ex, ey = _grad_numerators(point, _cleared_xy(point), obs)
+    if point.flavor != "exact":
+        return g
+    half = point.r * point.n
+    return tuple(ratio(v, ex) for v in g[:half]) + tuple(ratio(v, ey) for v in g[half:])
 
 
 def _contract(r: int, n: int, f: tuple, g: tuple):
@@ -358,22 +439,21 @@ def _contract(r: int, n: int, f: tuple, g: tuple):
 
 def poisson_bracket(point: QuiverPoint, f: BracketObservable, g: BracketObservable):
     """Canonical holomorphic bracket of two trace-power observables."""
-    field = residues(point)
-    return _contract(
-        point.r,
-        point.n,
-        observable_grad(point, f, field),
-        observable_grad(point, g, field),
-    )
+    residues(point)
+    xy = _cleared_xy(point)
+    gf, _, ey = _grad_numerators(point, xy, f)
+    gg, ex, _ = _grad_numerators(point, xy, g)
+    val = _contract(point.r, point.n, gf, gg)
+    return ratio(val, ey * ex) if point.flavor == "exact" else val
 
 
-def _entry_grads(point: QuiverPoint, z) -> dict:
-    # flat gradients of every matrix entry phi(z)[a][b], 2n nonzeros each;
-    # the scaled rows and columns are shared by the r^2 entries
-    r, n = point.r, point.n
-    ws = [1 / (z - p) for p in point.marked_points]
-    wy = [[w * point.y[i][b] for i, w in enumerate(ws)] for b in range(r)]
-    wx = [[w * point.x[a][i] for i, w in enumerate(ws)] for a in range(r)]
+def _entry_grads(r: int, n: int, xy: tuple, ws: list) -> dict:
+    # flat gradients of every entry phi(z)_ab on numerators, 2n nonzeros
+    # each: the x entries W_i Y_ib over dy dw, the y entries W_i X_ai over
+    # dx dw; the scaled rows and columns are shared by the r^2 entries
+    xs, _, ys, _ = xy
+    wy = [[w * ys[i][b] for i, w in enumerate(ws)] for b in range(r)]
+    wx = [[w * xs[a][i] for i, w in enumerate(ws)] for a in range(r)]
     grads = {}
     for a in range(r):
         for b in range(r):
@@ -392,24 +472,37 @@ def delta_check(point: QuiverPoint, z, w):
     canonical bracket and compares with delta_bc D_ad - delta_ad D_cb where
     D = phi(z)/(w-z) + phi(w)/(z-w).  Returns the maximum squared magnitude
     of the difference, which is exactly zero for exact points.
+
+    On an exact point every entry pairing is L / E with E = dx dy dz dw,
+    and with w - z = s / t the kernel is D = t (dw A_z - dz A_w) / (E s)
+    for the numerators A of phi; each pairing is compared by cross
+    multiplication, L s against t (dw A_z - dz A_w).
     """
-    if point.flavor == "exact":
-        if isinstance(z, int):
-            z = Fraction(z)
-        if isinstance(w, int):
-            w = Fraction(w)
+    z, w = _exact_z(point, z), _exact_z(point, w)
     if z == w:
         raise ValueError("coincident evaluation points")
-    field = residues(point)
+    residues(point)
+    exact = point.flavor == "exact"
     r, n = point.r, point.n
-    phi_z = higgs_eval(field, z)
-    phi_w = higgs_eval(field, w)
-    delta = linalg.mat_add(
-        linalg.mat_scale(phi_z, 1 / (w - z)),
-        linalg.mat_scale(phi_w, 1 / (z - w)),
-    )
-    grads_z = _entry_grads(point, z)
-    grads_w = _entry_grads(point, w)
+    xy = _cleared_xy(point)
+    wz, dz = _weights(point, z)
+    ww, dw = _weights(point, w)
+    phi_z = _cleared_phi(r, n, xy, wz)
+    phi_w = _cleared_phi(r, n, xy, ww)
+    if exact:
+        _, dx, _, dy = xy
+        (s,), t = numerators((w - z,))
+        den = dx * dy * dz * dw * s
+        kernel = linalg.mat_scale(
+            linalg.mat_sub(linalg.mat_scale(phi_z, dw), linalg.mat_scale(phi_w, dz)), t
+        )
+    else:
+        kernel = linalg.mat_add(
+            linalg.mat_scale(phi_z, 1 / (w - z)),
+            linalg.mat_scale(phi_w, 1 / (z - w)),
+        )
+    grads_z = _entry_grads(r, n, xy, wz)
+    grads_w = _entry_grads(r, n, xy, ww)
     worst = 0
     for a in range(r):
         for b in range(r):
@@ -418,10 +511,14 @@ def delta_check(point: QuiverPoint, z, w):
                     lhs = _contract(r, n, grads_z[(a, b)], grads_w[(c, d)])
                     rhs = 0
                     if b == c:
-                        rhs = rhs + delta[a][d]
+                        rhs = rhs + kernel[a][d]
                     if a == d:
-                        rhs = rhs - delta[c][b]
-                    dev = norm_sq(lhs - rhs)
+                        rhs = rhs - kernel[c][b]
+                    if exact:
+                        diff = lhs * s - rhs
+                        dev = norm_sq(ratio(diff, den)) if diff else 0
+                    else:
+                        dev = norm_sq(lhs - rhs)
                     if dev > worst:
                         worst = dev
     return worst
@@ -436,11 +533,12 @@ def _eval_points(marked_points: Sequence, count: int) -> tuple:
     return tuple(top + 1 + t for t in range(count))
 
 
-def _grad_norm(g: tuple) -> float:
+def _grad_norm(g: tuple, ex, ey) -> float:
+    # from the exact sums of squared numerators, one division per half
     half = len(g) // 2
-    total = sum(float(norm_sq(v)) for v in g[:half])
-    total += sum(float(norm_sq(v)) for v in g[half:])
-    return math.sqrt(total)
+    sx = sum(norm_sq(v) for v in g[:half])
+    sy = sum(norm_sq(v) for v in g[half:])
+    return math.sqrt(sx / ex ** 2 + sy / ey ** 2)
 
 
 @dataclass(frozen=True)
@@ -457,28 +555,30 @@ def commutation_report(point: QuiverPoint) -> CommutationReport:
     """Brackets of all observable pairs at the evaluation points
     max(p_j) + 1, + 2, + 3."""
     n, r = point.n, point.r
-    field = residues(point)
+    residues(point)
     obs = [
         BracketObservable(m, z0)
         for m in range(2, r + 1)
         for z0 in _eval_points(point.marked_points, 3)
     ]
-    grads = [observable_grad(point, o, field) for o in obs]
-    # only a nonzero bracket needs norms; exact squared norms can pass 2^1024
+    xy = _cleared_xy(point)
+    grads = [_grad_numerators(point, xy, o) for o in obs]
+    # only a nonzero bracket needs norms, and only it is divided
     norms = None
     pairs = []
     max_abs = 0.0
     max_rel = 0.0
     all_zero = True
-    for i in range(len(obs)):
+    for i, (gi, _, ey) in enumerate(grads):
         for j in range(i + 1, len(obs)):
-            val = _contract(r, n, grads[i], grads[j])
+            gj, ex, _ = grads[j]
+            val = _contract(r, n, gi, gj)
             a = rel = 0.0
             if val:
                 all_zero = False
                 if norms is None:
-                    norms = [_grad_norm(g) for g in grads]
-                a = math.sqrt(float(norm_sq(val)))
+                    norms = [_grad_norm(*g) for g in grads]
+                a = math.sqrt(norm_sq(val) / (ey * ex) ** 2)
                 rel = a / max(1.0, norms[i] * norms[j])
             max_abs = max(max_abs, a)
             max_rel = max(max_rel, rel)

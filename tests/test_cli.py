@@ -484,6 +484,9 @@ _FROZEN = {
     ("spectral", 4, 8): (0, "120312e8e893a6c87c2e3fe671e4d6de9d2f4862efd06d66fd34f3ddc8900bed"),
     ("spectral --check-orders", 4, 8): (0, "cad689b3333383c098b0280d063e1b03f23bfb69bc3b35ff3efa9804b5b07ab9"),
     ("commute", 4, 8): (0, "0730743a4776740c03f28d47a3acb44a66603fc9663d0618b2c6a50a751fb88f"),
+    # past the paper's range: every bracket still vanishes exactly
+    ("commute", 5, 9): (0, "1a1948eaa381da9b0a9aa41ce524dd9cb9df96c6516129371f732d1cb3bc1ba0"),
+    ("commute", 6, 12): (0, "b5fee59073707aa121a4f31f9c46a9ec2c9d5d0b046cb91493d71e7ae5102442"),
     ("fixtures --check",): (0, "4f119aea2119845fd62b795245e8315db8f39ea44f8ad909638a54859808976d"),
     ("betti-table -r 3 --n-max 12 --format csv",): (0, "578bf888f8466adf190b77af635d675ec9495fc0b751e9112566905b64666737"),
 }

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from hyperpoly import hitchin
 from hyperpoly.errors import (
     DegreeOverflowError,
     MomentMapError,
@@ -18,6 +20,7 @@ from hyperpoly.hitchin import (
     poisson_bracket,
     residues,
 )
+from hyperpoly.exact import GaussianRational
 from hyperpoly.quiver import QuiverPoint, sample_exact
 from hyperpoly.spectral import order_check, spectral_charpoly, twist
 
@@ -223,6 +226,28 @@ def test_brackets_exactly_zero_on_exact_points():
                 assert v == 0
 
 
+def test_float_evaluation_points_are_exact_on_exact_points():
+    # a float or complex z is taken at its exact value: the bracket and the
+    # kernel identity vanish exactly, and the gradient is the Fraction one
+    pt = sample_exact(2, 6, seed=0)
+    v = poisson_bracket(pt, BracketObservable(2, 7.5), BracketObservable(2, 9))
+    assert v == 0 and isinstance(v, Fraction)
+    assert delta_check(pt, 7.5, 8.25) == 0
+    assert observable_grad(pt, BracketObservable(2, 7.5)) == observable_grad(
+        pt, BracketObservable(2, Fraction(15, 2))
+    )
+    grad = observable_grad(pt, BracketObservable(2, complex(7.5, 0.25)))
+    assert all(isinstance(c, GaussianRational) for c in grad)
+    assert delta_check(pt, complex(7.5, 0.25), 9) == 0
+    for bad in (float("inf"), float("nan"), complex(7, float("inf"))):
+        with pytest.raises(ValueError):
+            observable_grad(pt, BracketObservable(2, bad))
+        with pytest.raises(ValueError):
+            poisson_bracket(pt, BracketObservable(2, 9), BracketObservable(2, bad))
+        with pytest.raises(ValueError):
+            delta_check(pt, bad, 9)
+
+
 def test_bracket_antisymmetry_float(solved):
     pt = solved(3, 6)
     f = BracketObservable(2, 8)
@@ -243,6 +268,27 @@ def test_commutation_report_exact(point24):
         rep = commutation_report(sample_exact(r, n, seed=seed))
         assert rep.all_zero
         assert rep.max_abs == rep.max_rel == 0.0
+
+
+def test_commutation_report_exact_nonzero_values(monkeypatch):
+    # exact brackets vanish identically, so a pairing that adds f_0 g_0 to
+    # every numerator bracket stands in for a nonzero one; with x and y
+    # integral (dx = dy = 1) it adds f_0 g_0 in value units too, and the
+    # report must size it, and the gradient norms, as the Fraction values
+    pt = sample_exact(3, 7, seed=0)
+    contract = hitchin._contract
+    monkeypatch.setattr(
+        hitchin, "_contract", lambda r, n, f, g: contract(r, n, f, g) + f[0] * g[0]
+    )
+    rep = commutation_report(pt)
+    assert not rep.all_zero
+    for m, z0, m2, w0, a, rel in rep.pairs:
+        f = observable_grad(pt, BracketObservable(m, z0))
+        g = observable_grad(pt, BracketObservable(m2, w0))
+        want = abs(f[0] * g[0])
+        norm_f, norm_g = (math.sqrt(sum(c * c for c in v)) for v in (f, g))
+        assert a == pytest.approx(float(want), rel=1e-12)
+        assert rel == pytest.approx(float(want) / max(1.0, norm_f * norm_g), rel=1e-12)
 
 
 def test_commutation_report_float(solved):

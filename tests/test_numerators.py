@@ -1,10 +1,12 @@
 """The exact kernels on numerators against Fraction references.
 
-`linalg.rref`, `exact.poly_matrix_charpoly`, `HiggsField.cleared_traces`
-and `exact.vanishing_order` clear denominators once and divide once at the
-end.  The references below are the field eliminations they replaced, kept
-here only, with the `DensePoly` division they need.  Typed reprs must
-agree: same values and same scalar types.
+`linalg.rref`, `exact.poly_matrix_charpoly`, `HiggsField.cleared_traces`,
+`exact.vanishing_order` and the bracket layer of `hitchin` clear
+denominators once and divide once at the end.  The references below are
+the field eliminations and gradients they replaced, kept here only, with
+the `DensePoly` division they need.  Typed reprs must agree: same values
+and same scalar types.  On float points the bracket layer must give the
+references' floats bit for bit.
 """
 
 import math
@@ -23,8 +25,20 @@ from hyperpoly.exact import (
     poly_matrix_charpoly,
     vanishing_order,
 )
-from hyperpoly.hitchin import residues
-from hyperpoly.quiver import exact_point_from_x, sample_exact
+from hyperpoly.hitchin import (
+    BracketObservable,
+    CommutationReport,
+    _contract,
+    _eval_points,
+    commutation_report,
+    delta_check,
+    higgs_eval,
+    observable_grad,
+    poisson_bracket,
+    residues,
+)
+from hyperpoly.linalg import norm_sq
+from hyperpoly.quiver import exact_point_from_x, sample_exact, solve_real
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +174,127 @@ def _vanishing_order_reference(p: DensePoly, a):
         p = _exact_div_reference(p, DensePoly((-a, 1), p.var))
         order += 1
     return order
+
+
+def _observable_grad_reference(point, obs, field=None):
+    if obs.m > point.r:
+        raise ValueError("power must lie between 2 and the rank")
+    if field is None:
+        field = residues(point)
+    r, n = point.r, point.n
+    z0 = obs.z0
+    if point.flavor == "exact" and isinstance(z0, int):
+        z0 = Fraction(z0)
+    apow = linalg.mat_pow(higgs_eval(field, z0), obs.m - 1)
+    out = [0] * (2 * r * n)
+    for i, p in enumerate(point.marked_points):
+        w = obs.m / (z0 - p)
+        row = point.y[i]
+        col = point.x_col(i)
+        for a in range(r):
+            out[a * n + i] = w * sum(row[b] * apow[b][a] for b in range(r))
+            out[r * n + i * r + a] = w * sum(apow[a][b] * col[b] for b in range(r))
+    return tuple(out)
+
+
+def _poisson_bracket_reference(point, f, g):
+    field = residues(point)
+    return _contract(
+        point.r,
+        point.n,
+        _observable_grad_reference(point, f, field),
+        _observable_grad_reference(point, g, field),
+    )
+
+
+def _grad_norm_reference(g):
+    half = len(g) // 2
+    total = sum(float(norm_sq(v)) for v in g[:half])
+    total += sum(float(norm_sq(v)) for v in g[half:])
+    return math.sqrt(total)
+
+
+def _commutation_report_reference(point):
+    n, r = point.n, point.r
+    field = residues(point)
+    obs = [
+        BracketObservable(m, z0)
+        for m in range(2, r + 1)
+        for z0 in _eval_points(point.marked_points, 3)
+    ]
+    grads = [_observable_grad_reference(point, o, field) for o in obs]
+    norms = None
+    pairs = []
+    max_abs = 0.0
+    max_rel = 0.0
+    all_zero = True
+    for i in range(len(obs)):
+        for j in range(i + 1, len(obs)):
+            val = _contract(r, n, grads[i], grads[j])
+            a = rel = 0.0
+            if val:
+                all_zero = False
+                if norms is None:
+                    norms = [_grad_norm_reference(g) for g in grads]
+                a = math.sqrt(float(norm_sq(val)))
+                rel = a / max(1.0, norms[i] * norms[j])
+            max_abs = max(max_abs, a)
+            max_rel = max(max_rel, rel)
+            pairs.append((obs[i].m, obs[i].z0, obs[j].m, obs[j].z0, a, rel))
+    return CommutationReport(
+        pairs=tuple(pairs), max_abs=max_abs, max_rel=max_rel, all_zero=all_zero
+    )
+
+
+def _entry_grads_reference(point, z):
+    r, n = point.r, point.n
+    ws = [1 / (z - p) for p in point.marked_points]
+    wy = [[w * point.y[i][b] for i, w in enumerate(ws)] for b in range(r)]
+    wx = [[w * point.x[a][i] for i, w in enumerate(ws)] for a in range(r)]
+    grads = {}
+    for a in range(r):
+        for b in range(r):
+            out = [0] * (2 * r * n)
+            for i in range(n):
+                out[a * n + i] = wy[b][i]
+                out[r * n + i * r + b] = wx[a][i]
+            grads[(a, b)] = tuple(out)
+    return grads
+
+
+def _delta_check_reference(point, z, w):
+    if point.flavor == "exact":
+        if isinstance(z, int):
+            z = Fraction(z)
+        if isinstance(w, int):
+            w = Fraction(w)
+    if z == w:
+        raise ValueError("coincident evaluation points")
+    field = residues(point)
+    r, n = point.r, point.n
+    phi_z = higgs_eval(field, z)
+    phi_w = higgs_eval(field, w)
+    delta = linalg.mat_add(
+        linalg.mat_scale(phi_z, 1 / (w - z)),
+        linalg.mat_scale(phi_w, 1 / (z - w)),
+    )
+    grads_z = _entry_grads_reference(point, z)
+    grads_w = _entry_grads_reference(point, w)
+    worst = 0
+    for a in range(r):
+        for b in range(r):
+            for c in range(r):
+                for d in range(r):
+                    lhs = _contract(r, n, grads_z[(a, b)], grads_w[(c, d)])
+                    rhs = 0
+                    if b == c:
+                        rhs = rhs + delta[a][d]
+                    if a == d:
+                        rhs = rhs - delta[c][b]
+                    dev = norm_sq(lhs - rhs)
+                    if dev > worst:
+                        worst = dev
+    return worst
 
 
 def _typed(polys):
@@ -352,3 +487,66 @@ def test_vanishing_order_at_a_gaussian_point():
 def test_vanishing_order_matches_reference(roots, a, scale):
     p = poly_from_roots(roots) * scale
     assert vanishing_order(p, a) == _vanishing_order_reference(p, a) == roots.count(a)
+
+
+# ---------------------------------------------------------------------------
+# the bracket layer: gradients, brackets, commutation and the kernel identity
+
+def _bracket_outputs(grad, bracket, report, delta, point, zs):
+    """Typed reprs of the four bracket functions at one point."""
+    z, w = zs
+    f, g = BracketObservable(2, z), BracketObservable(point.r, w)
+    return repr((
+        grad(point, f),
+        grad(point, g),
+        bracket(point, f, g),
+        bracket(point, g, f),
+        report(point),
+        delta(point, z, w),
+    ))
+
+
+def _reference_outputs(point, zs):
+    return _bracket_outputs(
+        _observable_grad_reference, _poisson_bracket_reference,
+        _commutation_report_reference, _delta_check_reference, point, zs,
+    )
+
+
+def _outputs(point, zs):
+    return _bracket_outputs(
+        observable_grad, poisson_bracket, commutation_report, delta_check, point, zs,
+    )
+
+
+_EXACT_SHAPES = [(2, 8), (3, 7), (3, 12), (4, 8), (4, 12), (5, 9), (6, 8), (6, 12)]
+
+
+def _exact_points():
+    g = GaussianRational
+    for r, n in _EXACT_SHAPES:
+        for seed in range(3):
+            yield sample_exact(r, n, seed=seed), (Fraction(2 * n + 1, 2), n + 3)
+    yield (
+        exact_point_from_x(((g(1, 1), 0, 1, 1, 2), (0, 1, g(1, -1), 2, 1)), seed=0),
+        (7, Fraction(-1, 3)),
+    )
+    # x with denominators and marked points (2i + 1) / 3: every numerator
+    # ring carries a denominator
+    base = sample_exact(3, 7, seed=1).x
+    x = [[v / (i + 2) for i, v in enumerate(row)] for row in base]
+    points = [Fraction(2 * i + 1, 3) for i in range(7)]
+    yield exact_point_from_x(x, seed=1, marked_points=points), (Fraction(7, 2), Fraction(-5, 4))
+
+
+def test_bracket_layer_matches_reference_on_exact_points():
+    for point, zs in _exact_points():
+        assert _outputs(point, zs) == _reference_outputs(point, zs), (point.r, point.n)
+
+
+def test_bracket_layer_matches_reference_bit_for_bit_on_float_points():
+    for r, n in [(2, 5), (3, 7), (4, 8)]:
+        for seed in range(2):
+            point = solve_real(r, n, (Fraction(1),) * n, seed=seed)
+            for zs in [(n + 0.7, n + 2.25), (complex(n + 1, 0.5), Fraction(-1, 2))]:
+                assert _outputs(point, zs) == _reference_outputs(point, zs), (r, n, seed)
