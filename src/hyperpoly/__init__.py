@@ -1,5 +1,7 @@
 """Exact and numerical invariants of star-shaped quiver varieties."""
 
+import importlib
+
 from .betti import (
     PoincarePoly,
     dimensions,
@@ -22,39 +24,55 @@ from .errors import (
     ZeroMatrixError,
 )
 from .exact import DensePoly, GaussianRational, PolyMatrix
-from .hitchin import (
-    BasePoint,
-    BracketObservable,
-    HiggsField,
-    commutation_report,
-    delta_check,
-    higgs_eval,
-    hitchin_map,
-    jacobian_rank,
-    observable_grad,
-    poisson_bracket,
-    residues,
-)
-from .quiver import (
-    QuiverPoint,
-    exact_point_from_x,
-    min_orbit_check,
-    min_orbit_factor,
-    moment_residual,
-    polygon_edges,
-    sample_exact,
-    solve_real,
-)
-from .spectral import (
-    CharPoly,
-    TwistedHiggs,
-    local_models,
-    order_check,
-    smoothness_probe,
-    spectral_charpoly,
-    trace_consistency,
-    twist,
-)
+
+# The numpy-backed layers and their exports, resolved on first access so
+# that `import hyperpoly` and the Betti commands do not import numpy.
+_LAZY = {
+    "hitchin": "hitchin",
+    "BasePoint": "hitchin",
+    "BracketObservable": "hitchin",
+    "HiggsField": "hitchin",
+    "commutation_report": "hitchin",
+    "delta_check": "hitchin",
+    "higgs_eval": "hitchin",
+    "hitchin_map": "hitchin",
+    "jacobian_rank": "hitchin",
+    "observable_grad": "hitchin",
+    "poisson_bracket": "hitchin",
+    "residues": "hitchin",
+    "quiver": "quiver",
+    "QuiverPoint": "quiver",
+    "exact_point_from_x": "quiver",
+    "min_orbit_check": "quiver",
+    "min_orbit_factor": "quiver",
+    "moment_residual": "quiver",
+    "polygon_edges": "quiver",
+    "sample_exact": "quiver",
+    "solve_real": "quiver",
+    "spectral": "spectral",
+    "CharPoly": "spectral",
+    "TwistedHiggs": "spectral",
+    "local_models": "spectral",
+    "order_check": "spectral",
+    "smoothness_probe": "spectral",
+    "spectral_charpoly": "spectral",
+    "trace_consistency": "spectral",
+    "twist": "spectral",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BasePoint",

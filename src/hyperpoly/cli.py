@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import betti, hitchin, quiver, spectral
+from . import betti
 from .errors import NonConvergenceError, ValidationError
 from .exact import DensePoly, parse_rational, poly_from_roots, scalar_to_json
 
@@ -64,6 +64,16 @@ def _positive_int(text: str) -> int:
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
     return v
+
+
+def _import_numeric_layers():
+    """Bind the numpy-backed layers as globals of this module.
+
+    Only the commands that use them call this, so the Betti commands start
+    without importing numpy.
+    """
+    global hitchin, quiver, spectral
+    from . import hitchin, quiver, spectral
 
 
 def _load_point(path: str) -> quiver.QuiverPoint:
@@ -135,6 +145,7 @@ def _cmd_genericity(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _import_numeric_layers()
     if args.solve:
         alpha = args.alpha or tuple(Fraction(1) for _ in range(args.n))
         point = quiver.solve_real(
@@ -150,6 +161,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_hitchin(args) -> int:
+    _import_numeric_layers()
     point = _load_point(args.point)
     field = hitchin.residues(point)
     base = hitchin.hitchin_map(field)
@@ -158,6 +170,7 @@ def _cmd_hitchin(args) -> int:
 
 
 def _cmd_commute(args) -> int:
+    _import_numeric_layers()
     point = _load_point(args.point)
     report = hitchin.commutation_report(point)
     _emit_json(
@@ -179,6 +192,7 @@ def _cmd_commute(args) -> int:
 
 
 def _cmd_jacobian(args) -> int:
+    _import_numeric_layers()
     point = _load_point(args.point)
     report = hitchin.jacobian_rank(point, threshold=args.threshold)
     _emit_json(
@@ -193,6 +207,7 @@ def _cmd_jacobian(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    _import_numeric_layers()
     point = _load_point(args.point)
     field = hitchin.residues(point)
     charpoly = spectral.spectral_charpoly(spectral.twist(field))
@@ -246,6 +261,7 @@ _FIXTURES = (
 
 
 def _cmd_fixtures(args) -> int:
+    _import_numeric_layers()
     lines = []
     for name, compute, frozen in _FIXTURES:
         try:

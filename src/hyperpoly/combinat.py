@@ -108,19 +108,29 @@ def morse_data(
     return beta, s
 
 
-@lru_cache(maxsize=None)
+# _GAUSS[k][j] holds the coefficients of [k + j choose k]_u for k >= 1;
+# column 0, all ones, is not stored
+_GAUSS: list[list[tuple[int, ...]]] = [[]]
+
+
 def _gauss_coeffs(r: int, n: int) -> tuple[int, ...]:
-    # q-Pascal recurrence, integer coefficients throughout
+    # q-Pascal recurrence [m, k] = [m-1, k-1] + u^k [m-1, k], integer
+    # coefficients throughout; each column k is extended in increasing m,
+    # so no call recurses however large n is
     if r == 0 or r == n:
         return (1,)
-    a = _gauss_coeffs(r - 1, n - 1)
-    b = _gauss_coeffs(r, n - 1)
-    out = [0] * (r * (n - r) + 1)
-    for k, c in enumerate(a):
-        out[k] += c
-    for k, c in enumerate(b):
-        out[k + r] += c
-    return tuple(out)
+    while len(_GAUSS) <= r:
+        _GAUSS.append([(1,)])
+    for k in range(1, r + 1):
+        col = _GAUSS[k]
+        for j in range(len(col), n - r + 1):
+            out = [0] * (k * j + 1)
+            for i, c in enumerate(_GAUSS[k - 1][j] if k > 1 else (1,)):
+                out[i] += c
+            for i, c in enumerate(col[j - 1]):
+                out[i + k] += c
+            col.append(tuple(out))
+    return _GAUSS[r][n - r]
 
 
 def gaussian_binomial(r: int, n: int) -> DensePoly:

@@ -213,9 +213,9 @@ def residues(point: QuiverPoint) -> HiggsField:
 
 
 def higgs_eval(field: HiggsField, z):
-    """The matrix sum_i phi_i / (z - p_i)."""
-    if field.flavor == "exact" and isinstance(z, int):
-        z = Fraction(z)
+    """The matrix sum_i phi_i / (z - p_i), with z taken at its exact value
+    on an exact field (`_exact_z`)."""
+    z = _exact_z(field.flavor, z)
     acc = linalg.zeros(field.r, field.r)
     for i, p in enumerate(field.marked_points):
         if z == p:
@@ -310,17 +310,18 @@ class BracketObservable:
             raise ValueError("power must be an integer >= 2")
 
 
-def _exact_z(point: QuiverPoint, z):
-    """An evaluation point as an exact scalar on an exact point.
+def _exact_z(flavor: str, z):
+    """An evaluation point as an exact scalar for a point or field of the
+    given flavor.
 
-    An int or a finite float becomes the Fraction of equal value and a
-    complex z a GaussianRational; a non-finite z raises ValueError.  Float
-    points take z as given.
+    On the exact flavor an int or a finite float becomes the Fraction of
+    equal value and a complex z a GaussianRational; a non-finite z raises
+    ValueError.  The float flavor takes z as given.
     """
-    if point.flavor != "exact":
+    if flavor != "exact":
         return z
     if isinstance(z, complex):
-        return GaussianRational(_exact_z(point, z.real), _exact_z(point, z.imag))
+        return GaussianRational(_exact_z(flavor, z.real), _exact_z(flavor, z.imag))
     if isinstance(z, float) and not math.isfinite(z):
         raise ValueError(f"non-finite evaluation point {z!r}")
     if isinstance(z, (int, float)):
@@ -381,7 +382,7 @@ def _grad_numerators(point: QuiverPoint, xy: tuple, obs: BracketObservable) -> t
     if obs.m > point.r:
         raise ValueError("power must lie between 2 and the rank")
     r, n, m = point.r, point.n, obs.m
-    z0 = _exact_z(point, obs.z0)
+    z0 = _exact_z(point.flavor, obs.z0)
     xs, dx, ys, dy = xy
     ws, dw = _weights(point, z0)
     ms, dm = _weights(point, z0, m)
@@ -478,7 +479,7 @@ def delta_check(point: QuiverPoint, z, w):
     for the numerators A of phi; each pairing is compared by cross
     multiplication, L s against t (dw A_z - dz A_w).
     """
-    z, w = _exact_z(point, z), _exact_z(point, w)
+    z, w = _exact_z(point.flavor, z), _exact_z(point.flavor, w)
     if z == w:
         raise ValueError("coincident evaluation points")
     residues(point)

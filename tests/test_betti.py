@@ -1,4 +1,6 @@
 import hashlib
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,3 +161,17 @@ def test_genericity_validation():
         genericity_check(0, (1, 1))
     with pytest.raises(ValueError):
         genericity_check(2, ())
+
+
+def test_level_depth_does_not_grow_with_n():
+    # the Gaussian binomial rows once recursed n levels deep; n = 150 sits
+    # far above the lowered limit
+    n = 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        coeffs = poincare(2, n).coeffs_u()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(coeffs) == n - 2
+    assert coeffs[:2] == [1, n]

@@ -3,7 +3,11 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -505,3 +509,68 @@ def test_exact_outputs_are_frozen(tmp_path, capsys):
         code, out, _ = run(capsys, *argv)
         got[key] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == _FROZEN
+
+
+# the commands that run only the Betti layer
+BETTI_COMMANDS = (
+    ("betti", "-r", "3", "-n", "9"),
+    ("betti-table", "-r", "2", "--n-max", "7", "--format", "csv"),
+    ("plot-data", "-r", "3", "-n", "7"),
+    ("genericity", "-r", "2", "--alpha", "1,2,2,4"),
+)
+
+
+def python(code):
+    """stdout of a fresh interpreter that runs `code` on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def test_betti_commands_run_without_numpy(capsys):
+    got = json.loads(python(f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from hyperpoly import cli
+out = []
+for argv in {BETTI_COMMANDS!r}:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""))
+    assert got == [list(run(capsys, *argv)[:2]) for argv in BETTI_COMMANDS]
+    assert all(code == 0 for code, _ in got)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert python("import sys, hyperpoly.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_package_names_resolve_to_their_modules():
+    # after `import hyperpoly` alone, every exported name and the numeric
+    # submodules resolve, lazily where needed, to the submodules' objects
+    bad = python("""
+import importlib, hyperpoly
+bad = []
+for name in hyperpoly.__all__:
+    obj = getattr(hyperpoly, name)
+    if getattr(importlib.import_module(obj.__module__), name) is not obj:
+        bad.append(name)
+for name in ("hitchin", "quiver", "spectral"):
+    if getattr(hyperpoly, name) is not importlib.import_module("hyperpoly." + name):
+        bad.append(name)
+print(bad)
+""")
+    assert bad == "[]\n"
+    import hyperpoly
+    from hyperpoly import hitchin, quiver, spectral
+
+    assert set(hyperpoly.__all__) <= set(dir(hyperpoly))
+    assert hyperpoly.residues is hitchin.residues
+    assert hyperpoly.QuiverPoint is quiver.QuiverPoint
+    assert hyperpoly.twist is spectral.twist
+    with pytest.raises(AttributeError):
+        hyperpoly.no_such_name

@@ -68,6 +68,18 @@ def test_higgs_eval_pole(point24):
         higgs_eval(field, Fraction(4))
 
 
+def test_higgs_eval_float_z_is_exact_on_exact_fields(point24):
+    field = residues(point24)
+    a = higgs_eval(field, 5.5)
+    assert a == higgs_eval(field, Fraction(11, 2))
+    assert all(type(v) is Fraction for row in a for v in row)
+    with pytest.raises(PoleEvaluationError):
+        higgs_eval(field, 3.0)
+    for bad in (float("nan"), float("inf"), complex(1, float("nan"))):
+        with pytest.raises(ValueError):
+            higgs_eval(field, bad)
+
+
 def test_higgs_eval_value(point24):
     field = residues(point24)
     a = higgs_eval(field, 5)
