@@ -65,8 +65,12 @@ def main() -> int:
             f"(discriminant degree {probe.discriminant_degree})"
         )
     else:
-        rank = hitchin.jacobian_rank(pt)
-        print(f"jacobian rank: {rank.rank} (base dim {rank.dim_b})")
+        try:
+            rank = hitchin.jacobian_rank(pt)
+        except ValueError as e:  # n < 2r - 1
+            print(f"jacobian rank: {e}")
+        else:
+            print(f"jacobian rank: {rank.rank} (base dim {rank.dim_b})")
     return 0
 
 

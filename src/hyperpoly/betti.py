@@ -9,18 +9,23 @@ be solved for it.
 
 Each family is summed as sum_s N_s / (1-u)^s with integer numerators N_s,
 one per pole order s.  Within a partition the pole order is fixed by the
-number of edges its larger parts take, so the leaves of that size are
-collected in one bucket, the closed-form factor of the size-1 parts
-multiplies each bucket once, and the numerators are folded by Horner in
-1/(1-u), one prefix sum per pole order.  The Grassmannian side is the same
-fold with a single numerator.
+number t of edges its parts >= 2 take.  The leaves of one t sum to
+C(n, t) u^(r(n-r) - h_max t) Q_H(t), where the heavy-part sum Q_H(t) does
+not depend on n: it is built once per process, one part at a time, and
+shared by every level.  The closed-form factor of the size-1 parts
+multiplies each such bucket once.  All numerators of a level, the
+Grassmannian one included, are merged by pole order over the integer lcm
+of the multiplicity factorials, folded once by Horner in 1/(1-u) (one
+prefix sum per pole order) and divided exactly by that lcm.  Only the
+partitions whose families fit n edges are summed.
 
 Two independent routes are kept alongside the solver: a closed three-term
 formula special to rank 2, and a direct term-by-term re-evaluation of the
 recursion used as a residual check.  Each of their terms is one product of
 a polynomial with the binomial expansion of 1/(1-u)^s, subtracted at its
 shift with its weight.  They share only `poly_mul` and the solved
-sub-levels with the fast path, none of its bucket or Horner bookkeeping.
+sub-levels with the fast path, none of its heavy-part sums, buckets or
+Horner fold.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import Optional, Sequence
 
 from .combinat import (
     admissible_rho,
+    fitting_partitions,
     gaussian_binomial,
     morse_data,
     mult_factorial,
@@ -119,73 +125,103 @@ def _fold(numerators: dict[int, Sequence], order: int) -> list:
     return acc
 
 
-def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool) -> list:
-    """Sum over all admissible size tuples for the partition lam of
-    weight * u^beta * prod_j P(lam_j, rho_j) / (1-u)^s, as a coefficient list.
+# heavy parts -> [(low, coeffs) per total size t]; see `_heavy_sums`
+_HEAVY_SUMS: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
 
-    Size-1 parts are summed in closed form: for fixed sizes on the larger
-    parts, the inclusion-exclusion identity
+
+def _heavy_sums(heavy: tuple[int, ...], t_max: int) -> list:
+    """Q_H(t) for t = 0 .. t_max (at least), H = heavy, each as a pair
+    (low, coeffs) meaning u^low * coeffs with coeffs[0] nonzero.
+
+    Q_H(t) = sum over ordered sizes k_i > h_i with sum t of
+             C(t; k) * u^(h_max t + sum h_i (h_i - k_i)) * prod P(h_i, k_i),
+    where h_max = H[0] is the largest part.  Every exponent is
+    sum h_i^2 + sum (h_max - h_i) k_i >= 0, and nothing depends on the edge
+    count of a level, so the sums are kept for the whole process.  One part
+    at a time:
+        Q_(h)(t)   = u^(h^2) P(h, t)
+        Q_(H,h)(t) = sum_k C(t, k) u^((h_max - h) k + h^2) P(h, k) Q_H(t - k).
+    The list grows in increasing t, so each new entry solves at most one
+    new sub-level P(h, k) of each part and the recursion depth stays flat.
+    """
+    sums = _HEAVY_SUMS.setdefault(heavy, [])
+    *rest, h = heavy
+    while len(sums) <= t_max:
+        t = len(sums)
+        if not rest:
+            p = _poincare_coeffs(h, t)
+            terms = [(h * h, 1, p)] if p else []
+        else:
+            below = _heavy_sums(tuple(rest), t - h - 1)
+            terms = []
+            for k in range(h + 1, t + 1):
+                low, q = below[t - k]
+                if q:
+                    terms.append(((heavy[0] - h) * k + h * h + low, math.comb(t, k),
+                                  poly_mul(_poincare_coeffs(h, k), q)))
+        if not terms:
+            sums.append((0, ()))
+            continue
+        low = min(shift for shift, _, _ in terms)
+        out = [0] * (max(shift + len(q) for shift, _, q in terms) - low)
+        for shift, c, q in terms:
+            for i, v in enumerate(q, shift - low):
+                out[i] += c * v
+        sums.append((low, tuple(out)))
+    return sums
+
+
+def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool,
+                numerators: dict[int, list], weight: int) -> None:
+    """Add weight * N_s into numerators[s] (lists of length order + 1) for
+    the numerators N_s of the family sum of the partition lam: the sum over
+    all admissible size tuples of
+        multinomial * u^beta * prod_j P(lam_j, rho_j) / (1-u)^s.
+
+    Write lam = H + 1^m with H the parts >= 2.  Size-1 parts are summed in
+    closed form: for fixed sizes on H, the inclusion-exclusion identity
         sum_K (ordered nonempty subsets, total K) ((1-u)/u)^K
             = sum_j (-1)^j C(m,j) ((m-j) + (1-m+j) u)^n' / u^n'
     collapses the m-fold sum over their sizes into the light factor
     `_light_factor(m, n')`.
 
-    The sizes on the larger parts fix both n' = n - taken and the pole order
-    s = len(lam) + n - 1 - taken.  So the leaves c_h * u^beta_h * prod P are
-    added into one integer bucket per total `taken`, each bucket is
-    multiplied once by its light factor and shifted by m - n' into the
-    numerator N_s, and the numerators are folded by `_fold`.
+    The total t taken by H fixes n' = n - t and the pole order
+    s = len(lam) + n - 1 - t, and the leaves of that total sum to the
+    bucket C(n, t) u^(r(n-r) - h_max t) Q_H(t) of `_heavy_sums`, cut at the
+    top degree the numerator keeps.  Each bucket is multiplied once by its
+    light factor and shifted by m - n' into N_s.  exclude_top drops
+    t = n, the unknown top family of lam = (r).
     """
     r = sum(lam)
-    ell = len(lam)
-    heavy = [p for p in lam if p >= 2]
-    m = ell - len(heavy)
-    buckets: dict[int, list] = {}
-
-    def drop(taken: int) -> int:
-        # the light factor comes with u^(m - n'), where n' = n - taken
-        return n - taken - m if m else 0
-
-    def leaf(rho_h: tuple[int, ...], c_h: int):
-        taken = sum(rho_h)
-        top = order + drop(taken)
-        beta_h = r * (n - r) + sum(p * (p - k) for p, k in zip(heavy, rho_h))
-        if beta_h > top:
-            return
-        pprod = [1]
-        for p, k in zip(heavy, rho_h):
-            pprod = poly_mul(pprod, _poincare_coeffs(p, k))
-        bucket = buckets.get(taken)
-        if bucket is None:
-            bucket = buckets[taken] = [0] * (top + 1)
-        for i, c in enumerate(pprod[: top + 1 - beta_h], beta_h):
-            bucket[i] += c_h * c
-
-    def rec(idx: int, avail: int, rho_h: tuple[int, ...], c_h: int):
-        if idx == len(heavy):
-            leaf(rho_h, c_h)
-            return
-        p = heavy[idx]
-        reserve = sum(q + 1 for q in heavy[idx + 1:]) + m
-        for k in range(p + 1, n - sum(rho_h) - reserve + 1):
-            if exclude_top and len(heavy) == 1 and m == 0 and k == n:
-                continue
-            rec(idx + 1, avail - k, rho_h + (k,), c_h * math.comb(avail, k))
-
-    rec(0, n, (), 1)
-    numerators = {}
-    for taken, bucket in buckets.items():
-        low = drop(taken)
+    heavy = tuple(p for p in lam if p >= 2)
+    m = len(lam) - len(heavy)
+    if heavy:
+        t_max = n - m - exclude_top
+        sums = _heavy_sums(heavy, t_max)
+    else:
+        t_max, sums = 0, [(0, (1,))]
+    for t in range(sum(heavy) + len(heavy), t_max + 1):
+        low, q = sums[t]
+        if not q:
+            continue
+        # exponent of the bucket's first coefficient in N_s; the light
+        # factor comes with u^(m - n')
+        d = r * (n - r) - (heavy[0] * t if heavy else 0) + low
         if m:
-            bucket = poly_mul(bucket, _light_factor(m, n - taken))
-        if any(bucket[:low]):
-            raise ArithmeticError("negative exponent in collapsed family sum")
-        numerators[ell + n - 1 - taken] = bucket[low:]
-    return _fold(numerators, order)
-
-
-def _lhs_coeffs(r: int, n: int, order: int) -> list[int]:
-    return _fold({n - 1: gaussian_binomial(r, n).coeffs}, order)
+            d -= n - t - m
+        if d > order:
+            continue
+        c = math.comb(n, t)
+        bucket = [c * v for v in q[: order - d + 1]]
+        if m:
+            bucket = poly_mul(bucket, _light_factor(m, n - t))
+        if d < 0:
+            if any(bucket[:-d]):
+                raise ArithmeticError("negative exponent in collapsed family sum")
+            bucket, d = bucket[-d:], 0
+        row = numerators.setdefault(len(lam) + n - 1 - t, [0] * (order + 1))
+        for i, v in enumerate(bucket[: order + 1 - d], d):
+            row[i] += weight * v
 
 
 @functools.cache
@@ -198,26 +234,28 @@ def _poincare_coeffs(r: int, n: int) -> tuple[int, ...]:
 
 
 def _solve_level(r: int, n: int, order: int) -> tuple[int, ...]:
-    total = _lhs_coeffs(r, n, order)
-    result: list = list(total)
-    for lam in partitions(r):
-        fam = _family_sum(lam, n, order, exclude_top=(lam == (r,)))
-        mfact = mult_factorial(lam)
-        if mfact == 1:
-            for k in range(order + 1):
-                result[k] -= fam[k]
-        else:
-            for k in range(order + 1):
-                if fam[k]:
-                    result[k] -= Fraction(fam[k], mfact)
+    """Coefficients of P(r, n) from the recursion, solved through u^order.
+
+    With L the lcm of the multiplicity factorials, L times the recursion
+    is one fold of integer numerators: L times the Grassmannian numerator
+    minus L / mult_factorial(lam) times those of each family.  Its
+    coefficients divide exactly by L.
+    """
+    lams = fitting_partitions(r, n)
+    lcm = math.lcm(*map(mult_factorial, lams))
+    grass = [lcm * c for c in gaussian_binomial(r, n).coeffs[: order + 1]]
+    numerators = {n - 1: grass + [0] * (order + 1 - len(grass))}
+    for lam in lams:
+        _family_sum(lam, n, order, lam == (r,), numerators,
+                    -(lcm // mult_factorial(lam)))
     out = []
-    for c in result:
-        f = Fraction(c)
-        if f.denominator != 1:
+    for c in _fold(numerators, order):
+        q, rem = divmod(c, lcm)
+        if rem:
             raise ArithmeticError(
-                f"non-integral coefficient {f} while solving level ({r}, {n})"
+                f"non-integral coefficient {Fraction(c, lcm)} while solving level ({r}, {n})"
             )
-        out.append(f.numerator)
+        out.append(q)
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)

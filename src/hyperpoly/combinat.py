@@ -33,6 +33,30 @@ def partitions(r: int) -> tuple[tuple[int, ...], ...]:
     return _partitions_tuples(r, r)
 
 
+@lru_cache(maxsize=None)
+def _fitting_tuples(r: int, largest: int, heavy: int) -> tuple[tuple[int, ...], ...]:
+    # partitions of r with parts <= largest and at most `heavy` parts >= 2
+    if heavy >= r // 2:
+        return _partitions_tuples(r, largest)
+    out = []
+    for first in range(min(r, largest) if heavy else 1, 0, -1):
+        for rest in _fitting_tuples(r - first, first, heavy - (first >= 2)):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def fitting_partitions(r: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions lam of r with r + #(parts >= 2) <= n, in the order of
+    `partitions`.  Each part p >= 2 needs at least p + 1 of the n edges and
+    each part 1 at least one, so these are the partitions whose critical
+    families are nonempty."""
+    if r < 1:
+        raise ValueError("can only partition a positive integer")
+    if n < r:
+        return ()
+    return _fitting_tuples(r, r, n - r)
+
+
 def admissible_rho(lam: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
     """Size tuples rho with rho_j >= lam_j componentwise and sum(rho) <= n.
 

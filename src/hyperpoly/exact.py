@@ -430,15 +430,15 @@ def vanishing_order(p: DensePoly, a):
 # coefficient lists, lowest degree first, over a numerator ring
 
 def poly_mul(a: Sequence, b: Sequence) -> list:
-    """Product of two coefficient lists."""
+    """Product of two coefficient lists; zero coefficients of either
+    operand cost nothing."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
+        if ai:
+            for j, bj in b_terms:
                 out[i + j] += ai * bj
     return out
 

@@ -631,9 +631,18 @@ def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport
     invertible, so the rank is unchanged.  Each row is then scaled to unit
     norm, a zero row staying zero; a non-finite row raises ValueError.
     Rank counts singular values above threshold times the largest one.
+
+    Below n = 2r - 1 some counts n - 2m + 1 are negative, so the rows
+    would outnumber dim_b; ValueError then names the reflection partner
+    (n - r, n), whose space has the same dimension.
     """
+    r, n = point.r, point.n
+    if n < 2 * r - 1:
+        raise ValueError(
+            f"jacobian_rank needs n >= 2r - 1: at ({r}, {n}) the rows outnumber "
+            f"dim_b; use the dual level ({n - r}, {n})"
+        )
     fp = _float_point(point)
-    r, n = fp.r, fp.n
     field = residues(fp)
     poles = np.array([float(p) for p in fp.marked_points])
     centre = poles.mean()

@@ -2,8 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from hyperpoly import quiver
-
 # the worked 2x4 example threaded through the whole suite
 X24 = ((1, 0, 1, 1), (0, 1, 1, 2))
 Y24 = (
@@ -16,12 +14,16 @@ Y24 = (
 
 @pytest.fixture(scope="session")
 def point24():
+    from hyperpoly import quiver
+
     return quiver.exact_point_from_x(X24, alpha=[1, 1, 1, 1])
 
 
 @pytest.fixture(scope="session")
 def solved():
     """Memoized numerical solves shared across the whole run."""
+    from hyperpoly import quiver
+
     cache: dict = {}
 
     def get(r, n, alpha=None, seed=0):

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import sys
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperpoly import betti
 from hyperpoly.betti import (
     dimensions,
     genericity_check,
@@ -14,6 +16,7 @@ from hyperpoly.betti import (
     poincare_rank2,
     recursion_residual,
 )
+from hyperpoly.combinat import multinomial
 
 # frozen regression values; rank-2 rows double-checked against the closed
 # form, the rank-3 row against the residual identity at margin 10
@@ -27,12 +30,18 @@ KNOWN = {
 
 
 # sha256 of the comma-joined coefficients of larger levels, frozen from the
-# solver that multiplied every leaf by its own 1/(1-u)^s series
+# solver that multiplied every leaf by its own 1/(1-u)^s series; the
+# benchmark's levels (3,100), (4,60), (24,26) and (28,30) from the solver
+# that rebuilt each level's heavy-part products and folded each family alone
 DIGESTS = {
     (3, 40): "06642f379727db3b87a94e6a90937cab40c86646db45105ff8bc5901b0bbe75f",
+    (3, 100): "89d536a896e15d0c2efe7430e31a8ea78cbd8fc7ecdee7ec5192b765302172a1",
     (4, 24): "2043c0ffd8d3fad2b0a4132a0d0d03c9a730740d75a078d09c591a23e92e9760",
+    (4, 60): "f7c4931a8e1533737e9ec0b51bf2971345490d1ac1dcd9cb6442745d33185f49",
     (5, 30): "58cc943214992383437d08c520e38290f13bdc42346469d35fe96216aaadae3c",
     (8, 20): "95e9fe3a42392201e31504fe30d94f224dcbda16e6adb0e4ba613f36afcd0d21",
+    (24, 26): "cdf5a73c2bd0a8c25a728b3e5f414c78fb3e9e3eb1f61ca0df23e4e062c6f9dc",
+    (28, 30): "2a0313329fd6a06aafce640a01a2189ada1c96e128fcae3ec9268ff46e1410ec",
 }
 
 
@@ -70,6 +79,40 @@ def test_rank1_is_a_point():
 def test_empty_space_below_threshold():
     assert poincare(3, 3).poly.is_zero()
     assert poincare(4, 3).poly.is_zero()
+
+
+def test_reflection_duality_far_from_the_diagonal():
+    # rank 50 keeps only the partitions with at most two parts >= 2
+    assert poincare(50, 52).coeffs_u() == poincare(2, 52).coeffs_u()
+
+
+def _brute_heavy_sum(heavy, t):
+    """Q_H(t) term by term: every ordered size tuple and every choice of
+    one coefficient from each P(h_i, k_i), with no polynomial product."""
+    hmax = heavy[0]
+    out = {}
+    for ks in itertools.product(range(t + 1), repeat=len(heavy)):
+        if sum(ks) != t or any(k <= h for h, k in zip(heavy, ks)):
+            continue
+        base = hmax * t + sum(h * (h - k) for h, k in zip(heavy, ks))
+        weight = multinomial(t, ks)
+        polys = [betti._poincare_coeffs(h, k) for h, k in zip(heavy, ks)]
+        for picks in itertools.product(*(enumerate(p) for p in polys)):
+            e = base + sum(i for i, _ in picks)
+            c = weight
+            for _, v in picks:
+                c *= v
+            out[e] = out.get(e, 0) + c
+    return [out.get(e, 0) for e in range(max(out) + 1)] if out else []
+
+
+@pytest.mark.parametrize("heavy", [(2,), (3,), (2, 2), (3, 2), (2, 2, 2)])
+def test_heavy_sums_match_term_by_term(heavy):
+    sums = betti._heavy_sums(heavy, 14)
+    for t in range(15):
+        low, coeffs = sums[t]
+        dense = [0] * low + list(coeffs) if coeffs else []
+        assert dense == _brute_heavy_sum(heavy, t), (heavy, t)
 
 
 def test_rank2_oracle_agreement():
@@ -175,3 +218,18 @@ def test_level_depth_does_not_grow_with_n():
         sys.setrecursionlimit(limit)
     assert len(coeffs) == n - 2
     assert coeffs[:2] == [1, n]
+
+
+def test_cold_level_depth_with_shared_heavy_sums():
+    # the heavy-part sums grow one total size at a time, so a cold rank-4
+    # level stays as shallow as a rank-2 one
+    want = poincare(4, 40).coeffs_u()
+    betti._poincare_coeffs.cache_clear()
+    betti._HEAVY_SUMS.clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        coeffs = poincare(4, 40).coeffs_u()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert coeffs == want

@@ -156,6 +156,14 @@ def test_solve_then_commute_and_jacobian(tmp_path, capsys):
     assert rep["rank"] == 1
 
 
+def test_jacobian_below_2r_minus_1_exits_3(tmp_path, capsys):
+    path = tmp_path / "pt58.json"
+    assert run(capsys, "sample", "-r", "5", "-n", "8", "-o", str(path))[0] == 0
+    code, out, err = run(capsys, "jacobian", "--point", str(path))
+    assert (code, out) == (3, "")
+    assert "dual level (3, 8)" in err
+
+
 def test_point_commands_with_shifted_marked_points(tmp_path, capsys):
     # evaluation points must clear the largest marked point, not n
     for argv, first in ((("-r", "2", "-n", "4"), 5), (("-r", "2", "-n", "5", "--solve"), 6)):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hyperpoly.combinat import (
     admissible_rho,
+    fitting_partitions,
     gaussian_binomial,
     morse_data,
     mult_factorial,
@@ -120,3 +121,13 @@ def test_gaussian_binomial_at_one(r, n):
 def test_gaussian_binomial_fixture():
     # [4 choose 2]_u = 1 + u + 2u^2 + u^3 + u^4
     assert tuple(gaussian_binomial(2, 4).coeffs) == (1, 1, 2, 1, 1)
+
+
+def test_fitting_partitions_keep_those_that_fit_n_edges():
+    for r in range(1, 13):
+        for n in range(1, 17):
+            want = tuple(
+                lam for lam in partitions(r)
+                if r + sum(1 for p in lam if p >= 2) <= n
+            )
+            assert fitting_partitions(r, n) == want, (r, n)

@@ -326,6 +326,13 @@ def test_jacobian_rank_matches_dim(solved):
     assert len(rep.singular_values) >= 2
 
 
+@pytest.mark.parametrize("r,n", [(5, 8), (6, 8)])
+def test_jacobian_rank_refuses_levels_below_2r_minus_1(r, n):
+    # sum_m max(n - 2m + 1, 0) rows would exceed dim_b (9 rows of 8 at (5,8))
+    with pytest.raises(ValueError, match=rf"dual level \({n - r}, {n}\)"):
+        jacobian_rank(sample_exact(r, n, seed=0))
+
+
 def test_jacobian_rank_zero_section():
     # y = 0 kills every gradient: the map is critical on the zero section
     x = tuple(tuple(complex(v) for v in row) for row in X24)
