@@ -12,6 +12,9 @@ built once per field and read by `hitchin_map` and the spectral layer.
 The exact bracket checks run on numerators too: x, y and phi(z) are
 cleared once, gradients are integer numerators over one denominator per
 half, and only a reported value is divided.
+Float points run on Python floats and complexes: the marked points are
+converted once per evaluation point and a Fraction weight once, not at
+every product, with the bits the Fraction fallback gave.
 """
 
 from __future__ import annotations
@@ -217,12 +220,8 @@ def higgs_eval(field: HiggsField, z):
     on an exact field (`_exact_z`)."""
     z = _exact_z(field.flavor, z)
     acc = linalg.zeros(field.r, field.r)
-    for i, p in enumerate(field.marked_points):
-        if z == p:
-            raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {p}")
-        acc = linalg.mat_add(
-            acc, linalg.mat_scale(field.residues[i], 1 / (z - p))
-        )
+    for m, w in zip(field.residues, _inverse_distances(field.flavor, field.marked_points, z)):
+        acc = linalg.mat_add(acc, linalg.mat_scale(m, w))
     return acc
 
 
@@ -267,29 +266,34 @@ def hitchin_map(field: HiggsField) -> BasePoint:
         return BasePoint(r=r, n=n, g=g)
 
     pts = [float(p) for p in field.marked_points]
+    # the points of every k are a prefix of those of k = 2
+    zs = [float(z) for z in _eval_points(field.marked_points, max(n - 2, 1))]
+    evaluated: dict = {}
 
-    def cleared(z, k):
-        a = np.array([[complex(v) for v in row] for row in higgs_eval(field, z)])
-        return complex(np.trace(np.linalg.matrix_power(a, k))) * math.prod(
-            z - p for p in pts
-        )
+    def cleared(j, k):
+        # phi(z_j) and prod(z_j - p) are built once and shared by every k
+        if j not in evaluated:
+            z = zs[j]
+            a = np.array([[complex(v) for v in row] for row in higgs_eval(field, z)])
+            evaluated[j] = a, math.prod(z - p for p in pts)
+        a, prod = evaluated[j]
+        return complex(np.trace(np.linalg.matrix_power(a, k))) * prod
 
     g = {}
     for k in range(2, r + 1):
         count = max(n - 2 * k + 1, 0)
-        zs = np.array([float(z) for z in _eval_points(field.marked_points, count + 1)])
         coeffs = ()
         if count:
-            vander = np.vander(zs[:-1], count, increasing=True)
+            vander = np.vander(np.array(zs[:count]), count, increasing=True)
             coeffs = np.linalg.solve(
-                vander, np.array([cleared(z, k) for z in zs[:-1]])
+                vander, np.array([cleared(j, k) for j in range(count)])
             )
         g[k] = tuple(complex(c) for c in coeffs)
         if k >= 4:
             # a fit cannot see the higher-order pole Tr(phi^k) may carry
             # from k = 4 on, so the fit must also match one more point
-            want = cleared(zs[-1], k)
-            got = np.polyval(coeffs[::-1], zs[-1]) if count else 0
+            want = cleared(count, k)
+            got = np.polyval(coeffs[::-1], zs[count]) if count else 0
             if abs(got - want) > _FLOAT_FIT_TOL * abs(want):
                 raise DegreeOverflowError(_pole_overflow(k), power=k)
     return BasePoint(r=r, n=n, g=g)
@@ -346,16 +350,44 @@ def _cleared_xy(point: QuiverPoint) -> tuple:
     )
 
 
-def _weights(point: QuiverPoint, z, scale=1) -> tuple[list, object]:
-    """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float point."""
+def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1) -> list:
+    """scale / (z - p_i) for every marked point; PoleEvaluationError at a
+    pole.
+
+    On the float flavor a float z meets float(p_i) and a complex z meets
+    complex(p_i), converted here once: Fraction's fallback makes the same
+    conversion at every z - p_i, so each difference keeps its bits, and
+    z equals the converted point exactly when the difference is zero.
+    """
+    poles = marked_points
+    if flavor != "exact" and isinstance(z, (float, complex)):
+        kind = complex if isinstance(z, complex) else float
+        poles = [kind(p) for p in marked_points]
     ws = []
-    for i, p in enumerate(point.marked_points):
-        if z == p:
-            raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {p}")
-        ws.append(scale / (z - p))
-    if point.flavor != "exact":
-        return ws, 1
-    return numerators(ws)
+    for i, q in enumerate(poles):
+        if z == q:
+            raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {marked_points[i]}")
+        ws.append(scale / (z - q))
+    return ws
+
+
+def _complex_entries(point: QuiverPoint) -> bool:
+    return all(type(v) is complex for row in point.x + point.y for v in row)
+
+
+def _weights(point: QuiverPoint, z, scale=1) -> tuple[list, object]:
+    """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float point.
+
+    A rational z keeps the weights of a float point exact; on a point with
+    complex entries each Fraction weight becomes complex(w) once, the value
+    the fallback would convert it to at every product with an entry.
+    """
+    ws = _inverse_distances(point.flavor, point.marked_points, z, scale)
+    if point.flavor == "exact":
+        return numerators(ws)
+    if _complex_entries(point):
+        ws = [complex(w) if isinstance(w, Fraction) else w for w in ws]
+    return ws, 1
 
 
 def _cleared_phi(r: int, n: int, xy: tuple, ws: list) -> tuple:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -314,6 +315,60 @@ def test_delta_check_zero(point24):
     assert delta_check(point24, Fraction(11, 2), Fraction(13, 2)) == 0
     with pytest.raises(ValueError):
         delta_check(point24, 5, 5)
+
+
+@pytest.mark.parametrize("z", [0.1, complex(0.1, 0)])
+@pytest.mark.parametrize("call", ["delta_check", "higgs_eval", "poisson_bracket"])
+def test_float_z_rounding_onto_a_marked_point_is_a_pole(solved, call, z):
+    # 0.1 is not 1/10, but 0.1 - float(1/10) is zero: the pole test must
+    # see it rather than divide by zero
+    pt = solved(2, 5)
+    pt = dataclasses.replace(pt, marked_points=(Fraction(1, 10),) + pt.marked_points[1:])
+    calls = {
+        "delta_check": lambda: delta_check(pt, z, 6.5),
+        "higgs_eval": lambda: higgs_eval(residues(pt), z),
+        "poisson_bracket": lambda: poisson_bracket(
+            pt, BracketObservable(2, z), BracketObservable(2, 6.5)
+        ),
+    }
+    with pytest.raises(PoleEvaluationError, match="p_1 = 1/10"):
+        calls[call]()
+
+
+_FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def test_float_kernels_never_mix_fractions_with_floats(solved, monkeypatch):
+    # the float path runs on floats and complexes only: a Fraction meets
+    # ints and Fractions there, never a float or complex operand, which
+    # would send each operation through Fraction's slow fallback
+    pt = solved(3, 8)
+    field = residues(pt)
+
+    def guarded(name):
+        op = getattr(Fraction, name)
+
+        def wrapper(a, b, *rest):
+            if isinstance(b, (float, complex)):
+                raise AssertionError(f"Fraction.{name} with a {type(b).__name__} operand")
+            return op(a, b, *rest)
+
+        return wrapper
+
+    for name in _FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, guarded(name))
+    with pytest.raises(AssertionError):
+        Fraction(1, 3) == 0.5
+    assert Fraction(1, 3) * 3 == 1
+    commutation_report(pt)
+    delta_check(pt, 8.5 + 1 / 3, 8.25)
+    jacobian_rank(pt)
+    hitchin_map(field)
 
 
 # ---------------------------------------------------------------------------
