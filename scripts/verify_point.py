@@ -3,8 +3,12 @@
 
 Samples a point (exact fiber by default, numerical with --solve), then
 walks the full pipeline: moment residuals, base coordinates, bracket
-report, spectral characteristic polynomial, vanishing orders and, for
-exact points, the smoothness probe of the spectral curve.
+report and, for exact points, the spectral characteristic polynomial,
+its vanishing orders and the smoothness certificate of the spectral
+curve: the orders of the discriminant at the marked points, the degree of
+its off-divisor part R, and the verdict, "smooth away from D" when R is
+squarefree mod p and "not certified away from D" otherwise.  Float points
+report the Jacobian rank instead.
 """
 
 import argparse
@@ -61,9 +65,14 @@ def main() -> int:
         print(f"order bounds: all_pass={orders.all_pass}")
         probe = spectral.smoothness_probe(cp)
         print(
-            f"smoothness probe: {probe.verdict} "
-            f"(discriminant degree {probe.discriminant_degree})"
+            f"discriminant: degree {probe.discriminant_degree}, orders at the "
+            f"marked points {[o for _, o in probe.orders]}"
         )
+        print(
+            f"off-divisor part R: degree {probe.residual_degree}, "
+            f"squarefree mod p={probe.squarefree}"
+        )
+        print(f"spectral curve: {probe.verdict}")
     else:
         try:
             rank = hitchin.jacobian_rank(pt)

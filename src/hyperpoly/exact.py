@@ -12,8 +12,9 @@ input once, the kernel works in that numerator ring (Python ints, or
 GaussianRational with integral parts for complex input, where ``//`` is
 exact division in both), and `ratio` divides once at the end.  `poly_add`,
 `poly_mul` and `poly_divmod` on coefficient lists are the only polynomial
-sum, product and division loops; `DensePoly` is a value type over the
-first two, and `PolyMatrix` a validated container of polynomials.
+sum, product and division loops over a numerator ring, and
+`squarefree_mod_p` the one loop over F_p; `DensePoly` is a value type over
+the first two, and `PolyMatrix` a validated container of polynomials.
 Truncated power series have no type here: the Betti layer keeps them as
 plain coefficient lists.
 """
@@ -481,6 +482,40 @@ def poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
         while cs and not cs[-1]:
             cs.pop()
     return q, rem
+
+
+# the Mersenne prime 2^61 - 1, the field F_p of `squarefree_mod_p`
+SQUAREFREE_PRIME = 2 ** 61 - 1
+
+
+def squarefree_mod_p(a: Sequence) -> bool:
+    """Whether a nonzero numerator list is squarefree over F_p, p the
+    `SQUAREFREE_PRIME`, with its leading coefficient nonzero mod p.
+
+    True proves ``a`` squarefree over Q: a repeated factor g^2 of integer
+    polynomials (Gauss's lemma) stays one mod p, as p does not divide the
+    leading coefficient of g.  False proves nothing: z^2 + p is squarefree
+    over Q.  Gaussian integer coefficients are tested as a * conj(a), which
+    has integer coefficients and a repeated factor whenever ``a`` has one.
+    """
+    if any(isinstance(c, GaussianRational) for c in a):
+        a = [int(c.real) for c in poly_mul(a, [c.conjugate() for c in a])]
+    p = SQUAREFREE_PRIME
+    f = [c % p for c in a]
+    if not f[-1]:
+        return False
+    # Euclid's algorithm for gcd(f, f') mod p
+    g, h = f, [k * c % p for k, c in enumerate(f)][1:]
+    while h:
+        inv = pow(h[-1], -1, p)
+        while len(g) >= len(h):
+            q, shift = g[-1] * inv % p, len(g) - len(h)
+            for j, c in enumerate(h):
+                g[shift + j] = (g[shift + j] - q * c) % p
+            while g and not g[-1]:
+                g.pop()
+        g, h = h, g
+    return len(g) == 1
 
 
 # ---------------------------------------------------------------------------

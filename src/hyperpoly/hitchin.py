@@ -375,19 +375,24 @@ def _complex_entries(point: QuiverPoint) -> bool:
     return all(type(v) is complex for row in point.x + point.y for v in row)
 
 
-def _weights(point: QuiverPoint, z, scale=1) -> tuple[list, object]:
-    """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float point.
+def _entry_scalars(point: QuiverPoint, ws: list) -> list:
+    """Scalars that multiply the entries of a float point.
 
-    A rational z keeps the weights of a float point exact; on a point with
-    complex entries each Fraction weight becomes complex(w) once, the value
-    the fallback would convert it to at every product with an entry.
+    A rational z makes them Fractions; on a point with complex entries each
+    Fraction becomes complex(w) once, the value the fallback would convert
+    it to at every product with an entry.
     """
+    if _complex_entries(point):
+        return [complex(w) if isinstance(w, Fraction) else w for w in ws]
+    return ws
+
+
+def _weights(point: QuiverPoint, z, scale=1) -> tuple[list, object]:
+    """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float point."""
     ws = _inverse_distances(point.flavor, point.marked_points, z, scale)
     if point.flavor == "exact":
         return numerators(ws)
-    if _complex_entries(point):
-        ws = [complex(w) if isinstance(w, Fraction) else w for w in ws]
-    return ws, 1
+    return _entry_scalars(point, ws), 1
 
 
 def _cleared_phi(r: int, n: int, xy: tuple, ws: list) -> tuple:
@@ -530,10 +535,8 @@ def delta_check(point: QuiverPoint, z, w):
             linalg.mat_sub(linalg.mat_scale(phi_z, dw), linalg.mat_scale(phi_w, dz)), t
         )
     else:
-        kernel = linalg.mat_add(
-            linalg.mat_scale(phi_z, 1 / (w - z)),
-            linalg.mat_scale(phi_w, 1 / (z - w)),
-        )
+        sz, sw = _entry_scalars(point, [1 / (w - z), 1 / (z - w)])
+        kernel = linalg.mat_add(linalg.mat_scale(phi_z, sz), linalg.mat_scale(phi_w, sw))
     grads_z = _entry_grads(r, n, xy, wz)
     grads_w = _entry_grads(r, n, xy, ww)
     worst = 0

@@ -441,6 +441,9 @@ def solve_real(
         raise ValueError("length vector size must match the edge count")
     if any(a <= 0 for a in avec_frac):
         raise ValueError("length vector entries must be positive")
+    for i, a in enumerate(avec_frac, start=1):
+        if not _in_float_range(a):
+            raise ValueError(f"length vector entry {i} is outside the float range")
     avec = np.array([float(a) for a in avec_frac])
     center = float(sum(avec)) / r
 

@@ -8,11 +8,12 @@ also give the field's cleared traces Tr(psi^k) and g_k: spectral and base
 data share one exact pass, and `trace_consistency` flags exactly the
 powers at which `hitchin_map` raises.  This module computes the c_i,
 checks the vanishing-order bounds ord_{p_j}(c_i) >= floor((i+1)/2) at the
-marked points, probes for singular points away from the marked fibers
-through the exact discriminant det g(C) (g = df/dlam, C the companion
-matrix of f), read off the Faddeev-LeVerrier kernel that gives the c_i,
-and carries two small hardcoded local models (one of rank 3, one of
-rank 4) used as fixtures.
+marked points, and certifies the curve smooth away from the marked fibers.
+The certificate splits the exact discriminant det g(C) (g = df/dlam, C
+the companion matrix of f, read off the Faddeev-LeVerrier kernel that
+gives the c_i) as prod_j (v_j z - u_j)^(o_j) * R and tests R squarefree
+mod p.  The module also carries two small hardcoded local models (one of
+rank 3, one of rank 4) used as fixtures.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -33,8 +32,12 @@ from .errors import (
 from .exact import (
     DensePoly,
     PolyMatrix,
+    numerators,
+    poly_divmod,
     poly_matrix_charpoly,
+    poly_mul,
     scalar_to_json,
+    squarefree_mod_p,
     vanishing_order,
 )
 from .hitchin import HiggsField
@@ -260,14 +263,7 @@ def local_models(seed: int = 0) -> tuple[LocalModelFixture, LocalModelFixture]:
 
 
 # ---------------------------------------------------------------------------
-# smoothness probe
-
-# a root of the discriminant this close to a marked point is on the divisor
-_DIVISOR_TOL = 1e-6
-# |f| and |df/dz| at a critical fiber point, relative to f's coefficients,
-# above which the point is off the curve and smooth respectively
-_PROBE_TOL = 1e-4
-
+# smoothness certificate
 
 def _resultant_lambda(f_coeffs: list[DensePoly], g_coeffs: list[DensePoly]) -> DensePoly:
     """Resultant in the fiber variable of a monic f and any g.
@@ -291,53 +287,27 @@ def _resultant_lambda(f_coeffs: list[DensePoly], g_coeffs: list[DensePoly]) -> D
     return -det if r % 2 else det
 
 
-def _poly_floats(p: DensePoly) -> list:
-    # normalize by the coefficient of largest modulus before leaving the
-    # exact ring, so huge exact coefficients cannot overflow; real
-    # coefficients stay real, so that np.roots keeps conjugate roots paired
-    biggest = max(p.coeffs, key=linalg.norm_sq)
-    vals = [complex(c / biggest) for c in p.coeffs]
-    return vals if any(v.imag for v in vals) else [v.real for v in vals]
-
-
-def _at(p: DensePoly, z0: complex) -> complex:
-    """p(z0) in floating point, with the exact coefficients made complex."""
-    return DensePoly([complex(c) for c in p.coeffs])(z0)
-
-
-@dataclass(frozen=True)
-class ProbePoint:
-    """One critical fiber of the projection to the base line."""
-
-    z: complex
-    classification: str  # on-divisor | off-curve | smooth-candidate | singular-candidate
-    lambda_fiber: Optional[complex]
-    f_abs: Optional[float]
-    fz_abs: Optional[float]
-
-
 @dataclass(frozen=True)
 class SmoothnessReport:
-    points: tuple
+    """The discriminant split as prod_j (v_j z - u_j)^(o_j) * R."""
+
+    orders: tuple  # (p_j, o_j) per marked point p_j = u_j / v_j
+    residual_degree: int  # deg R
+    squarefree: bool  # R squarefree mod p, which proves it over Q
     verdict: str
-    singular: tuple
     discriminant_degree: int
 
 
 def smoothness_probe(cp: CharPoly) -> SmoothnessReport:
-    """Probe the curve for singular points away from the marked fibers.
+    """Certify the spectral curve smooth away from the marked fibers.
 
-    Takes the exact resultant of f and its fiber-direction derivative,
-    finds its roots numerically, and at every root farther than
-    _DIVISOR_TOL from the marked points locates the repeated fiber
-    coordinate and classifies the point by the magnitude of the
-    base-direction derivative there, against _PROBE_TOL times the size of
-    f's coefficients.  A candidate is never a proof in either direction:
-    roots and magnitudes are floating point.
+    Divides the numerators of the exact discriminant Res_lam(f, df/dlam)
+    by prod_j (v_j z - u_j)^(o_j), o_j its vanishing order at p_j.  If the
+    rest R is squarefree mod p, every root off the marked points is simple
+    and the curve is smooth there; otherwise it is not certified.
     """
     r = cp.r
-    one = DensePoly.one("z")
-    f_coeffs = [one] + [cp.c[i] for i in range(1, r + 1)]
+    f_coeffs = [DensePoly.one("z")] + [cp.c[i] for i in range(1, r + 1)]
     flam_coeffs = [
         cp.c[i] * (r - i) if i else DensePoly.constant(r, "z")
         for i in range(r)
@@ -347,70 +317,19 @@ def smoothness_probe(cp: CharPoly) -> SmoothnessReport:
         raise DegenerateDiscriminantError(
             "degenerate discriminant: the curve is non-reduced"
         )
-    deg = int(res.degree)
-    if deg == 0:
-        return SmoothnessReport(
-            points=(),
-            verdict="no singularities detected away from D",
-            singular=(),
-            discriminant_degree=0,
-        )
-    roots = np.roots(list(reversed(_poly_floats(res))))
-    div_pts = [complex(p) for p in cp.marked_points]
-    points = []
-    singular = []
-    for z0 in roots:
-        z0 = complex(z0)
-        if div_pts and min(abs(z0 - p) for p in div_pts) <= _DIVISOR_TOL:
-            points.append(
-                ProbePoint(
-                    z=z0,
-                    classification="on-divisor",
-                    lambda_fiber=None,
-                    f_abs=None,
-                    fz_abs=None,
-                )
-            )
-            continue
-        fc = [_at(c, z0) for c in f_coeffs]
-        scale = max(1.0, max(abs(v) for v in fc))
-        flc = [_at(c, z0) for c in flam_coeffs]
-        lam_roots = np.roots(flc) if len(flc) > 1 else np.array([])
-        if lam_roots.size == 0:
-            continue
-        fvals = [abs(np.polyval(fc, lam)) for lam in lam_roots]
-        best = int(np.argmin(fvals))
-        lam = complex(lam_roots[best])
-        f_abs = float(fvals[best])
-        fz = sum(
-            _at(cp.c[i].derivative(), z0) * lam ** (r - i)
-            for i in range(1, r + 1)
-        )
-        fz_abs = float(abs(fz))
-        if f_abs > _PROBE_TOL * scale:
-            cls = "off-curve"
-        elif fz_abs > _PROBE_TOL * scale:
-            cls = "smooth-candidate"
-        else:
-            cls = "singular-candidate"
-        pt = ProbePoint(
-            z=z0,
-            classification=cls,
-            lambda_fiber=lam,
-            f_abs=f_abs,
-            fz_abs=fz_abs,
-        )
-        points.append(pt)
-        if cls == "singular-candidate":
-            singular.append(pt)
-    verdict = (
-        "no singularities detected away from D"
-        if not singular
-        else "singular candidates found away from D"
-    )
+    orders = tuple((p, vanishing_order(res, p)) for p in cp.marked_points)
+    divisor = [1]
+    for p, order in orders:
+        p = Fraction(p)
+        for _ in range(order):
+            divisor = poly_mul(divisor, [-p.numerator, p.denominator])
+    rest, rem = poly_divmod(numerators(res.coeffs)[0], divisor)
+    assert not rem, "the marked-point factors must divide the discriminant"
+    squarefree = squarefree_mod_p(rest)
     return SmoothnessReport(
-        points=tuple(points),
-        verdict=verdict,
-        singular=tuple(singular),
-        discriminant_degree=deg,
+        orders=orders,
+        residual_degree=len(rest) - 1,
+        squarefree=squarefree,
+        verdict="smooth away from D" if squarefree else "not certified away from D",
+        discriminant_degree=res.degree,
     )

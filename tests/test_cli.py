@@ -217,6 +217,14 @@ def test_nonpositive_alpha_exits_3(tmp_path, capsys):
         assert "length vector entries must be positive" in err
 
 
+def test_alpha_outside_the_float_range_exits_3(capsys):
+    code, out, err = run(capsys, "sample", "-r", "2", "-n", "5", "--solve",
+                         "--alpha", "1,1,1,1,1e400")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: length vector entry 5 is outside the float range"]
+
+
 def test_numeric_options_out_of_range_exit_3(tmp_path, capsys):
     path = tmp_path / "pt.json"
     path.write_text(sample_exact(2, 4, seed=0).dumps())

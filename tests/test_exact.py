@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly.exact import (
+    SQUAREFREE_PRIME,
     DensePoly,
     GaussianRational,
     PolyMatrix,
@@ -14,6 +15,7 @@ from hyperpoly.exact import (
     poly_mul,
     scalar_from_json,
     scalar_to_json,
+    squarefree_mod_p,
     vanishing_order,
 )
 from hyperpoly.betti import _geom_coeffs
@@ -231,3 +233,25 @@ def test_poly_matrix_trace():
     z = DensePoly([0, 1], "z")
     m = PolyMatrix([[z, z], [z, z * z]], "z")
     assert m.trace() == z + z * z
+
+
+# coefficient lists are lowest degree first
+@pytest.mark.parametrize(
+    "coeffs,expected",
+    [
+        ([2, -3, 0, 1], False),  # (z - 1)^2 (z + 2)
+        ([-2, 1, 1], True),  # (z - 1)(z + 2)
+        # squarefree over Q but not mod p: True certifies, False does not
+        ([SQUAREFREE_PRIME, 0, 1], False),
+        ([-2, 1, SQUAREFREE_PRIME], False),  # leading coefficient divisible by p
+    ],
+)
+def test_squarefree_mod_p(coeffs, expected):
+    assert squarefree_mod_p(coeffs) is expected
+
+
+def test_squarefree_mod_p_on_gaussian_integers():
+    i = GaussianRational(0, 1)
+    # z - i is tested as (z - i)(z + i) = z^2 + 1
+    assert squarefree_mod_p([-i, GaussianRational(1)])
+    assert not squarefree_mod_p(poly_mul([-i, 1], [-i, 1]))

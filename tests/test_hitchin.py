@@ -367,6 +367,7 @@ def test_float_kernels_never_mix_fractions_with_floats(solved, monkeypatch):
     assert Fraction(1, 3) * 3 == 1
     commutation_report(pt)
     delta_check(pt, 8.5 + 1 / 3, 8.25)
+    delta_check(pt, Fraction(1, 2), Fraction(15, 2))
     jacobian_rank(pt)
     hitchin_map(field)
 

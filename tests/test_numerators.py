@@ -620,7 +620,11 @@ def _float_points():
 def test_bracket_layer_matches_reference_bit_for_bit_on_float_points():
     for point in _float_points():
         n = point.n
-        for zs in [(n + 0.7, n + 2.25), (complex(n + 1, 0.5), Fraction(-1, 2))]:
+        for zs in [
+            (n + 0.7, n + 2.25),
+            (complex(n + 1, 0.5), Fraction(-1, 2)),
+            (Fraction(1, 2), Fraction(2 * n + 1, 2)),
+        ]:
             assert _outputs(point, zs) == _reference_outputs(point, zs), (point.r, n)
 
 

@@ -144,6 +144,11 @@ def test_solve_real_validation():
         solve_real(2, 4, (1, 1, 1, -1))
 
 
+def test_solve_real_rejects_alpha_outside_the_float_range():
+    with pytest.raises(ValueError, match="entry 3 is outside the float range"):
+        solve_real(2, 4, (1, 1, Fraction(10) ** 400, 1))
+
+
 # ---------------------------------------------------------------------------
 # polygon-space shadow
 

@@ -22,7 +22,7 @@ from hyperpoly.spectral import (
     twist,
 )
 
-from test_numerators import _exact_div_reference, _padded
+from test_numerators import _padded
 
 
 def test_twist_fixture(point24):
@@ -147,23 +147,23 @@ def test_local_models_seeded_determinism():
 
 
 # ---------------------------------------------------------------------------
-# smoothness probe
+# smoothness certificate
 
 def test_probe_rank3_model_smooth_off_divisor():
+    # lam^3 - z lam - z^2 has discriminant z^3 (4 - 27 z): order 3 at the
+    # marked point 0 and one simple root 4/27 off it
     rank3, _ = local_models(seed=0)
     rep = smoothness_probe(rank3.charpoly)
-    assert rep.verdict == "no singularities detected away from D"
+    assert rep.orders == ((Fraction(0), 3),)
     assert rep.discriminant_degree == 4
-    off = [p for p in rep.points if p.classification != "on-divisor"]
-    assert len(off) == 1
-    probe = off[0]
-    assert probe.classification == "smooth-candidate"
-    assert abs(probe.z - 4 / 27) < 1e-9
-    assert abs(probe.lambda_fiber - (-2 / 9)) < 1e-8
+    assert rep.residual_degree == 1
+    assert rep.squarefree
+    assert rep.verdict == "smooth away from D"
 
 
 def test_probe_detects_nodal_curve():
-    # lam^2 - (z-5)^2 has a node at z = 5 away from the divisor {1, 2}
+    # lam^2 - (z-5)^2 has a node at z = 5 away from the divisor {1, 2}: the
+    # discriminant is prime to the marked points and has a double root
     z = DensePoly.gen("z")
     cp = CharPoly(
         r=2, n=4,
@@ -171,8 +171,10 @@ def test_probe_detects_nodal_curve():
         marked_points=(Fraction(1), Fraction(2)),
     )
     rep = smoothness_probe(cp)
-    assert rep.verdict == "singular candidates found away from D"
-    assert any(abs(p.z - 5) < 1e-6 for p in rep.singular)
+    assert rep.orders == ((Fraction(1), 0), (Fraction(2), 0))
+    assert rep.residual_degree == 2
+    assert not rep.squarefree
+    assert rep.verdict == "not certified away from D"
 
 
 def test_probe_degenerate_discriminant():
@@ -186,10 +188,14 @@ def test_probe_degenerate_discriminant():
 
 
 def test_probe_fixture_curve_clean(point24):
+    # c_2 = -10 prod(z - p_j): every root of the discriminant is a marked
+    # point, so R is a constant
     cp = spectral_charpoly(twist(residues(point24)))
     rep = smoothness_probe(cp)
-    assert rep.verdict == "no singularities detected away from D"
-    assert all(p.classification == "on-divisor" for p in rep.points)
+    assert rep.orders == tuple((p, 1) for p in cp.marked_points)
+    assert rep.discriminant_degree == 4
+    assert rep.residual_degree == 0
+    assert rep.verdict == "smooth away from D"
 
 
 def _discriminant_lists(cp):
@@ -238,33 +244,45 @@ def test_resultant_needs_monic_f():
         _resultant_lambda([z, DensePoly.one("z")], [z])
 
 
-@pytest.mark.parametrize("r,n", [(2, 8), (3, 7), (4, 8), (5, 9)])
+# levels where R, the discriminant with its marked-point factors divided
+# out, is not squarefree mod p: n = 2r - 1.  There c_r vanishes, so
+# lam = 0 is a component of the curve; it meets the rest over the zeros of
+# c_(r-1), whose square divides the discriminant
+_NOT_CERTIFIED = {(3, 5), (4, 7), (5, 9)}
+
+
+@pytest.mark.parametrize(
+    "r,n",
+    [(2, 8), (3, 5), (3, 6), (3, 7), (3, 9), (4, 7), (4, 8), (4, 9), (5, 9), (5, 10)],
+)
 def test_probe_runs_on_sampled_points(r, n):
     cp = spectral_charpoly(twist(residues(sample_exact(r, n, seed=0))))
     rep = smoothness_probe(cp)
     res = _resultant_lambda(*_discriminant_lists(cp))
     # the discriminant has weight r(r-1) and deg c_i <= i(n-2); these
-    # points reach the bound
+    # points reach the bound, and it vanishes to order r^2 - 3r + 3 at
+    # every marked point
     assert rep.discriminant_degree == res.degree == r * (r - 1) * (n - 2)
-    assert len(rep.points) == res.degree
-    assert rep.verdict == "no singularities detected away from D"
+    order = r * r - 3 * r + 3
+    assert rep.orders == tuple((p, order) for p in cp.marked_points)
+    assert rep.residual_degree == res.degree - n * order
+    certified = (r, n) not in _NOT_CERTIFIED
+    assert cp.c[r].is_zero() is not certified
+    assert rep.squarefree is certified
+    assert rep.verdict == ("smooth away from D" if certified else "not certified away from D")
 
 
 def test_probe_on_complex_exact_point():
     x = ((GaussianRational(1, 1), 0, 1, 1, 2), (0, 1, GaussianRational(1, -1), 2, 1))
     cp = spectral_charpoly(twist(residues(exact_point_from_x(x, seed=0))))
     rep = smoothness_probe(cp)
-    assert rep.verdict == "no singularities detected away from D"
+    # lam^2 + c_2 is singular over z only where c_2 has a double root: c_2
+    # is prod(z - p_j) times a Gaussian linear factor, so R is that factor
+    # and is tested through R * conj(R)
     assert rep.discriminant_degree == 6
-    classes = sorted(p.classification for p in rep.points)
-    assert classes == ["on-divisor"] * 5 + ["smooth-candidate"]
-    # lam^2 + c_2 is singular over z only where c_2 has a double root: the
-    # one root of c_2 off the marked points is simple, so the curve is
-    # smooth there
-    (probe,) = [p for p in rep.points if p.classification == "smooth-candidate"]
-    lin = _exact_div_reference(cp.c[2], poly_from_roots(cp.marked_points))
-    assert abs(probe.z - complex(-lin.coeffs[0] / lin.coeffs[1])) < 1e-9
-    assert abs(probe.lambda_fiber) < 1e-6
+    assert rep.orders == tuple((p, 1) for p in cp.marked_points)
+    assert rep.residual_degree == 1
+    assert rep.verdict == "smooth away from D"
 
 
 def test_resultant_against_sympy():
