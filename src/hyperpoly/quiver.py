@@ -10,6 +10,7 @@ satisfy real and complex equations to a tolerance.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import random
@@ -350,35 +351,30 @@ def _np_point(x: np.ndarray, y: np.ndarray, r, n, alpha) -> QuiverPoint:
 
 
 def _residual_batch(x: np.ndarray, y: np.ndarray, avec: np.ndarray, center: float) -> np.ndarray:
-    """Stacked real residual of the moment equations.
+    """Stacked real residual of the moment equations at one point.
 
-    Accepts (r, n)/(n, r) arrays or batches with a leading axis; returns a
-    real vector (or batch of vectors).
+    x is r x n and y is n x r.  The blocks, in order, are Re and Im of
+    x x^* - y^* y - center Id, the edge lengths |x_i|^2 - |y_i|^2 - alpha_i,
+    Re and Im of x y, and Re and Im of the scalars y_i x_i.  Every entry is
+    quadratic in (Re x, Im x, Re y, Im y); `_jacobian_pattern`
+    differentiates the same blocks in the same order.
     """
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-        y = y[None]
-    b, r, n = x.shape
-    xs = np.conj(np.swapaxes(x, -1, -2))
-    ys = np.conj(np.swapaxes(y, -1, -2))
-    real_mat = x @ xs - ys @ y - center * np.eye(r)
+    r = x.shape[0]
+    real_mat = x @ x.conj().T - y.conj().T @ y - center * np.eye(r)
     lengths = (
-        np.sum(np.abs(x) ** 2, axis=1) - np.sum(np.abs(y) ** 2, axis=2) - avec
+        np.sum(np.abs(x) ** 2, axis=0) - np.sum(np.abs(y) ** 2, axis=1) - avec
     )
     cplx_mat = x @ y
-    scalars = np.einsum("bia,bai->bi", y, x)
-    parts = [
-        real_mat.reshape(b, -1).real,
-        real_mat.reshape(b, -1).imag,
-        lengths.real,
-        cplx_mat.reshape(b, -1).real,
-        cplx_mat.reshape(b, -1).imag,
+    scalars = np.einsum("ia,ai->i", y, x)
+    return np.concatenate([
+        real_mat.real.ravel(),
+        real_mat.imag.ravel(),
+        lengths,
+        cplx_mat.real.ravel(),
+        cplx_mat.imag.ravel(),
         scalars.real,
         scalars.imag,
-    ]
-    out = np.concatenate(parts, axis=1)
-    return out[0] if single else out
+    ])
 
 
 def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -394,25 +390,76 @@ def _unpack(theta: np.ndarray, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _jacobian(theta: np.ndarray, r: int, n: int, avec, center) -> np.ndarray:
-    # the residual is quadratic in the unknowns, so central differences with
-    # unit step are the exact directional derivatives (polarization)
-    dim = theta.size
-    eye = np.eye(dim)
-    plus = theta[None, :] + eye
-    minus = theta[None, :] - eye
-    xp, yp = _unpack_batch(plus, r, n)
-    xm, ym = _unpack_batch(minus, r, n)
-    rp = _residual_batch(xp, yp, avec, center)
-    rm = _residual_batch(xm, ym, avec, center)
-    return ((rp - rm) / 2.0).T
+@functools.cache
+def _jacobian_pattern(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero pattern (pos, src, coef) of the residual Jacobian at (r, n).
 
-
-def _unpack_batch(thetas: np.ndarray, r: int, n: int):
+    The residual is quadratic in theta = (Re x, Im x, Re y, Im y), so its
+    Jacobian is linear in theta: entry pos of the flattened (rows, 4rn)
+    matrix is the sum of coef * theta[src] over the triples at pos.  Each
+    residual entry is a sum of products c u v, with c = +-1 and u, v entries
+    of x, y or their conjugates; the triples are the partial derivatives of
+    Re(c u v) and Im(c u v), with equal (pos, src) merged and zeros dropped.
+    """
     k = r * n
-    x = (thetas[:, :k] + 1j * thetas[:, k : 2 * k]).reshape(-1, r, n)
-    y = (thetas[:, 2 * k : 3 * k] + 1j * thetas[:, 3 * k :]).reshape(-1, n, r)
-    return x, y
+    cols = 4 * k
+    r2 = r * r
+
+    def xe(a, i, s):  # x[a, i], conjugated when s = -1
+        return a * n + i, k + a * n + i, s
+
+    def ye(i, a, s):  # y[i, a], conjugated when s = -1
+        return 2 * k + i * r + a, 3 * k + i * r + a, s
+
+    parts = []
+
+    def emit(row, col, src, coef):
+        parts.append([v.ravel() for v in np.broadcast_arrays(row, col, src, coef)])
+
+    def product(re_row, im_row, c, u, v):
+        # u = theta[ur] + i su theta[ui] and v likewise; writing ur for
+        # theta[ur], Re(c u v) = c (ur vr - su sv ui vi) and
+        # Im(c u v) = c (su ui vr + sv ur vi)
+        (ur, ui, su), (vr, vi, sv) = u, v
+        emit(re_row, ur, vr, c)
+        emit(re_row, vr, ur, c)
+        emit(re_row, ui, vi, -c * su * sv)
+        emit(re_row, vi, ui, -c * su * sv)
+        if im_row is not None:
+            emit(im_row, ui, vr, c * su)
+            emit(im_row, vr, ui, c * su)
+            emit(im_row, ur, vi, c * sv)
+            emit(im_row, vi, ur, c * sv)
+
+    a, b, i = np.ogrid[:r, :r, :n]
+    # x x^* - y^* y - center Id
+    pair = a * r + b
+    product(pair, r2 + pair, 1, xe(a, i, 1), xe(b, i, -1))
+    product(pair, r2 + pair, -1, ye(i, a, -1), ye(i, b, 1))
+    # |x_i|^2 - |y_i|^2 - alpha_i, real by construction
+    a1, i1 = np.ogrid[:r, :n]
+    product(2 * r2 + i1, None, 1, xe(a1, i1, 1), xe(a1, i1, -1))
+    product(2 * r2 + i1, None, -1, ye(i1, a1, 1), ye(i1, a1, -1))
+    # x y
+    product(2 * r2 + n + pair, 3 * r2 + n + pair, 1, xe(a, i, 1), ye(i, b, 1))
+    # y_i x_i
+    product(4 * r2 + n + i1, 4 * r2 + 2 * n + i1, 1, ye(i1, a1, 1), xe(a1, i1, 1))
+
+    row, col, src, coef = (np.concatenate(v) for v in zip(*parts))
+    uniq, inverse = np.unique((row * cols + col) * cols + src, return_inverse=True)
+    coef = np.bincount(inverse, weights=coef)
+    keep = coef != 0
+    uniq, coef = uniq[keep], coef[keep]
+    return uniq // cols, uniq % cols, coef
+
+
+def _jacobian(theta: np.ndarray, r: int, n: int) -> np.ndarray:
+    """Exact Jacobian of `_residual_batch` at theta, filled from its pattern."""
+    pos, src, coef = _jacobian_pattern(r, n)
+    cols = theta.size
+    rows = 4 * r * r + 3 * n
+    flat = np.bincount(pos, weights=coef * theta[src], minlength=rows * cols)
+    return flat.reshape(rows, cols)
 
 
 def solve_real(
@@ -427,9 +474,12 @@ def solve_real(
     """Find a float point satisfying all moment equations at level alpha,
     marked points 1..n.
 
-    Damped least squares with seeded restarts.  The accepted-step rule makes
-    the residual norm monotonically non-increasing within each restart.
-    Raises NonConvergenceError with the best residual if the iteration
+    Damped least squares (Levenberg-Marquardt) with seeded restarts.  Each
+    step uses the exact Jacobian of the quadratic residual, filled from a
+    pattern built once per (r, n).  The accepted-step rule makes the
+    residual norm monotonically non-increasing within each restart.
+    Raises ValueError if an entry of alpha or their sum does not fit a
+    float, and NonConvergenceError with the best residual if the iteration
     budget is exhausted before the residual norm drops below tol.
     """
     if not isinstance(r, int) or r < 1:
@@ -444,8 +494,11 @@ def solve_real(
     for i, a in enumerate(avec_frac, start=1):
         if not _in_float_range(a):
             raise ValueError(f"length vector entry {i} is outside the float range")
+    total = sum(avec_frac)
+    if not _in_float_range(total):
+        raise ValueError("length vector sum is outside the float range")
     avec = np.array([float(a) for a in avec_frac])
-    center = float(sum(avec)) / r
+    center = float(total) / r
 
     best = math.inf
     used = 0
@@ -470,7 +523,7 @@ def solve_real(
         stall = 0
         while used < max_iter:
             used += 1
-            jac = _jacobian(theta, r, n, avec, center)
+            jac = _jacobian(theta, r, n)
             jtj = jac.T @ jac
             jtr = jac.T @ res
             stepped = False

@@ -225,6 +225,22 @@ def test_alpha_outside_the_float_range_exits_3(capsys):
     assert err.splitlines() == ["error: length vector entry 5 is outside the float range"]
 
 
+def test_alpha_sum_outside_the_float_range_exits_3():
+    # each entry fits a float but their sum does not; a fresh interpreter
+    # shows the warnings that pytest would otherwise collect
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperpoly.cli", "sample", "-r", "2", "-n", "4",
+         "--solve", "--alpha", "1e308,1e308,1e308,1e308"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: length vector sum is outside the float range"
+    ]
+
+
 def test_numeric_options_out_of_range_exit_3(tmp_path, capsys):
     path = tmp_path / "pt.json"
     path.write_text(sample_exact(2, 4, seed=0).dumps())

@@ -2,10 +2,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperpoly import quiver
 from hyperpoly.errors import (
     LevelSetError,
     NonConvergenceError,
@@ -147,6 +149,54 @@ def test_solve_real_validation():
 def test_solve_real_rejects_alpha_outside_the_float_range():
     with pytest.raises(ValueError, match="entry 3 is outside the float range"):
         solve_real(2, 4, (1, 1, Fraction(10) ** 400, 1))
+
+
+def test_solve_real_rejects_alpha_sum_outside_the_float_range():
+    # each entry fits a float, their sum does not
+    with pytest.raises(ValueError, match="sum is outside the float range"):
+        solve_real(2, 4, (Fraction(10) ** 308,) * 4)
+
+
+JACOBIAN_LEVELS = [(1, 3), (2, 5), (3, 7), (4, 8), (5, 9), (3, 30)]
+
+
+def _central_difference_jacobian(theta, r, n):
+    # the residual is quadratic, so a unit central step is exact up to rounding
+    avec = np.arange(1.0, n + 1)
+    center = avec.sum() / r
+
+    def residual(t):
+        return quiver._residual_batch(*quiver._unpack(t, r, n), avec, center)
+
+    return np.column_stack(
+        [(residual(theta + e) - residual(theta - e)) / 2 for e in np.eye(theta.size)]
+    )
+
+
+@pytest.mark.parametrize("r,n", JACOBIAN_LEVELS)
+def test_exact_jacobian_matches_central_differences(r, n):
+    theta = np.random.default_rng([r, n]).standard_normal(4 * r * n)
+    got = quiver._jacobian(theta, r, n)
+    ref = _central_difference_jacobian(theta, r, n)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("r,n", JACOBIAN_LEVELS)
+def test_exact_jacobian_is_linear(r, n):
+    t1, t2 = np.random.default_rng([r, n, 1]).standard_normal((2, 4 * r * n))
+    jac = quiver._jacobian(t1 + t2, r, n)
+    parts = quiver._jacobian(t1, r, n) + quiver._jacobian(t2, r, n)
+    assert np.max(np.abs(jac - parts)) <= 1e-12
+
+
+@pytest.mark.parametrize("r,n", [(2, 14), (3, 14), (5, 9), (3, 30)])
+def test_solve_real_converges_on_ten_seeds(r, n):
+    alpha = (Fraction(1),) * n
+    for seed in range(10):
+        pt = solve_real(r, n, alpha, seed=seed)
+        res = moment_residual(pt, alpha=alpha)
+        assert math.sqrt(res.real_norm + res.complex_norm) < 1e-9, seed
 
 
 # ---------------------------------------------------------------------------
