@@ -239,7 +239,8 @@ def _solve_level(r: int, n: int, order: int) -> tuple[int, ...]:
     With L the lcm of the multiplicity factorials, L times the recursion
     is one fold of integer numerators: L times the Grassmannian numerator
     minus L / mult_factorial(lam) times those of each family.  Its
-    coefficients divide exactly by L.
+    coefficients divide exactly by L, and those above the dimension bound
+    u^((r-1)(n-r-1)) vanish; either failure raises ArithmeticError.
     """
     lams = fitting_partitions(r, n)
     lcm = math.lcm(*map(mult_factorial, lams))
@@ -256,6 +257,11 @@ def _solve_level(r: int, n: int, order: int) -> tuple[int, ...]:
                 f"non-integral coefficient {Fraction(c, lcm)} while solving level ({r}, {n})"
             )
         out.append(q)
+    bound = (r - 1) * (n - r - 1)
+    if any(out[bound + 1:]):
+        raise ArithmeticError(
+            f"nonzero coefficient above u^{bound} while solving level ({r}, {n})"
+        )
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -267,7 +273,7 @@ def poincare(r: int, n: int, margin: int = DEFAULT_MARGIN) -> PoincarePoly:
     Conventions: rank 1 spaces are points for every n >= 1, and the space is
     empty (zero polynomial) whenever n <= r for r >= 2.  The series is solved
     with truncation (r-1)(n-r-1) + margin; the extra coefficients must come
-    out zero, which `recursion_residual` and the test suite verify.
+    out zero, which the solver checks at every level.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("rank must be a positive integer")

@@ -45,8 +45,6 @@ from .linalg import norm_sq
 from .quiver import QuiverPoint
 
 
-# relative mismatch of a float g_k fit at its check point, k >= 4
-_FLOAT_FIT_TOL = 1e-6
 # relative defect allowed in a float point's complex moment equations
 _MOMENT_TOL = 1e-8
 
@@ -252,9 +250,10 @@ def hitchin_map(field: HiggsField) -> BasePoint:
     On the exact path g_k comes from `field.cleared_traces`; the first
     power whose trace has a higher-order pole at a marked point, or a
     quotient of degree above n - 2k, raises a degree overflow.  Float
-    fields are fitted from evaluations at max(p_j) + 1, + 2, ...; from
-    k = 4 on, a fit that misses Tr(phi^k) * prod(z - p_j) at
-    one more point by a relative 1e-6 raises the same degree overflow.
+    fields are fitted from evaluations at max(p_j) + 1, + 2, ..., which
+    holds only while every g_k is a polynomial: from k = 4 on Tr(phi^k)
+    may carry a higher-order pole that no fit sees, so a float field of
+    rank r >= 4 raises the power-4 degree overflow before any fitting.
     """
     r, n = field.r, field.n
     if field.flavor == "exact":
@@ -264,10 +263,12 @@ def hitchin_map(field: HiggsField) -> BasePoint:
                 raise DegreeOverflowError(overflow, power=k)
             g[k] = gk
         return BasePoint(r=r, n=n, g=g)
+    if r >= 4:
+        raise DegreeOverflowError(_pole_overflow(4), power=4)
 
     pts = [float(p) for p in field.marked_points]
     # the points of every k are a prefix of those of k = 2
-    zs = [float(z) for z in _eval_points(field.marked_points, max(n - 2, 1))]
+    zs = [float(z) for z in _eval_points(field.marked_points, max(n - 3, 1))]
     evaluated: dict = {}
 
     def cleared(j, k):
@@ -289,13 +290,6 @@ def hitchin_map(field: HiggsField) -> BasePoint:
                 vander, np.array([cleared(j, k) for j in range(count)])
             )
         g[k] = tuple(complex(c) for c in coeffs)
-        if k >= 4:
-            # a fit cannot see the higher-order pole Tr(phi^k) may carry
-            # from k = 4 on, so the fit must also match one more point
-            want = cleared(count, k)
-            got = np.polyval(coeffs[::-1], zs[count]) if count else 0
-            if abs(got - want) > _FLOAT_FIT_TOL * abs(want):
-                raise DegreeOverflowError(_pole_overflow(k), power=k)
     return BasePoint(r=r, n=n, g=g)
 
 

@@ -350,33 +350,6 @@ def _np_point(x: np.ndarray, y: np.ndarray, r, n, alpha) -> QuiverPoint:
     )
 
 
-def _residual_batch(x: np.ndarray, y: np.ndarray, avec: np.ndarray, center: float) -> np.ndarray:
-    """Stacked real residual of the moment equations at one point.
-
-    x is r x n and y is n x r.  The blocks, in order, are Re and Im of
-    x x^* - y^* y - center Id, the edge lengths |x_i|^2 - |y_i|^2 - alpha_i,
-    Re and Im of x y, and Re and Im of the scalars y_i x_i.  Every entry is
-    quadratic in (Re x, Im x, Re y, Im y); `_jacobian_pattern`
-    differentiates the same blocks in the same order.
-    """
-    r = x.shape[0]
-    real_mat = x @ x.conj().T - y.conj().T @ y - center * np.eye(r)
-    lengths = (
-        np.sum(np.abs(x) ** 2, axis=0) - np.sum(np.abs(y) ** 2, axis=1) - avec
-    )
-    cplx_mat = x @ y
-    scalars = np.einsum("ia,ai->i", y, x)
-    return np.concatenate([
-        real_mat.real.ravel(),
-        real_mat.imag.ravel(),
-        lengths,
-        cplx_mat.real.ravel(),
-        cplx_mat.imag.ravel(),
-        scalars.real,
-        scalars.imag,
-    ])
-
-
 def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [x.real.ravel(), x.imag.ravel(), y.real.ravel(), y.imag.ravel()]
@@ -392,13 +365,24 @@ def _unpack(theta: np.ndarray, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _jacobian_pattern(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero pattern (pos, src, coef) of the residual Jacobian at (r, n).
+    """Nonzero pattern (pos, src, coef) of the moment-map Jacobian at (r, n).
 
-    The residual is quadratic in theta = (Re x, Im x, Re y, Im y), so its
-    Jacobian is linear in theta: entry pos of the flattened (rows, 4rn)
-    matrix is the sum of coef * theta[src] over the triples at pos.  Each
-    residual entry is a sum of products c u v, with c = +-1 and u, v entries
-    of x, y or their conjugates; the triples are the partial derivatives of
+    This is the one statement of the moment equations.  With
+    theta = (Re x, Im x, Re y, Im y), x r x n and y n x r, the residual
+    rows are, in order:
+      [0, r^2)              Re(x x^* - y^* y) - c Id, row a r + b
+      [r^2, 2r^2)           Im(x x^* - y^* y), row r^2 + a r + b
+      [2r^2, 2r^2 + n)      |x_i|^2 - |y_i|^2 - alpha_i, row 2r^2 + i
+      [2r^2 + n, 4r^2 + n)  Re and Im of x y, rows 2r^2 + n + a r + b
+                            and 3r^2 + n + a r + b
+      [4r^2 + n, 4r^2 + 3n) Re and Im of y_i x_i, rows 4r^2 + n + i
+                            and 4r^2 + 2n + i
+    with c = |alpha| / r.  Each entry is a quadratic form q(theta) minus
+    a constant, so its Jacobian is linear in theta: entry pos of the
+    flattened (rows, 4rn) matrix is the sum of coef * theta[src] over the
+    triples at pos, and q(theta) = J(theta) theta / 2 by Euler's identity.
+    Each q is a sum of products c u v, with c = +-1 and u, v entries of
+    x, y or their conjugates; the triples are the partial derivatives of
     Re(c u v) and Im(c u v), with equal (pos, src) merged and zeros dropped.
     """
     k = r * n
@@ -432,7 +416,7 @@ def _jacobian_pattern(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             emit(im_row, vi, ur, c * sv)
 
     a, b, i = np.ogrid[:r, :r, :n]
-    # x x^* - y^* y - center Id
+    # x x^* - y^* y - c Id
     pair = a * r + b
     product(pair, r2 + pair, 1, xe(a, i, 1), xe(b, i, -1))
     product(pair, r2 + pair, -1, ye(i, a, -1), ye(i, b, 1))
@@ -454,7 +438,7 @@ def _jacobian_pattern(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _jacobian(theta: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Exact Jacobian of `_residual_batch` at theta, filled from its pattern."""
+    """Moment-map Jacobian at theta, filled from `_jacobian_pattern`."""
     pos, src, coef = _jacobian_pattern(r, n)
     cols = theta.size
     rows = 4 * r * r + 3 * n
@@ -474,13 +458,15 @@ def solve_real(
     """Find a float point satisfying all moment equations at level alpha,
     marked points 1..n.
 
-    Damped least squares (Levenberg-Marquardt) with seeded restarts.  Each
-    step uses the exact Jacobian of the quadratic residual, filled from a
-    pattern built once per (r, n).  The accepted-step rule makes the
-    residual norm monotonically non-increasing within each restart.
-    Raises ValueError if an entry of alpha or their sum does not fit a
-    float, and NonConvergenceError with the best residual if the iteration
-    budget is exhausted before the residual norm drops below tol.
+    Damped least squares (Levenberg-Marquardt) with seeded restarts.  One
+    fill of the Jacobian J from `_jacobian_pattern` per candidate gives
+    its residual J theta / 2 - ell, with ell the constants c Id and alpha,
+    and, once the candidate is accepted, the next step's Jacobian.  The
+    accepted-step rule makes the residual norm monotonically non-increasing
+    within each restart; a candidate that overflows is rejected.  Raises
+    ValueError if an entry of alpha or their sum does not fit a float, and
+    NonConvergenceError with the best residual if the iteration budget is
+    exhausted before the residual norm drops below tol.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("rank must be a positive integer")
@@ -498,62 +484,70 @@ def solve_real(
     if not _in_float_range(total):
         raise ValueError("length vector sum is outside the float range")
     avec = np.array([float(a) for a in avec_frac])
-    center = float(total) / r
+    r2 = r * r
+    ell = np.zeros(4 * r2 + 3 * n)
+    ell[: r2 : r + 1] = float(total) / r
+    ell[2 * r2 : 2 * r2 + n] = avec
+
+    def evaluate(theta):
+        jac = _jacobian(theta, r, n)
+        res = jac @ theta / 2 - ell
+        return jac, res, math.hypot(*res)
 
     best = math.inf
     used = 0
-    for attempt in range(restarts):
-        if used >= max_iter:
-            break
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
-        )
-        x = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
-        y = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-        # start near the expected length scale: |x_i|^2 - |y_i|^2 = alpha_i,
-        # with y kept away from zero so the solution is not forced onto the
-        # zero section
-        for i in range(n):
-            y[i, :] *= math.sqrt(0.45 * avec[i]) / np.linalg.norm(y[i, :])
-            x[:, i] *= math.sqrt(1.45 * avec[i]) / np.linalg.norm(x[:, i])
-        theta = _pack(x, y)
-        res = _residual_batch(*_unpack(theta, r, n), avec, center)
-        cost = float(np.linalg.norm(res))
-        mu = 1e-3
-        stall = 0
-        while used < max_iter:
-            used += 1
-            jac = _jacobian(theta, r, n)
-            jtj = jac.T @ jac
-            jtr = jac.T @ res
-            stepped = False
-            for _ in range(25):
-                try:
-                    delta = np.linalg.solve(
-                        jtj + mu * np.eye(jtj.shape[0]), -jtr
-                    )
-                except np.linalg.LinAlgError:
-                    mu *= 10
-                    continue
-                cand = theta + delta
-                cres = _residual_batch(*_unpack(cand, r, n), avec, center)
-                ccost = float(np.linalg.norm(cres))
-                if ccost < cost:
-                    theta, res, cost = cand, cres, ccost
-                    mu = max(mu / 3.0, 1e-14)
-                    stepped = True
-                    break
-                mu *= 4.0
-            best = min(best, cost)
-            if cost < tol:
-                xf, yf = _unpack(theta, r, n)
-                return _np_point(xf, yf, r, n, avec_frac)
-            if not stepped:
-                stall += 1
-            else:
-                stall = 0
-            if stall >= 3:
-                break  # restart from a fresh seed
+    # an overflowing candidate costs inf or nan and is rejected like any
+    # other that does not lower the cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        for attempt in range(restarts):
+            if used >= max_iter:
+                break
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
+            )
+            x = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+            y = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            # start near the expected length scale: |x_i|^2 - |y_i|^2 = alpha_i,
+            # with y kept away from zero so the solution is not forced onto the
+            # zero section
+            for i in range(n):
+                y[i, :] *= math.sqrt(0.45 * avec[i]) / np.linalg.norm(y[i, :])
+                x[:, i] *= math.sqrt(1.45 * avec[i]) / np.linalg.norm(x[:, i])
+            theta = _pack(x, y)
+            jac, res, cost = evaluate(theta)
+            mu = 1e-3
+            stall = 0
+            while used < max_iter:
+                used += 1
+                jtj = jac.T @ jac
+                jtr = jac.T @ res
+                stepped = False
+                for _ in range(25):
+                    try:
+                        delta = np.linalg.solve(
+                            jtj + mu * np.eye(jtj.shape[0]), -jtr
+                        )
+                    except np.linalg.LinAlgError:
+                        mu *= 10
+                        continue
+                    cand = theta + delta
+                    cjac, cres, ccost = evaluate(cand)
+                    if ccost < cost:
+                        theta, jac, res, cost = cand, cjac, cres, ccost
+                        mu = max(mu / 3.0, 1e-14)
+                        stepped = True
+                        break
+                    mu *= 4.0
+                best = min(best, cost)
+                if cost < tol:
+                    xf, yf = _unpack(theta, r, n)
+                    return _np_point(xf, yf, r, n, avec_frac)
+                if not stepped:
+                    stall += 1
+                else:
+                    stall = 0
+                if stall >= 3:
+                    break  # restart from a fresh seed
     raise NonConvergenceError(
         f"no point below tol={tol} within {max_iter} iterations "
         f"and {restarts} restarts",

@@ -138,6 +138,22 @@ def test_recursion_residual_zero_small():
         assert not any(res), (r, n)
 
 
+def test_solver_refuses_coefficients_above_the_dimension_bound(monkeypatch):
+    # a spurious term above u^((r-1)(n-r-1)) in the Grassmannian numerator
+    # survives the fold; the solver must not return it as a longer polynomial
+    grassmannian = betti.gaussian_binomial
+
+    def spurious(r, n):
+        coeffs = list(grassmannian(r, n).coeffs)
+        if (r, n) == (3, 7):
+            coeffs[8] += 1
+        return betti.DensePoly(coeffs, "u")
+
+    monkeypatch.setattr(betti, "gaussian_binomial", spurious)
+    with pytest.raises(ArithmeticError, match=r"above u\^6 .* level \(3, 7\)"):
+        poincare(3, 7, margin=4)
+
+
 def test_truncation_stability():
     # coefficients above the dimension bound stay zero with a larger margin
     for r, n in [(2, 6), (3, 6), (3, 7), (4, 7)]:

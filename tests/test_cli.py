@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,6 +240,24 @@ def test_alpha_sum_outside_the_float_range_exits_3():
     assert proc.stderr.splitlines() == [
         "error: length vector sum is outside the float range"
     ]
+
+
+@pytest.mark.parametrize("big", ["1e100", "1e200"])
+def test_huge_alpha_entry_ends_in_one_error_line(big):
+    # the sum fits a float, but squares of entries of size sqrt(alpha)
+    # overflow; such candidates are rejected and the solve fails cleanly
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperpoly.cli", "sample", "-r", "2", "-n", "4",
+         "--solve", "--alpha", f"{big},1,1,1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: no point below tol=1e-09")
+    best = float(line.rsplit(" ", 1)[1])
+    assert math.isfinite(best) and best > 0
 
 
 def test_numeric_options_out_of_range_exit_3(tmp_path, capsys):

@@ -637,8 +637,9 @@ def _map_outcome(base_map, field):
 
 def test_float_hitchin_map_matches_reference_bit_for_bit():
     # against the reference rather than frozen digests: LAPACK rounding
-    # differs between machines; (4, 8) and (4, 9) run the k = 4 fit check,
-    # and marked points (2i + 1) / 3 make every z - p_j inexact
+    # differs between machines; at (4, 8) and (4, 9) the map refuses rank 4
+    # where the reference's k = 4 fit check raises, and marked points
+    # (2i + 1) / 3 make every z - p_j inexact
     for r, n in [(2, 8), (3, 7), (3, 8), (4, 8), (4, 9)]:
         for seed in range(2):
             point = solve_real(r, n, (Fraction(1),) * n, seed=seed)

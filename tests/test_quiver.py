@@ -160,13 +160,34 @@ def test_solve_real_rejects_alpha_sum_outside_the_float_range():
 JACOBIAN_LEVELS = [(1, 3), (2, 5), (3, 7), (4, 8), (5, 9), (3, 30)]
 
 
-def _central_difference_jacobian(theta, r, n):
-    # the residual is quadratic, so a unit central step is exact up to rounding
+def _moment_residual_reference(theta, r, n):
+    # the moment equations at alpha = 1..n written out with numpy, block by
+    # block: Re and Im of x x^* - y^* y - center Id, the edge lengths
+    # |x_i|^2 - |y_i|^2 - alpha_i, Re and Im of x y, Re and Im of y_i x_i
     avec = np.arange(1.0, n + 1)
     center = avec.sum() / r
+    x, y = quiver._unpack(theta, r, n)
+    real_mat = x @ x.conj().T - y.conj().T @ y - center * np.eye(r)
+    lengths = (
+        np.sum(np.abs(x) ** 2, axis=0) - np.sum(np.abs(y) ** 2, axis=1) - avec
+    )
+    cplx_mat = x @ y
+    scalars = np.einsum("ia,ai->i", y, x)
+    return np.concatenate([
+        real_mat.real.ravel(),
+        real_mat.imag.ravel(),
+        lengths,
+        cplx_mat.real.ravel(),
+        cplx_mat.imag.ravel(),
+        scalars.real,
+        scalars.imag,
+    ])
 
+
+def _central_difference_jacobian(theta, r, n):
+    # the residual is quadratic, so a unit central step is exact up to rounding
     def residual(t):
-        return quiver._residual_batch(*quiver._unpack(t, r, n), avec, center)
+        return _moment_residual_reference(t, r, n)
 
     return np.column_stack(
         [(residual(theta + e) - residual(theta - e)) / 2 for e in np.eye(theta.size)]
@@ -180,6 +201,21 @@ def test_exact_jacobian_matches_central_differences(r, n):
     ref = _central_difference_jacobian(theta, r, n)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("r,n", JACOBIAN_LEVELS)
+def test_residual_is_half_jacobian_times_theta(r, n):
+    # every entry is a quadratic form minus a constant, the constants being
+    # center on the diagonal of the Re(x x^* - y^* y) block and alpha_i in
+    # the length block, so Euler's identity gives r = J theta / 2 - ell
+    theta = np.random.default_rng([r, n, 2]).standard_normal(4 * r * n)
+    ell = np.zeros(4 * r * r + 3 * n)
+    ell[: r * r : r + 1] = n * (n + 1) / 2 / r
+    ell[2 * r * r : 2 * r * r + n] = np.arange(1.0, n + 1)
+    got = quiver._jacobian(theta, r, n) @ theta / 2 - ell
+    ref = _moment_residual_reference(theta, r, n)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("r,n", JACOBIAN_LEVELS)
