@@ -5,9 +5,9 @@ complex) plus :class:`GaussianRational`.  All exact code in this package is
 duck-typed over that protocol: a scalar must support field arithmetic,
 ``.conjugate()``, ``.real`` and ``.imag``.  Rationals are plain
 ``fractions.Fraction``; there is no custom real-rational class.
-The exact kernels (`linalg.rref`, `poly_matrix_charpoly`,
-`vanishing_order`, the cleared traces of a Higgs field and its bracket
-checks) run on numerators: `numerators` clears the denominators of their
+The exact kernels (the elimination in `linalg`, `poly_matrix_charpoly`,
+`vanishing_order`, the cleared traces of a Higgs field, its moment map
+and bracket checks) run on numerators: `numerators` clears the denominators of their
 input once, the kernel works in that numerator ring (Python ints, or
 GaussianRational with integral parts for complex input, where ``//`` is
 exact division in both), and `ratio` divides once at the end.  `poly_add`,
@@ -401,16 +401,25 @@ def poly_from_roots(roots: Sequence, var: str = "z") -> DensePoly:
 def vanishing_order(p: DensePoly, a):
     """Order of vanishing of ``p`` at the point ``a``.
 
-    Returns ``math.inf`` for the zero polynomial.  With p = P / D and
-    a = u / v cleared to numerators, the order is the multiplicity of the
-    root u of R(w) = v^deg(P) P(w / v), whose coefficients P_k v^(deg-k)
-    are numerators too.  It is counted by repeated synthetic division by
+    Returns ``math.inf`` for the zero polynomial.  With p = P / D, the
+    order is that of P (`cleared_vanishing_order`).
+    """
+    return cleared_vanishing_order(numerators(p.coeffs)[0], a)
+
+
+def cleared_vanishing_order(nums: Sequence, a):
+    """Order of vanishing at ``a`` of the polynomial with numerator
+    coefficients ``nums`` (lowest degree first, no trailing zero).
+
+    Returns ``math.inf`` for no coefficients.  With a = u / v cleared to
+    numerators, the order is the multiplicity of the root u of
+    R(w) = v^deg(P) P(w / v), whose coefficients P_k v^(deg-k) are
+    numerators too.  It is counted by repeated synthetic division by
     w - u, which needs no division at all; only the first nonzero remainder
     R(u) ends the count.
     """
-    if p.is_zero():
+    if not nums:
         return math.inf
-    nums, _ = numerators(p.coeffs)
     (u,), v = numerators((a,))
     top = len(nums) - 1
     cur = [c * v ** (top - k) for k, c in enumerate(nums)]

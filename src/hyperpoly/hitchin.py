@@ -10,11 +10,13 @@ pairwise commutation of base components, and the rank of their Jacobian.
 Exact base coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k,
 built once per field and read by `hitchin_map` and the spectral layer.
 The exact bracket checks run on numerators too: x, y and phi(z) are
-cleared once, gradients are integer numerators over one denominator per
-half, and only a reported value is divided.
+cleared once, the complex moment map is checked on the cleared x and y,
+gradients are integer numerators over one denominator per half, and only
+a reported value is divided.
 Float points run on Python floats and complexes: the marked points are
-converted once per evaluation point and a Fraction weight once, not at
-every product, with the bits the Fraction fallback gave.
+converted once per point (once per evaluation point in `higgs_eval`) and
+a Fraction weight once, not at every product, with the bits the Fraction
+fallback gave.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -166,27 +168,42 @@ def _edge_scale(col, row) -> float:
     )
 
 
-def residues(point: QuiverPoint) -> HiggsField:
-    """Residue matrices phi_i = x_i y_i of a quiver point.
+def _check_moment(point: QuiverPoint, xy: _Cleared) -> None:
+    """MomentMapError unless the point lies on the complex moment fiber.
 
-    Validates the complex moment map: every scalar y_i x_i must vanish and
-    the residues must sum to zero.  Tracelessness, square-zero and rank <= 1
-    of each phi_i then hold automatically for the outer products.  Exact
-    points are checked exactly, float points within _MOMENT_TOL relative to
-    the entry scale.
+    Every scalar y_i x_i must vanish, edge by edge, and then the residues
+    x_i y_i must sum to zero.  An exact point is checked on its cleared
+    numerators: sum_a X_ai Y_ia = 0 for each edge i, then X Y = 0.  A float
+    point is checked within _MOMENT_TOL relative to the entry scale
+    (`_float_residues`).
     """
+    if point.flavor != "exact":
+        _float_residues(point)
+        return
     r, n = point.r, point.n
-    exact = point.flavor == "exact"
-    mats = []
+    xs, ys = xy.xs, xy.ys
     for i in range(n):
+        if sum(xs[a][i] * ys[i][a] for a in range(r)):
+            raise MomentMapError(
+                f"complex moment map violated: y_i x_i != 0 at edge {i + 1}",
+                edge=i + 1,
+            )
+    for a in range(r):
+        for b in range(r):
+            if sum(xs[a][i] * ys[i][b] for i in range(n)):
+                raise MomentMapError(
+                    "complex moment map violated: residues do not sum to zero"
+                )
+
+
+def _float_residues(point: QuiverPoint) -> tuple:
+    """Residue matrices of a float point, checked as `_check_moment` says."""
+    mats = []
+    for i in range(point.n):
         col = point.x_col(i)
         row = point.y[i]
         scalar = sum(a * b for a, b in zip(row, col))
-        if exact:
-            bad = bool(scalar)
-        else:
-            bad = abs(complex(scalar)) > _MOMENT_TOL * max(1.0, _edge_scale(col, row))
-        if bad:
+        if abs(complex(scalar)) > _MOMENT_TOL * max(1.0, _edge_scale(col, row)):
             raise MomentMapError(
                 f"complex moment map violated: y_i x_i != 0 at edge {i + 1}",
                 edge=i + 1,
@@ -195,19 +212,31 @@ def residues(point: QuiverPoint) -> HiggsField:
     total = mats[0]
     for m in mats[1:]:
         total = linalg.mat_add(total, m)
-    defect = linalg.frob_sq(total)
-    if exact:
-        bad = bool(defect)
-    else:
-        bound = _MOMENT_TOL * max(1.0, max(float(linalg.frob_sq(m)) for m in mats))
-        # bound * bound is inf past the float range, where ** 2 raises
-        bad = float(defect) > bound * bound
-    if bad:
+    bound = _MOMENT_TOL * max(1.0, max(float(linalg.frob_sq(m)) for m in mats))
+    # bound * bound is inf past the float range, where ** 2 raises
+    if float(linalg.frob_sq(total)) > bound * bound:
         raise MomentMapError(
             "complex moment map violated: residues do not sum to zero"
         )
+    return tuple(mats)
+
+
+def residues(point: QuiverPoint) -> HiggsField:
+    """Residue matrices phi_i = x_i y_i of a quiver point.
+
+    Validates the complex moment map first (`_check_moment`: exactly on
+    the cleared numerators of an exact point, within a tolerance on a
+    float point); tracelessness, square-zero and rank <= 1 of each phi_i
+    then hold automatically for the outer products, which are built once,
+    after the check.
+    """
+    if point.flavor == "exact":
+        _check_moment(point, _cleared_xy(point))
+        mats = tuple(point.residue(i) for i in range(point.n))
+    else:
+        mats = _float_residues(point)
     return HiggsField(
-        residues=tuple(mats),
+        residues=mats,
         marked_points=point.marked_points,
         flavor=point.flavor,
     )
@@ -327,36 +356,57 @@ def _exact_z(flavor: str, z):
     return z
 
 
-def _cleared_xy(point: QuiverPoint) -> tuple:
-    """(X, dx, Y, dy) with x = X / dx and y = Y / dy, X r x n and Y n x r.
+class _Cleared(NamedTuple):
+    """A point as the bracket kernels read it, prepared once per point.
 
-    Exact points are cleared once with `numerators`; a float point is its
-    own numerator over 1.
+    x = xs / dx and y = ys / dy, with xs r x n and ys n x r.  On a float
+    point the entries are their own numerators over 1, ``poles`` holds the
+    marked points as floats and ``complex_entries`` tells whether every
+    entry is complex; an exact point has no float poles.
     """
+
+    xs: list
+    dx: object
+    ys: list
+    dy: object
+    poles: Optional[tuple] = None
+    complex_entries: bool = False
+
+
+def _cleared_xy(point: QuiverPoint) -> _Cleared:
+    """The point's `_Cleared` form: an exact point is cleared once with
+    `numerators`, a float point has its poles converted and its entries
+    tested once."""
     if point.flavor != "exact":
-        return point.x, 1, point.y, 1
+        return _Cleared(
+            point.x, 1, point.y, 1,
+            tuple(float(p) for p in point.marked_points),
+            all(type(v) is complex for row in point.x + point.y for v in row),
+        )
     r, n = point.r, point.n
     xs, dx = numerators(v for row in point.x for v in row)
     ys, dy = numerators(v for row in point.y for v in row)
-    return (
+    return _Cleared(
         [xs[a * n:(a + 1) * n] for a in range(r)], dx,
         [ys[i * r:(i + 1) * r] for i in range(n)], dy,
     )
 
 
-def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1) -> list:
+def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1, poles=None) -> list:
     """scale / (z - p_i) for every marked point; PoleEvaluationError at a
     pole.
 
-    On the float flavor a float z meets float(p_i) and a complex z meets
-    complex(p_i), converted here once: Fraction's fallback makes the same
-    conversion at every z - p_i, so each difference keeps its bits, and
-    z equals the converted point exactly when the difference is zero.
+    On the float flavor a float or complex z meets the marked points as
+    floats: ``poles`` when the caller converted them once per point
+    (`_cleared_xy`), else converted here.  Fraction's fallback makes the
+    same conversion at every z - p_i (complex(p) is complex(float(p))), so
+    each difference keeps its bits, and z equals the converted point
+    exactly when the difference is zero.
     """
-    poles = marked_points
-    if flavor != "exact" and isinstance(z, (float, complex)):
-        kind = complex if isinstance(z, complex) else float
-        poles = [kind(p) for p in marked_points]
+    if flavor == "exact" or not isinstance(z, (float, complex)):
+        poles = marked_points
+    elif poles is None:
+        poles = [float(p) for p in marked_points]
     ws = []
     for i, q in enumerate(poles):
         if z == q:
@@ -365,41 +415,37 @@ def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1) -> list:
     return ws
 
 
-def _complex_entries(point: QuiverPoint) -> bool:
-    return all(type(v) is complex for row in point.x + point.y for v in row)
-
-
-def _entry_scalars(point: QuiverPoint, ws: list) -> list:
+def _entry_scalars(complex_entries: bool, ws: list) -> list:
     """Scalars that multiply the entries of a float point.
 
     A rational z makes them Fractions; on a point with complex entries each
     Fraction becomes complex(w) once, the value the fallback would convert
     it to at every product with an entry.
     """
-    if _complex_entries(point):
+    if complex_entries:
         return [complex(w) if isinstance(w, Fraction) else w for w in ws]
     return ws
 
 
-def _weights(point: QuiverPoint, z, scale=1) -> tuple[list, object]:
+def _weights(point: QuiverPoint, xy: _Cleared, z, scale=1) -> tuple[list, object]:
     """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float point."""
-    ws = _inverse_distances(point.flavor, point.marked_points, z, scale)
+    ws = _inverse_distances(point.flavor, point.marked_points, z, scale, xy.poles)
     if point.flavor == "exact":
         return numerators(ws)
-    return _entry_scalars(point, ws), 1
+    return _entry_scalars(xy.complex_entries, ws), 1
 
 
-def _cleared_phi(r: int, n: int, xy: tuple, ws: list) -> tuple:
+def _cleared_phi(r: int, n: int, xy: _Cleared, ws: list) -> tuple:
     """phi(z) * dx dy dw, given the weights W of 1/(z - p_i) over dw: the
     sum of X_i Y_i W_i, added in the order `higgs_eval` adds floats."""
-    xs, _, ys, _ = xy
+    xs, ys = xy.xs, xy.ys
     return tuple(
         tuple(sum(xs[a][i] * ys[i][b] * ws[i] for i in range(n)) for b in range(r))
         for a in range(r)
     )
 
 
-def _grad_numerators(point: QuiverPoint, xy: tuple, obs: BracketObservable) -> tuple:
+def _grad_numerators(point: QuiverPoint, xy: _Cleared, obs: BracketObservable) -> tuple:
     """Gradient of Tr(phi(z0)^m) as numerators G and denominators (ex, ey).
 
     With phi(z0) = A / D on numerators (D = dx dy dw) and m / (z0 - p_i) =
@@ -414,9 +460,9 @@ def _grad_numerators(point: QuiverPoint, xy: tuple, obs: BracketObservable) -> t
         raise ValueError("power must lie between 2 and the rank")
     r, n, m = point.r, point.n, obs.m
     z0 = _exact_z(point.flavor, obs.z0)
-    xs, dx, ys, dy = xy
-    ws, dw = _weights(point, z0)
-    ms, dm = _weights(point, z0, m)
+    xs, dx, ys, dy = xy.xs, xy.dx, xy.ys, xy.dy
+    ws, dw = _weights(point, xy, z0)
+    ms, dm = _weights(point, xy, z0, m)
     apow = linalg.mat_pow(_cleared_phi(r, n, xy, ws), m - 1)
     out = [0] * (2 * r * n)
     for i, w in enumerate(ms):
@@ -439,11 +485,12 @@ def observable_grad(
     (z0 - p_i) and entry r*n + i*r + b is d/d(y_i)_b = m (A^(m-1) x_i)_b /
     (z0 - p_i): the x entries row by row, then the y entries row by row.
     Exact points run on numerators and divide once per entry; ``field``,
-    when given, stands for the moment-map check `residues` makes.
+    when given, stands for the moment-map check `_check_moment` makes.
     """
+    xy = _cleared_xy(point)
     if field is None:
-        residues(point)
-    g, ex, ey = _grad_numerators(point, _cleared_xy(point), obs)
+        _check_moment(point, xy)
+    g, ex, ey = _grad_numerators(point, xy, obs)
     if point.flavor != "exact":
         return g
     half = point.r * point.n
@@ -471,19 +518,19 @@ def _contract(r: int, n: int, f: tuple, g: tuple):
 
 def poisson_bracket(point: QuiverPoint, f: BracketObservable, g: BracketObservable):
     """Canonical holomorphic bracket of two trace-power observables."""
-    residues(point)
     xy = _cleared_xy(point)
+    _check_moment(point, xy)
     gf, _, ey = _grad_numerators(point, xy, f)
     gg, ex, _ = _grad_numerators(point, xy, g)
     val = _contract(point.r, point.n, gf, gg)
     return ratio(val, ey * ex) if point.flavor == "exact" else val
 
 
-def _entry_grads(r: int, n: int, xy: tuple, ws: list) -> dict:
+def _entry_grads(r: int, n: int, xy: _Cleared, ws: list) -> dict:
     # flat gradients of every entry phi(z)_ab on numerators, 2n nonzeros
     # each: the x entries W_i Y_ib over dy dw, the y entries W_i X_ai over
     # dx dw; the scaled rows and columns are shared by the r^2 entries
-    xs, _, ys, _ = xy
+    xs, ys = xy.xs, xy.ys
     wy = [[w * ys[i][b] for i, w in enumerate(ws)] for b in range(r)]
     wx = [[w * xs[a][i] for i, w in enumerate(ws)] for a in range(r)]
     grads = {}
@@ -513,23 +560,22 @@ def delta_check(point: QuiverPoint, z, w):
     z, w = _exact_z(point.flavor, z), _exact_z(point.flavor, w)
     if z == w:
         raise ValueError("coincident evaluation points")
-    residues(point)
+    xy = _cleared_xy(point)
+    _check_moment(point, xy)
     exact = point.flavor == "exact"
     r, n = point.r, point.n
-    xy = _cleared_xy(point)
-    wz, dz = _weights(point, z)
-    ww, dw = _weights(point, w)
+    wz, dz = _weights(point, xy, z)
+    ww, dw = _weights(point, xy, w)
     phi_z = _cleared_phi(r, n, xy, wz)
     phi_w = _cleared_phi(r, n, xy, ww)
     if exact:
-        _, dx, _, dy = xy
         (s,), t = numerators((w - z,))
-        den = dx * dy * dz * dw * s
+        den = xy.dx * xy.dy * dz * dw * s
         kernel = linalg.mat_scale(
             linalg.mat_sub(linalg.mat_scale(phi_z, dw), linalg.mat_scale(phi_w, dz)), t
         )
     else:
-        sz, sw = _entry_scalars(point, [1 / (w - z), 1 / (z - w)])
+        sz, sw = _entry_scalars(xy.complex_entries, [1 / (w - z), 1 / (z - w)])
         kernel = linalg.mat_add(linalg.mat_scale(phi_z, sz), linalg.mat_scale(phi_w, sw))
     grads_z = _entry_grads(r, n, xy, wz)
     grads_w = _entry_grads(r, n, xy, ww)
@@ -585,13 +631,13 @@ def commutation_report(point: QuiverPoint) -> CommutationReport:
     """Brackets of all observable pairs at the evaluation points
     max(p_j) + 1, + 2, + 3."""
     n, r = point.n, point.r
-    residues(point)
+    xy = _cleared_xy(point)
+    _check_moment(point, xy)
     obs = [
         BracketObservable(m, z0)
         for m in range(2, r + 1)
         for z0 in _eval_points(point.marked_points, 3)
     ]
-    xy = _cleared_xy(point)
     grads = [_grad_numerators(point, xy, o) for o in obs]
     # only a nonzero bracket needs norms, and only it is divided
     norms = None
@@ -672,7 +718,8 @@ def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport
             f"dim_b; use the dual level ({n - r}, {n})"
         )
     fp = _float_point(point)
-    field = residues(fp)
+    xy = _cleared_xy(fp)
+    _check_moment(fp, xy)
     poles = np.array([float(p) for p in fp.marked_points])
     centre = poles.mean()
     radius = 1.2 * np.abs(poles - centre).max() + 1
@@ -684,7 +731,7 @@ def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport
         k = np.arange(count)
         zs = centre + radius * np.exp(2j * np.pi * k / count)
         block = np.array([
-            observable_grad(fp, BracketObservable(m, complex(z)), field) for z in zs
+            _grad_numerators(fp, xy, BracketObservable(m, complex(z)))[0] for z in zs
         ])
         block *= np.prod(zs[:, None] - poles, axis=1)[:, None]
         blocks.append(np.exp(-2j * np.pi * np.outer(k, k) / count) @ block)

@@ -3,11 +3,13 @@
 Matrices are tuples of tuples of scalars.  The arithmetic helpers serve
 exact entries (int, Fraction, GaussianRational) and floating entries
 (float, complex) alike, because every scalar type used here supports field
-arithmetic, ``.conjugate()`` and ``.real``.  The exact elimination `rref`
-(and `exact_rank` and `kernel_basis` on top of it) does not run on the
-entries themselves: it clears their denominators once, eliminates on the
-numerators (ints, or GaussianRationals with integral parts), and makes one
-boundary division per entry at the end.
+arithmetic, ``.conjugate()`` and ``.real``.  The one exact elimination,
+`_eliminate`, does not run on the entries themselves: it clears their
+denominators once and eliminates fraction-free on the numerators (ints, or
+GaussianRationals with integral parts).  `exact_rank` reads its pivots and
+`kernel_numerators` its kernel on those numerators, with no division;
+`rref` and `kernel_basis` are its Fraction views, with one boundary
+division per entry.
 """
 
 from __future__ import annotations
@@ -93,23 +95,20 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return out
 
 
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form over an exact field, with pivot columns.
+def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object, list]:
+    """Fraction-free Gauss-Jordan (Bareiss) on the cleared numerators of a.
 
-    The entries are cleared once to numerators (`exact.numerators`) and
-    Gauss-Jordan runs fraction-free (Bareiss): at each pivot every other row
-    becomes (pivot * row - row[c] * pivot_row) // previous pivot.  That
-    division is exact, every entry stays a minor of the cleared matrix, and
-    every pivot row ends with the last pivot as its leading entry, so one
-    division by it gives the canonical form.  Rows that are zero on input
-    come back as given.
+    Returns (rows, pivots, d, order): the reduced rows on numerators, the
+    pivot columns, the last pivot d and the input row each reduced row
+    came from.  At each pivot every other row becomes (pivot * row -
+    row[c] * pivot_row) // previous pivot; that division is exact, every
+    entry stays a minor of the cleared matrix, and every pivot row ends
+    with d as its leading entry, so rows / d is the canonical form.
     """
-    if not a:
-        return (), ()
     p, q = len(a), len(a[0])
     nums, _ = numerators(v for row in a for v in row)
     rows = [nums[i * q:(i + 1) * q] for i in range(p)]
-    given = list(a)
+    order = list(range(p))
     pivots = []
     prev = 1
     for c in range(q):
@@ -118,7 +117,7 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if pivot is None:
             continue
         rows[ri], rows[pivot] = rows[pivot], rows[ri]
-        given[ri], given[pivot] = given[pivot], given[ri]
+        order[ri], order[pivot] = order[pivot], order[ri]
         top = rows[ri]
         lead = top[c]
         for i, row in enumerate(rows):
@@ -133,15 +132,49 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pivots.append(c)
         if len(pivots) == p:
             break
-    zero = ratio(0 * prev, 1)  # Fraction(0), or a Gaussian zero
+    return rows, tuple(pivots), prev, order
+
+
+def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form over an exact field, with pivot columns.
+
+    The Fraction view of `_eliminate`: one boundary division of each
+    reduced numerator by the last pivot.  Rows that are zero on input come
+    back as given.
+    """
+    if not a:
+        return (), ()
+    rows, pivots, d, order = _eliminate(a)
+    zero = ratio(0 * d, 1)  # Fraction(0), or a Gaussian zero
     return tuple(
-        tuple(ratio(x, prev) if x else zero for x in row) if any(src) else tuple(src)
-        for row, src in zip(rows, given)
-    ), tuple(pivots)
+        tuple(ratio(x, d) if x else zero for x in row) if any(a[k]) else tuple(a[k])
+        for row, k in zip(rows, order)
+    ), pivots
 
 
 def exact_rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    return len(_eliminate(a)[1]) if a else 0
+
+
+def kernel_numerators(a: Matrix) -> tuple[list[list], object]:
+    """(K, d) with K / d the `kernel_basis` of an exact matrix.
+
+    Each vector of K is d at its free column, minus the reduced numerator
+    of each pivot row there at that row's pivot column, and 0 elsewhere:
+    numerators (ints, or Gaussian integers) with no division at all.
+    """
+    if not a:
+        return [], 1
+    rows, pivots, d, _ = _eliminate(a)
+    q = len(a[0])
+    basis = []
+    for fc in (c for c in range(q) if c not in pivots):
+        v = [0] * q
+        v[fc] = d
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis, d
 
 
 def kernel_basis(a: Matrix) -> list[tuple]:

@@ -33,6 +33,7 @@ from .exact import (
     GaussianRational,
     numerators,
     parse_rational,
+    ratio,
     scalar_from_json,
     scalar_to_json,
 )
@@ -210,10 +211,9 @@ def moment_residual(point: QuiverPoint, alpha: Sequence | None = None) -> Moment
 _MAX_DRAWS = 20
 
 
-def _canonical_primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a rational vector to a primitive integer vector whose first
-    nonzero coordinate is positive."""
-    nums, _ = numerators(vec)
+def _canonical_primitive(nums: Sequence[int]) -> tuple[Fraction, ...]:
+    """Scale an integer vector to the primitive one whose first nonzero
+    coordinate is positive."""
     g = math.gcd(*nums)
     if g == 0:
         raise ValueError("zero vector cannot be normalized")
@@ -222,23 +222,10 @@ def _canonical_primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v // g) for v in nums)
 
 
-def _as_real_fractions(vec) -> Optional[list[Fraction]]:
-    """The vector as plain Fractions, or None if any entry is non-real."""
-    out = []
-    for v in vec:
-        if isinstance(v, GaussianRational):
-            if v.im != 0:
-                return None
-            out.append(v.re)
-        elif isinstance(v, (int, Fraction)):
-            out.append(Fraction(v))
-        else:
-            return None
-    return out
-
-
-def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int) -> list[tuple]:
-    """Kernel of the linear system cutting out { y : x y = 0, y_i x_i = 0 }.
+def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int) -> tuple[list[list], object]:
+    """Kernel of the linear system cutting out { y : x y = 0, y_i x_i = 0 },
+    as `linalg.kernel_numerators`: integer vectors K and d with K / d the
+    canonical basis.
 
     Unknowns are the entries of y flattened row by row.
     """
@@ -254,7 +241,7 @@ def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int) -> list[tuple]:
             for i in range(n):
                 row[i * r + b] = x[a][i]
             rows.append(row)
-    return linalg.kernel_basis(linalg.mat(rows))
+    return linalg.kernel_numerators(linalg.mat(rows))
 
 
 def exact_point_from_x(
@@ -268,7 +255,10 @@ def exact_point_from_x(
     y is drawn from the kernel of the fiber equations with small seeded
     integer coefficients, then scaled to a primitive integer vector with
     positive leading coordinate, so the output is deterministic and unique
-    up to the seed.
+    up to the seed.  The coefficients combine the kernel on numerators
+    (`linalg.kernel_numerators`, K / d): a real combination is scaled
+    straight to its primitive vector, a complex one is divided by d once
+    per entry.
     """
     xm = linalg.mat(
         [[v if isinstance(v, (Fraction, GaussianRational)) else Fraction(v) for v in row] for row in x]
@@ -276,7 +266,7 @@ def exact_point_from_x(
     r, n = linalg.shape(xm)
     if n < 1 or r < 1:
         raise ValueError("x must be a nonempty matrix")
-    basis = _fiber_kernel(xm, r, n)
+    basis, d = _fiber_kernel(xm, r, n)
     if not basis:
         raise TrivialFiberError(
             f"trivial fiber: only y = 0 satisfies the equations at r={r}, n={n}"
@@ -293,9 +283,14 @@ def exact_point_from_x(
         ]
         if not any(flat):
             flat = None
-    reals = _as_real_fractions(flat)
-    if reals is not None:
-        flat = list(_canonical_primitive(reals))
+    # on int numerators (a rational x) the combination and its quotient by
+    # d have the same primitive vector
+    if isinstance(d, int):
+        flat = list(_canonical_primitive(flat))
+    else:
+        flat = [ratio(v, d) for v in flat]
+        if not any(v.imag for v in flat):
+            flat = list(_canonical_primitive(numerators(v.real for v in flat)[0]))
     y = tuple(tuple(flat[i * r + a] for a in range(r)) for i in range(n))
     return QuiverPoint(
         r=r,

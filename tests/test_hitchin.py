@@ -61,6 +61,48 @@ def test_residues_rejects_edge_violation(point24):
     assert exc.value.edge == 3
 
 
+def _off_fiber_points(gaussian):
+    # on X24: y_3 x_3 = 1 at one edge only, and y_i drawn from x_i^perp,
+    # so every y_i x_i vanishes but sum_i x_i y_i = ((-3, 3), (-6, 3));
+    # the Gaussian copies scale x by 1 + 2i and y by i / 3
+    sx, sy = (GaussianRational(1, 2), GaussianRational(0, Fraction(1, 3))) if gaussian else (1, 1)
+    x = tuple(tuple(Fraction(v) * sx for v in row) for row in X24)
+    edge = ((0, 1), (2, 0), (3, -2), (-2, 1))
+    perp = ((0, 1), (-1, 0), (-1, 1), (-2, 1))
+    return [
+        (QuiverPoint(r=2, n=4, flavor="exact", x=x,
+                     y=tuple(tuple(Fraction(v) * sy for v in row) for row in y)), message, at)
+        for y, message, at in [
+            (edge, "complex moment map violated: y_i x_i != 0 at edge 3", 3),
+            (perp, "complex moment map violated: residues do not sum to zero", None),
+        ]
+    ]
+
+
+_CHECKED_CALLS = {
+    "residues": residues,
+    "commutation_report": commutation_report,
+    "delta_check": lambda pt: delta_check(pt, Fraction(11, 2), 7),
+    "poisson_bracket": lambda pt: poisson_bracket(
+        pt, BracketObservable(2, 6), BracketObservable(2, 7)
+    ),
+    "observable_grad": lambda pt: observable_grad(pt, BracketObservable(2, 6)),
+}
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+@pytest.mark.parametrize("call", sorted(_CHECKED_CALLS))
+def test_exact_moment_map_check_is_the_same_everywhere(call, gaussian):
+    for pt, message, edge in _off_fiber_points(gaussian):
+        with pytest.raises(MomentMapError) as exc:
+            _CHECKED_CALLS[call](pt)
+        assert str(exc.value) == message
+        assert exc.value.edge == edge
+        # coincident evaluation points are refused before the point is checked
+        with pytest.raises(ValueError, match="coincident evaluation points"):
+            delta_check(pt, 7, Fraction(7))
+
+
 def test_higgs_eval_pole(point24):
     field = residues(point24)
     with pytest.raises(PoleEvaluationError):

@@ -46,6 +46,7 @@ from hyperpoly.hitchin import (
 )
 from hyperpoly.linalg import norm_sq
 from hyperpoly.quiver import exact_point_from_x, sample_exact, solve_real
+from hyperpoly.spectral import order_check, spectral_charpoly, twist
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +459,20 @@ def test_rref_mixed_entries_come_back_gaussian(a):
         assert all(isinstance(v, GaussianRational) for row in got[: len(pivots)] for v in row)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(small), matrices(gaussian)))
+def test_kernel_numerators_over_d_are_the_kernel_basis(a):
+    # zero rows and rank-deficient products included; the numerators stay
+    # in the ring of the cleared entries, ints for rational input
+    basis, d = linalg.kernel_numerators(a)
+    exact = [tuple(Fraction(v) / d if type(v) is int else v / d for v in vec) for vec in basis]
+    assert exact == linalg.kernel_basis(a)
+    assert len(basis) == len(a[0]) - linalg.exact_rank(a)
+    if all(isinstance(v, (int, Fraction)) for row in a for v in row):
+        assert all(type(v) is int for vec in basis for v in vec)
+        assert type(d) is int
+
+
 def test_rref_on_the_sampling_fiber():
     # the system sample_exact solves for y: int zeros around Fraction entries
     r, n = 5, 9
@@ -538,6 +553,20 @@ def test_vanishing_order_at_a_gaussian_point():
     p = poly_from_roots([a, a, Fraction(1, 2)]) * Fraction(3, 2)
     assert vanishing_order(p, a) == 2 == _vanishing_order_reference(p, a)
     assert vanishing_order(p, Fraction(1, 2)) == 1
+
+
+def test_order_check_matches_reference_orders():
+    # order_check clears each c_i once for all points: its orders are the
+    # reference's, at the marked points and off them
+    for field in [_rational_field(3, 7, 1), _gaussian_field()]:
+        cp = spectral_charpoly(twist(field))
+        points = list(field.marked_points) + [Fraction(1, 2), GaussianRational(1, 1)]
+        got = [(i, p, order) for i, p, order, _, _ in order_check(cp, points).rows]
+        assert got == [
+            (i, p, _vanishing_order_reference(cp.c[i], p))
+            for i in range(2, cp.r + 1)
+            for p in points
+        ]
 
 
 @settings(max_examples=50, deadline=None)

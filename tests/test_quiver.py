@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -71,6 +72,62 @@ def test_sample_exact_full_rank():
     for seed in range(5):
         pt = sample_exact(3, 7, seed=seed)
         assert exact_rank([list(row) for row in pt.x]) == 3
+
+
+# sha256 of the dumps of seeds 0-5 concatenated, one digest per level: the
+# exact-pipeline grid plus ranks 5 and 6, recorded before y was combined on
+# the integer kernel numerators
+_SAMPLE_DIGESTS = {
+    (2, 8): "5ed4accd4fca5116a3822d5096c6d1318efd66fdd9d7798a47580df7dac0bca2",
+    (3, 7): "6d7b27bf59264ee0f0e747db6f543fa52fd601ea620630d21dd4a4c59d145b1c",
+    (3, 12): "c9ea4ba3b1cebc1d9730ab8816327d62cd5b0e18c16b1dd6037b1fc8dd3876d6",
+    (4, 8): "60f5494149907919bbbdb40e65731938b47e4cd351448a56eeabd955a81d0d1f",
+    (4, 12): "8ba7eab811d5ff1e218718fc16d4912c8669f63104fb555c0c92362086322353",
+    (3, 20): "c6e1d874828183e86da7637fbe78682a91318b85983accea0d0a60ac0a824891",
+    (4, 16): "452d49e14d3908fd673982ec3c9c5e22b95b50c709a05cf2c1b4c07097f7521f",
+    (5, 9): "a27afdbddd0f46ad22c9998cc94a04147d80dc07553acfe7221abaed6590fdfc",
+    (6, 8): "edbfc47c88ddbd310070e1a69097ea4b5bff8ed8c52b9cc731b47d167c65699e",
+    (6, 12): "44aeeba174ac9e53366d763f147c6712083edad64f6035cda04b0da218c9cb89",
+}
+
+
+def _digest(points) -> str:
+    h = hashlib.sha256()
+    for pt in points:
+        h.update(pt.dumps().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("r,n", sorted(_SAMPLE_DIGESTS))
+def test_sample_exact_outputs_are_frozen(r, n):
+    assert _digest(sample_exact(r, n, seed) for seed in range(6)) == _SAMPLE_DIGESTS[(r, n)]
+
+
+_G = GaussianRational
+# x with Gaussian, int and non-integral Fraction entries: the kernel
+# numerators are Gaussian integers and y is divided once per entry
+X_MIXED = (
+    (_G(1, 2), 0, 1, _G(0, -1), 3, Fraction(2, 3)),
+    (2, _G(Fraction(1, 2), 1), _G(-1, 1), 1, 0, Fraction(-5, 4)),
+    (0, 1, _G(2, -3), 1, _G(1, 1), 7),
+)
+# real x with denominators: y is scaled straight to its primitive vector
+X_RATIONAL = (
+    (Fraction(1, 2), 3, Fraction(-2, 3), 0, 5, Fraction(7, 5), 1),
+    (2, Fraction(-1, 4), 1, Fraction(3, 7), 0, -1, Fraction(1, 6)),
+    (0, 1, Fraction(5, 2), -3, Fraction(2, 9), 4, 1),
+)
+
+
+@pytest.mark.parametrize("x,digest", [
+    (X_MIXED, "6358d41dde656db450cb7237fcff2de4a3b84a56ebae5f02905e83faa9f856d5"),
+    (X_RATIONAL, "a7ffdc3af2a63d501bb0c2a29e9c0a1087c630d2f458f73f8d6d10dce75c1868"),
+], ids=["gaussian", "rational"])
+def test_exact_point_from_x_outputs_are_frozen(x, digest):
+    points = [exact_point_from_x(x, seed=seed) for seed in range(6)]
+    assert _digest(points) == digest
+    for pt in points:
+        assert moment_residual(pt, alpha=[1] * pt.n).complex_norm == 0
 
 
 def test_residue_is_outer_product(point24):
