@@ -8,7 +8,11 @@ its vanishing orders and the smoothness certificate of the spectral
 curve: the orders of the discriminant at the marked points, the degree of
 its off-divisor part R, and the verdict, "smooth away from D" when R is
 squarefree mod p and "not certified away from D" otherwise.  Float points
-report the Jacobian rank instead.
+report the Jacobian rank instead.  A point on the nilpotent cone has an
+identically zero discriminant, which the last line reports.  Failures end
+as in the ``hyperpoly`` command: one ``error:`` line on stderr and its
+exit code, 1 for a failed validation, 2 for non-convergence, 3 for
+malformed input.
 """
 
 import argparse
@@ -19,7 +23,11 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hyperpoly import hitchin, quiver, spectral  # noqa: E402
-from hyperpoly.errors import DegreeOverflowError  # noqa: E402
+from hyperpoly.cli import dispatch  # noqa: E402
+from hyperpoly.errors import (  # noqa: E402
+    DegenerateDiscriminantError,
+    DegreeOverflowError,
+)
 
 
 def main() -> int:
@@ -28,8 +36,11 @@ def main() -> int:
     ap.add_argument("-n", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--solve", action="store_true")
-    args = ap.parse_args()
+    ap.set_defaults(func=verify)
+    return dispatch(ap.parse_args())
 
+
+def verify(args) -> int:
     if args.solve:
         alpha = tuple(Fraction(1) for _ in range(args.n))
         pt = quiver.solve_real(args.r, args.n, alpha, seed=args.seed)
@@ -63,7 +74,11 @@ def main() -> int:
         }
         print(f"charpoly degrees: {degs}")
         print(f"order bounds: all_pass={orders.all_pass}")
-        probe = spectral.smoothness_probe(cp)
+        try:
+            probe = spectral.smoothness_probe(cp)
+        except DegenerateDiscriminantError as e:  # a nilpotent-cone point
+            print(f"spectral curve: {e}")
+            return 0
         print(
             f"discriminant: degree {probe.discriminant_degree}, orders at the "
             f"marked points {[o for _, o in probe.orders]}"

@@ -292,14 +292,14 @@ def poincare(r: int, n: int, margin: int = DEFAULT_MARGIN) -> PoincarePoly:
     return PoincarePoly(r=r, n=n, poly=DensePoly(coeffs, "u"))
 
 
-def poincare_rank2(n: int, margin: int = DEFAULT_MARGIN) -> PoincarePoly:
+def poincare_rank2(n: int) -> PoincarePoly:
     """Rank-2 Poincare polynomial from the closed three-term recursion.
 
     Independent of the general solver; used as an oracle against it.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError("rank-2 spaces need at least 3 edges")
-    coeffs = _rank2_coeffs(n, margin)
+    coeffs = _rank2_coeffs(n)
     return PoincarePoly(r=2, n=n, poly=DensePoly(coeffs, "u"))
 
 
@@ -322,12 +322,12 @@ def _subtract_term(total: list, poly: Sequence, s: int, shift: int, weight) -> N
 
 
 @functools.cache
-def _rank2_coeffs(n: int, margin: int) -> tuple[int, ...]:
-    order = (n - 3) + margin
+def _rank2_coeffs(n: int) -> tuple[int, ...]:
+    order = (n - 3) + DEFAULT_MARGIN
     total = poly_mul(gaussian_binomial(2, n).coeffs, _geom_coeffs(n - 1, order))
     del total[order + 1:]
     for k in range(3, n):
-        _subtract_term(total, _rank2_coeffs(k, DEFAULT_MARGIN), n - k,
+        _subtract_term(total, _rank2_coeffs(k), n - k,
                        2 * (n - k), multinomial(n, (k,)))
     for k1 in range(1, n):
         for k2 in range(1, n - k1 + 1):

@@ -346,8 +346,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return dispatch(build_parser().parse_args(argv))
+
+
+def dispatch(args) -> int:
+    """Run args.func(args), mapping the package's errors onto the exit
+    codes above with one ``error:`` line on stderr."""
     try:
         return args.func(args)
     except NonConvergenceError as e:

@@ -5,16 +5,17 @@ complex) plus :class:`GaussianRational`.  All exact code in this package is
 duck-typed over that protocol: a scalar must support field arithmetic,
 ``.conjugate()``, ``.real`` and ``.imag``.  Rationals are plain
 ``fractions.Fraction``; there is no custom real-rational class.
-The exact kernels (the elimination in `linalg`, `poly_matrix_charpoly`,
-`vanishing_order`, the cleared traces of a Higgs field, its moment map
-and bracket checks) run on numerators: `numerators` clears the denominators of their
-input once, the kernel works in that numerator ring (Python ints, or
-GaussianRational with integral parts for complex input, where ``//`` is
-exact division in both), and `ratio` divides once at the end.  `poly_add`,
-`poly_mul` and `poly_divmod` on coefficient lists are the only polynomial
-sum, product and division loops over a numerator ring, and
-`squarefree_mod_p` the one loop over F_p; `DensePoly` is a value type over
-the first two, and `PolyMatrix` a validated container of polynomials.
+The exact kernels (the elimination in `linalg`, `charpoly_numerators`,
+`cleared_vanishing_order`, the cleared traces of a Higgs field, its moment
+map and bracket checks) run on numerators: `numerators` clears the
+denominators of their input once, the kernel works in that numerator ring
+(Python ints, or GaussianRational with integral parts for complex input,
+where ``//`` is exact division in both), and `ratio` divides once at the
+end.  `poly_add`, `poly_mul` and `poly_divmod` on coefficient lists are
+the only polynomial sum, product and division loops over a numerator
+ring, and `squarefree_mod_p` the one loop over F_p; `DensePoly` is a
+value type over the first two, and `PolyMatrix` a validated container of
+polynomials that keeps their Faddeev-LeVerrier numerators.
 Truncated power series have no type here: the Betti layer keeps them as
 plain coefficient lists.
 """
@@ -369,11 +370,6 @@ class DensePoly:
             out = out * point + c
         return out
 
-    def derivative(self) -> "DensePoly":
-        return DensePoly(
-            tuple(k * c for k, c in enumerate(self.coeffs) if k), self.var
-        )
-
     def __repr__(self):
         if not self.coeffs:
             return "DensePoly(0)"
@@ -396,15 +392,6 @@ def poly_from_roots(roots: Sequence, var: str = "z") -> DensePoly:
     for a in roots:
         out = out * (x - DensePoly.constant(a, var))
     return out
-
-
-def vanishing_order(p: DensePoly, a):
-    """Order of vanishing of ``p`` at the point ``a``.
-
-    Returns ``math.inf`` for the zero polynomial.  With p = P / D, the
-    order is that of P (`cleared_vanishing_order`).
-    """
-    return cleared_vanishing_order(numerators(p.coeffs)[0], a)
 
 
 def cleared_vanishing_order(nums: Sequence, a):
@@ -534,10 +521,11 @@ class PolyMatrix:
     """Square matrix with DensePoly entries, all in the same variable.
 
     A validated container: its arithmetic is the generic ring code of
-    `linalg` applied to ``rows``.
+    `linalg` applied to ``rows``.  It also keeps the result of
+    `charpoly_numerators`, which every reader of one matrix shares.
     """
 
-    __slots__ = ("rows", "size", "var", "_numerators", "_charpoly")
+    __slots__ = ("rows", "size", "var", "_numerators")
 
     def __init__(self, rows: Sequence[Sequence[DensePoly]], var: str = "z"):
         rows = tuple(tuple(e for e in row) for row in rows)
@@ -554,7 +542,6 @@ class PolyMatrix:
         self.size = n
         self.var = var
         self._numerators = None
-        self._charpoly = None
 
     def trace(self) -> DensePoly:
         acc = DensePoly.zero(self.var)
@@ -628,13 +615,10 @@ def poly_matrix_charpoly(m: PolyMatrix) -> list[DensePoly]:
     Returns [c_1, ..., c_r] with det(t*Id - m) = t^r + c_1 t^(r-1) + ... + c_r,
     each c_i a polynomial in the matrix variable.  The recurrence runs on
     the numerators of `charpoly_numerators`; the only division is the one
-    boundary division c_i = C_i / D^i per coefficient, made once per
-    matrix.
+    boundary division c_i = C_i / D^i per coefficient.
     """
-    if m._charpoly is None:
-        cs, d = charpoly_numerators(m)
-        m._charpoly = tuple(
-            DensePoly([ratio(c, d ** k) for c in ck], m.var)
-            for k, ck in enumerate(cs, start=1)
-        )
-    return list(m._charpoly)
+    cs, d = charpoly_numerators(m)
+    return [
+        DensePoly([ratio(c, d ** k) for c in ck], m.var)
+        for k, ck in enumerate(cs, start=1)
+    ]

@@ -474,22 +474,16 @@ def _grad_numerators(point: QuiverPoint, xy: _Cleared, obs: BracketObservable) -
     return tuple(out), dy * e, dx * e
 
 
-def observable_grad(
-    point: QuiverPoint,
-    obs: BracketObservable,
-    field: Optional[HiggsField] = None,
-) -> tuple:
+def observable_grad(point: QuiverPoint, obs: BracketObservable) -> tuple:
     """Closed-form gradient of Tr(phi(z0)^m) as one flat tuple.
 
     With A = phi(z0), entry a*n + i is d/d(x_i)_a = m (y_i A^(m-1))_a /
     (z0 - p_i) and entry r*n + i*r + b is d/d(y_i)_b = m (A^(m-1) x_i)_b /
     (z0 - p_i): the x entries row by row, then the y entries row by row.
-    Exact points run on numerators and divide once per entry; ``field``,
-    when given, stands for the moment-map check `_check_moment` makes.
+    Exact points run on numerators and divide once per entry.
     """
     xy = _cleared_xy(point)
-    if field is None:
-        _check_moment(point, xy)
+    _check_moment(point, xy)
     g, ex, ey = _grad_numerators(point, xy, obs)
     if point.flavor != "exact":
         return g

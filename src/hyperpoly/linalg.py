@@ -7,16 +7,14 @@ arithmetic, ``.conjugate()`` and ``.real``.  The one exact elimination,
 `_eliminate`, does not run on the entries themselves: it clears their
 denominators once and eliminates fraction-free on the numerators (ints, or
 GaussianRationals with integral parts).  `exact_rank` reads its pivots and
-`kernel_numerators` its kernel on those numerators, with no division;
-`rref` and `kernel_basis` are its Fraction views, with one boundary
-division per entry.
+`kernel_numerators` its kernel on those numerators, with no division.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .exact import numerators, ratio
+from .exact import numerators
 
 Matrix = tuple[tuple, ...]
 
@@ -135,29 +133,12 @@ def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object, list]:
     return rows, tuple(pivots), prev, order
 
 
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form over an exact field, with pivot columns.
-
-    The Fraction view of `_eliminate`: one boundary division of each
-    reduced numerator by the last pivot.  Rows that are zero on input come
-    back as given.
-    """
-    if not a:
-        return (), ()
-    rows, pivots, d, order = _eliminate(a)
-    zero = ratio(0 * d, 1)  # Fraction(0), or a Gaussian zero
-    return tuple(
-        tuple(ratio(x, d) if x else zero for x in row) if any(a[k]) else tuple(a[k])
-        for row, k in zip(rows, order)
-    ), pivots
-
-
 def exact_rank(a: Matrix) -> int:
     return len(_eliminate(a)[1]) if a else 0
 
 
 def kernel_numerators(a: Matrix) -> tuple[list[list], object]:
-    """(K, d) with K / d the `kernel_basis` of an exact matrix.
+    """(K, d) with K / d the standard basis of the right kernel of a.
 
     Each vector of K is d at its free column, minus the reduced numerator
     of each pivot row there at that row's pivot column, and 0 elsewhere:
@@ -175,20 +156,3 @@ def kernel_numerators(a: Matrix) -> tuple[list[list], object]:
             v[pc] = -row[fc]
         basis.append(v)
     return basis, d
-
-
-def kernel_basis(a: Matrix) -> list[tuple]:
-    """Basis of the right kernel of an exact matrix, in standard form."""
-    if not a:
-        return []
-    reduced, pivots = rref(a)
-    q = len(a[0])
-    free = [c for c in range(q) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * q
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = -reduced[ri][fc]
-        basis.append(tuple(v))
-    return basis

@@ -459,9 +459,10 @@ def solve_real(
     and, once the candidate is accepted, the next step's Jacobian.  The
     accepted-step rule makes the residual norm monotonically non-increasing
     within each restart; a candidate that overflows is rejected.  Raises
-    ValueError if an entry of alpha or their sum does not fit a float, and
-    NonConvergenceError with the best residual if the iteration budget is
-    exhausted before the residual norm drops below tol.
+    ValueError if an entry of alpha or their sum does not fit a float or
+    the seed is negative, and NonConvergenceError with the best residual if
+    the iteration budget is exhausted before the residual norm drops below
+    tol.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("rank must be a positive integer")
@@ -478,6 +479,8 @@ def solve_real(
     total = sum(avec_frac)
     if not _in_float_range(total):
         raise ValueError("length vector sum is outside the float range")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     avec = np.array([float(a) for a in avec_frac])
     r2 = r * r
     ell = np.zeros(4 * r2 + 3 * n)

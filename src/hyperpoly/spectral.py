@@ -39,7 +39,6 @@ from .exact import (
     poly_mul,
     scalar_to_json,
     squarefree_mod_p,
-    vanishing_order,
 )
 from .hitchin import HiggsField
 from .quiver import min_orbit_check
@@ -101,21 +100,11 @@ class CharPoly:
 def spectral_charpoly(tw: TwistedHiggs) -> CharPoly:
     """Exact characteristic polynomial of a twisted matrix.
 
-    Asserts c_1 = 0 and the degree bounds deg c_i <= i(n-2).
+    `TwistedHiggs` already bounds it: c_1 = -Tr psi is zero, and entries
+    of degree at most n - 2 give deg c_i <= i(n-2).
     """
-    coeffs = poly_matrix_charpoly(tw.psi)
-    r, n = tw.r, tw.n
-    if coeffs[0]:
-        raise ValidationError("charpoly has nonzero trace coefficient")
-    c = {}
-    for i, poly in enumerate(coeffs, start=1):
-        if poly.degree > i * (n - 2):
-            raise DegreeOverflowError(
-                f"degree overflow: c_{i} has degree {poly.degree} "
-                f"> {i * (n - 2)}"
-            )
-        c[i] = poly
-    return CharPoly(r=r, n=n, c=c, marked_points=tw.marked_points)
+    c = dict(enumerate(poly_matrix_charpoly(tw.psi), start=1))
+    return CharPoly(r=tw.r, n=tw.n, c=c, marked_points=tw.marked_points)
 
 
 @dataclass(frozen=True)
@@ -162,7 +151,6 @@ def trace_consistency(field: HiggsField) -> TraceConsistencyReport:
     `hitchin_map` reads, so the report is ok exactly when the base map
     succeeds, and the first failing power is the one at which it raises.
     """
-    twist(field)  # validates psi
     failing = tuple(k for k, _, overflow in field.cleared_traces if overflow)
     return TraceConsistencyReport(ok=not failing, failing=failing)
 
@@ -304,10 +292,11 @@ class SmoothnessReport:
 def smoothness_probe(cp: CharPoly) -> SmoothnessReport:
     """Certify the spectral curve smooth away from the marked fibers.
 
-    Divides the numerators of the exact discriminant Res_lam(f, df/dlam)
-    by prod_j (v_j z - u_j)^(o_j), o_j its vanishing order at p_j.  If the
-    rest R is squarefree mod p, every root off the marked points is simple
-    and the curve is smooth there; otherwise it is not certified.
+    Clears the exact discriminant Res_lam(f, df/dlam) to numerators once
+    and divides them by prod_j (v_j z - u_j)^(o_j), o_j their vanishing
+    order at p_j.  If the rest R is squarefree mod p, every root off the
+    marked points is simple and the curve is smooth there; otherwise it
+    is not certified.
     """
     r = cp.r
     f_coeffs = [DensePoly.one("z")] + [cp.c[i] for i in range(1, r + 1)]
@@ -320,13 +309,14 @@ def smoothness_probe(cp: CharPoly) -> SmoothnessReport:
         raise DegenerateDiscriminantError(
             "degenerate discriminant: the curve is non-reduced"
         )
-    orders = tuple((p, vanishing_order(res, p)) for p in cp.marked_points)
+    nums, _ = numerators(res.coeffs)
+    orders = tuple((p, cleared_vanishing_order(nums, p)) for p in cp.marked_points)
     divisor = [1]
     for p, order in orders:
         p = Fraction(p)
         for _ in range(order):
             divisor = poly_mul(divisor, [-p.numerator, p.denominator])
-    rest, rem = poly_divmod(numerators(res.coeffs)[0], divisor)
+    rest, rem = poly_divmod(nums, divisor)
     assert not rem, "the marked-point factors must divide the discriminant"
     squarefree = squarefree_mod_p(rest)
     return SmoothnessReport(

@@ -226,6 +226,37 @@ def test_alpha_outside_the_float_range_exits_3(capsys):
     assert err.splitlines() == ["error: length vector entry 5 is outside the float range"]
 
 
+def test_negative_solver_seed_exits_3(capsys):
+    code, out, err = run(capsys, "sample", "-r", "2", "-n", "4", "--solve", "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+    # the exact sampler takes any seed
+    assert run(capsys, "sample", "-r", "2", "-n", "4", "--seed", "-1")[0] == 0
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    # a nilpotent-cone point: c_2 = 0, so the discriminant vanishes
+    (("-r", "2", "-n", "4", "--seed", "1"), 0,
+     "spectral curve: degenerate discriminant: the curve is non-reduced"),
+    (("-r", "2", "-n", "3"), 1, None),
+])
+def test_verify_point_script_ends_without_a_traceback(argv, code, last):
+    script = Path(__file__).parents[1] / "scripts" / "verify_point.py"
+    proc = subprocess.run([sys.executable, str(script), *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if last is None:
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: trivial fiber: only y = 0 satisfies the equations at r=2, n=3"
+        ]
+    else:
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == last
+
+
 def test_alpha_sum_outside_the_float_range_exits_3():
     # each entry fits a float but their sum does not; a fresh interpreter
     # shows the warnings that pytest would otherwise collect

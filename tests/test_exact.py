@@ -9,6 +9,8 @@ from hyperpoly.exact import (
     DensePoly,
     GaussianRational,
     PolyMatrix,
+    cleared_vanishing_order,
+    numerators,
     parse_rational,
     poly_from_roots,
     poly_matrix_charpoly,
@@ -16,7 +18,6 @@ from hyperpoly.exact import (
     scalar_from_json,
     scalar_to_json,
     squarefree_mod_p,
-    vanishing_order,
 )
 from hyperpoly.betti import _geom_coeffs
 from hyperpoly.linalg import norm_sq
@@ -117,12 +118,6 @@ def test_poly_degree_and_eval():
     assert P([0, 0]).is_zero()
 
 
-def test_poly_derivative():
-    p = P([5, 3, 0, 7])
-    assert p.derivative() == P([3, 0, 21])
-    assert P([4]).derivative().is_zero()
-
-
 def test_poly_from_roots():
     p = poly_from_roots([1, 2])
     assert p == P([2, -3, 1])
@@ -136,12 +131,14 @@ def test_poly_from_roots():
 def test_vanishing_order_multiplicative(roots, a):
     p = poly_from_roots(roots)
     q = poly_from_roots(roots + [a])
-    assert vanishing_order(q, a) == vanishing_order(p, a) + 1
+    assert cleared_vanishing_order(numerators(q.coeffs)[0], a) == (
+        cleared_vanishing_order(numerators(p.coeffs)[0], a) + 1
+    )
 
 
 def test_vanishing_order_zero_poly():
-    assert vanishing_order(P([]), 3) == float("inf")
-    assert vanishing_order(P([1]), 3) == 0
+    assert cleared_vanishing_order(numerators(P([]).coeffs)[0], 3) == float("inf")
+    assert cleared_vanishing_order(numerators(P([1]).coeffs)[0], 3) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The exact kernels on numerators against Fraction references.
 
-`linalg.rref`, `exact.poly_matrix_charpoly`, `HiggsField.cleared_traces`,
-`exact.vanishing_order` and the bracket layer of `hitchin` clear
-denominators once and divide once at the end.  The references below are
-the field eliminations and gradients they replaced, kept here only, with
-the `DensePoly` division they need.  Typed reprs must agree: same values
-and same scalar types.  On float points the bracket layer must give the
-references' floats bit for bit, and so must the float `hitchin_map`,
-which keeps a reference here too.
+The elimination `linalg._eliminate` and `linalg.kernel_numerators`,
+`exact.poly_matrix_charpoly`, `HiggsField.cleared_traces`,
+`exact.cleared_vanishing_order` and the bracket layer of `hitchin` clear
+denominators once and divide once at the end, or never.  The references
+below are the field eliminations and gradients they replaced, kept here
+only, with the `DensePoly` division they need.  Reduced rows and kernels
+over their last pivot d must equal the references' by value; elsewhere
+typed reprs must agree: same values and same scalar types.  On float
+points the bracket layer must give the references' floats bit for bit,
+and so must the float `hitchin_map`, which keeps a reference here too.
 """
 
 import dataclasses
@@ -26,9 +28,10 @@ from hyperpoly.exact import (
     DensePoly,
     GaussianRational,
     PolyMatrix,
+    cleared_vanishing_order,
+    numerators,
     poly_from_roots,
     poly_matrix_charpoly,
-    vanishing_order,
 )
 from hyperpoly.hitchin import (
     BracketObservable,
@@ -408,7 +411,7 @@ def test_poly_division_of_int_coefficients_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# rref and kernel_basis
+# the elimination and its kernel
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 gaussian = st.builds(GaussianRational, small, small)
@@ -432,18 +435,36 @@ def matrices(draw, entries):
     return tuple(rows)
 
 
+def _over_d(rows, d) -> tuple:
+    # a kernel vector keeps int zeros beside Gaussian numerators
+    return tuple(
+        tuple(Fraction(x) / d if type(x) is int else x / d for x in row) for row in rows
+    )
+
+
+def _eliminated(a):
+    """The reduced rows of `_eliminate` over its last pivot, with pivots."""
+    rows, pivots, d, _ = linalg._eliminate(a)
+    return _over_d(rows, d), pivots
+
+
+def _kernel(a) -> list:
+    basis, d = linalg.kernel_numerators(a)
+    return list(_over_d(basis, d))
+
+
 @settings(max_examples=80, deadline=None)
 @given(matrices(small))
 def test_rref_and_kernel_match_reference_on_rationals(a):
-    assert repr(linalg.rref(a)) == repr(_rref_reference(a))
-    assert repr(linalg.kernel_basis(a)) == repr(_kernel_reference(a))
+    assert _eliminated(a) == _rref_reference(a)
+    assert _kernel(a) == _kernel_reference(a)
 
 
 @settings(max_examples=20, deadline=None)
 @given(matrices(gaussian))
 def test_rref_and_kernel_match_reference_on_gaussians(a):
-    assert repr(linalg.rref(a)) == repr(_rref_reference(a))
-    assert repr(linalg.kernel_basis(a)) == repr(_kernel_reference(a))
+    assert _eliminated(a) == _rref_reference(a)
+    assert _kernel(a) == _kernel_reference(a)
 
 
 @settings(max_examples=20, deadline=None)
@@ -452,7 +473,7 @@ def test_rref_mixed_entries_come_back_gaussian(a):
     # with real and complex entries mixed, the numerator ring is the
     # Gaussian one and every pivot row comes back as GaussianRationals;
     # the field elimination kept some of their entries as Fractions
-    got, pivots = linalg.rref(a)
+    got, pivots = _eliminated(a)
     want, want_pivots = _rref_reference(a)
     assert got == want and pivots == want_pivots
     if any(isinstance(v, GaussianRational) for row in a for v in row):
@@ -465,8 +486,7 @@ def test_kernel_numerators_over_d_are_the_kernel_basis(a):
     # zero rows and rank-deficient products included; the numerators stay
     # in the ring of the cleared entries, ints for rational input
     basis, d = linalg.kernel_numerators(a)
-    exact = [tuple(Fraction(v) / d if type(v) is int else v / d for v in vec) for vec in basis]
-    assert exact == linalg.kernel_basis(a)
+    assert _kernel(a) == _kernel_reference(a)
     assert len(basis) == len(a[0]) - linalg.exact_rank(a)
     if all(isinstance(v, (int, Fraction)) for row in a for v in row):
         assert all(type(v) is int for vec in basis for v in vec)
@@ -489,7 +509,7 @@ def test_rref_on_the_sampling_fiber():
             for i in range(n):
                 row[i * r + b] = x[a][i]
             rows.append(tuple(row))
-    assert repr(linalg.rref(tuple(rows))) == repr(_rref_reference(tuple(rows)))
+    assert _eliminated(tuple(rows)) == _rref_reference(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +564,17 @@ def test_vanishing_order_at_a_half_integer():
     p = poly_from_roots([Fraction(3, 2)] * 3 + [Fraction(-1, 3), 5]) * Fraction(7, 4)
     for a, want in [(Fraction(3, 2), 3), (Fraction(-1, 3), 1), (Fraction(5), 1),
                     (Fraction(5, 2), 0), (Fraction(3), 0)]:
-        assert vanishing_order(p, a) == want == _vanishing_order_reference(p, a)
+        got = cleared_vanishing_order(numerators(p.coeffs)[0], a)
+        assert got == want == _vanishing_order_reference(p, a)
 
 
 def test_vanishing_order_at_a_gaussian_point():
     # 2z - (1 + i) is not primitive over the Gaussian integers
     a = GaussianRational(Fraction(1, 2), Fraction(1, 2))
     p = poly_from_roots([a, a, Fraction(1, 2)]) * Fraction(3, 2)
-    assert vanishing_order(p, a) == 2 == _vanishing_order_reference(p, a)
-    assert vanishing_order(p, Fraction(1, 2)) == 1
+    nums, _ = numerators(p.coeffs)
+    assert cleared_vanishing_order(nums, a) == 2 == _vanishing_order_reference(p, a)
+    assert cleared_vanishing_order(nums, Fraction(1, 2)) == 1
 
 
 def test_order_check_matches_reference_orders():
@@ -577,7 +599,8 @@ def test_order_check_matches_reference_orders():
 )
 def test_vanishing_order_matches_reference(roots, a, scale):
     p = poly_from_roots(roots) * scale
-    assert vanishing_order(p, a) == _vanishing_order_reference(p, a) == roots.count(a)
+    got = cleared_vanishing_order(numerators(p.coeffs)[0], a)
+    assert got == _vanishing_order_reference(p, a) == roots.count(a)
 
 
 # ---------------------------------------------------------------------------

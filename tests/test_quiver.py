@@ -214,6 +214,12 @@ def test_solve_real_rejects_alpha_sum_outside_the_float_range():
         solve_real(2, 4, (Fraction(10) ** 308,) * 4)
 
 
+def test_solve_real_names_a_negative_seed():
+    # numpy's seed sequence would reject it without naming the seed
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        solve_real(2, 4, (1, 1, 1, 1), seed=-1)
+
+
 JACOBIAN_LEVELS = [(1, 3), (2, 5), (3, 7), (4, 8), (5, 9), (3, 30)]
 
 

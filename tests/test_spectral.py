@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly.errors import (
     DegenerateDiscriminantError,
@@ -44,6 +46,38 @@ def test_twist_validation():
         cubic = z * z * z
         TwistedHiggs(psi=PolyMatrix([[cubic, z], [z, -cubic]], "z"), n=4,
                      marked_points=(1, 2, 3, 4))
+
+
+@st.composite
+def traceless_psi(draw):
+    """(psi, n): a square PolyMatrix that is traceless by construction, with
+    entry degrees at most n - 2 and its (0, 1) entry at that bound, on
+    rational or Gaussian coefficients."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 6))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coeff = st.one_of(small, st.builds(GaussianRational, small, small))
+    rows = [
+        [DensePoly(draw(st.lists(coeff, max_size=n - 1)), "z") for _ in range(r)]
+        for _ in range(r)
+    ]
+    low = draw(st.lists(coeff, min_size=n - 2, max_size=n - 2))
+    rows[0][1] = DensePoly(low + [draw(coeff.filter(bool))], "z")
+    rows[-1][-1] = -sum((rows[i][i] for i in range(r - 1)), DensePoly.zero("z"))
+    return PolyMatrix(rows, "z"), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(traceless_psi())
+def test_traceless_bounded_psi_bounds_its_charpoly(psi_n):
+    # the bounds spectral_charpoly once checked follow from TwistedHiggs:
+    # c_1 = -Tr psi, and deg c_i <= i(n-2) from the entry degrees
+    psi, n = psi_n
+    assert psi.rows[0][1].degree == n - 2
+    cp = spectral_charpoly(TwistedHiggs(psi=psi, n=n, marked_points=tuple(range(n))))
+    assert cp.c[1].is_zero()
+    for i in range(1, psi.size + 1):
+        assert cp.c[i].degree <= i * (n - 2)
 
 
 def test_charpoly_fixture(point24):
