@@ -9,10 +9,10 @@ powers), and checks the Poisson geometry: the bracket kernel identity, the
 pairwise commutation of base components, and the rank of their Jacobian.
 Exact base coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k,
 built once per field and read by `hitchin_map` and the spectral layer.
-The exact bracket checks run on numerators too: x, y and phi(z) are
-cleared once, the complex moment map is checked on the cleared x and y,
-gradients are integer numerators over one denominator per half, and only
-a reported value is divided.
+The exact bracket checks run on numerators too: x and y are cleared once
+per point (and `residues` reads phi_i off them), phi(z0) once per
+evaluation point for every power, gradients are integer numerators over
+one denominator per half, and only a reported value is divided.
 Float points run on Python floats and complexes: the marked points are
 converted once per point (once per evaluation point in `higgs_eval`) and
 a Fraction weight once, not at every product, with the bits the Fraction
@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -221,6 +222,23 @@ def _float_residues(point: QuiverPoint) -> tuple:
     return tuple(mats)
 
 
+def _exact_residues(point: QuiverPoint, xy: _Cleared) -> tuple:
+    """Residue matrices of an exact point from its cleared x and y: entry
+    (a, b) of phi_i is X_ai Y_ib / (dx dy), a Fraction where x_ai and y_ib
+    are both rational, as their product is."""
+    r, d, xs, ys = point.r, xy.dx * xy.dy, xy.xs, xy.ys
+
+    def entry(a, i, b):
+        v = ratio(xs[a][i] * ys[i][b], d)
+        real = GaussianRational not in (type(point.x[a][i]), type(point.y[i][b]))
+        return v.re if real and isinstance(v, GaussianRational) else v
+
+    return tuple(
+        tuple(tuple(entry(a, i, b) for b in range(r)) for a in range(r))
+        for i in range(point.n)
+    )
+
+
 def residues(point: QuiverPoint) -> HiggsField:
     """Residue matrices phi_i = x_i y_i of a quiver point.
 
@@ -228,11 +246,12 @@ def residues(point: QuiverPoint) -> HiggsField:
     the cleared numerators of an exact point, within a tolerance on a
     float point); tracelessness, square-zero and rank <= 1 of each phi_i
     then hold automatically for the outer products, which are built once,
-    after the check.
+    after the check: on an exact point from the numerators it checked.
     """
     if point.flavor == "exact":
-        _check_moment(point, _cleared_xy(point))
-        mats = tuple(point.residue(i) for i in range(point.n))
+        xy = _cleared_xy(point)
+        _check_moment(point, xy)
+        mats = _exact_residues(point, xy)
     else:
         mats = _float_residues(point)
     return HiggsField(
@@ -435,43 +454,60 @@ def _weights(point: QuiverPoint, xy: _Cleared, z, scale=1) -> tuple[list, object
     return _entry_scalars(xy.complex_entries, ws), 1
 
 
-def _cleared_phi(r: int, n: int, xy: _Cleared, ws: list) -> tuple:
-    """phi(z) * dx dy dw, given the weights W of 1/(z - p_i) over dw: the
-    sum of X_i Y_i W_i, added in the order `higgs_eval` adds floats."""
-    xs, ys = xy.xs, xy.ys
-    return tuple(
-        tuple(sum(xs[a][i] * ys[i][b] * ws[i] for i in range(n)) for b in range(r))
-        for a in range(r)
+class _PhiAt(NamedTuple):
+    """phi at one evaluation point z (`_exact_z`), read by every power:
+    1 / (z - p_i) = ws[i] / dw and phi(z) = phi / (dx dy dw)."""
+
+    z: object
+    ws: list
+    dw: object
+    phi: tuple
+
+
+def _phi_at(point: QuiverPoint, xy: _Cleared, z) -> _PhiAt:
+    """The `_PhiAt` of z: phi * dx dy dw is the sum of X_i Y_i W_i, added
+    in the order `higgs_eval` adds floats."""
+    z = _exact_z(point.flavor, z)
+    ws, dw = _weights(point, xy, z)
+    xs, ys, n = xy.xs, xy.ys, point.n
+    phi = tuple(
+        tuple(sum(xs[a][i] * ys[i][b] * ws[i] for i in range(n)) for b in range(point.r))
+        for a in range(point.r)
     )
+    return _PhiAt(z, ws, dw, phi)
 
 
-def _grad_numerators(point: QuiverPoint, xy: _Cleared, obs: BracketObservable) -> tuple:
-    """Gradient of Tr(phi(z0)^m) as numerators G and denominators (ex, ey).
+def _grad_numerators(point: QuiverPoint, xy: _Cleared, at: _PhiAt, m: int) -> tuple:
+    """Gradient of Tr(phi(z0)^m), z0 = at.z, as numerators G and
+    denominators (ex, ey).
 
     With phi(z0) = A / D on numerators (D = dx dy dw) and m / (z0 - p_i) =
-    M_i / dm, the x entries M_i (Y_i A^(m-1))_a are over ex = dy e and the
-    y entries M_i (A^(m-1) X_i)_b over ey = dx e, where e = dm D^(m-1).
-    Every bracket of two such gradients therefore has the one denominator
-    ey_f ex_g = ex_f ey_g, and `_contract` on numerators is zero exactly
-    when the bracket is.  A float point is its own numerator, with the
-    same operations in the same order as the float formulas.
+    m W_i / dw, the x entries m W_i (Y_i A^(m-1))_a are over ex = dy e and
+    the y entries m W_i (A^(m-1) X_i)_b over ey = dx e, where e = dw
+    D^(m-1).  Every bracket of two such gradients therefore has the one
+    denominator ey_f ex_g = ex_f ey_g, and `_contract` on numerators is
+    zero exactly when the bracket is.  A float point is its own numerator,
+    with the same operations in the same order as the float formulas.
     """
+    r, n, dx, dy = point.r, point.n, xy.dx, xy.dy
+    if point.flavor == "exact":
+        ms = [m * w for w in at.ws]
+    else:
+        ms, _ = _weights(point, xy, at.z, m)
+    apow = linalg.mat_pow(at.phi, m - 1)
+    ya, ax = linalg.mat_mul(xy.ys, apow), linalg.mat_mul(apow, xy.xs)
+    g = tuple(ms[i] * ya[i][a] for a in range(r) for i in range(n)) + tuple(
+        w * ax[a][i] for i, w in enumerate(ms) for a in range(r)
+    )
+    e = at.dw * (dx * dy * at.dw) ** (m - 1)
+    return g, dy * e, dx * e
+
+
+def _observable_numerators(point: QuiverPoint, xy: _Cleared, obs: BracketObservable) -> tuple:
+    # a power above the rank is refused before z0 meets the poles
     if obs.m > point.r:
         raise ValueError("power must lie between 2 and the rank")
-    r, n, m = point.r, point.n, obs.m
-    z0 = _exact_z(point.flavor, obs.z0)
-    xs, dx, ys, dy = xy.xs, xy.dx, xy.ys, xy.dy
-    ws, dw = _weights(point, xy, z0)
-    ms, dm = _weights(point, xy, z0, m)
-    apow = linalg.mat_pow(_cleared_phi(r, n, xy, ws), m - 1)
-    out = [0] * (2 * r * n)
-    for i, w in enumerate(ms):
-        row = ys[i]
-        for a in range(r):
-            out[a * n + i] = w * sum(row[b] * apow[b][a] for b in range(r))
-            out[r * n + i * r + a] = w * sum(apow[a][b] * xs[b][i] for b in range(r))
-    e = dm * (dx * dy * dw) ** (m - 1)
-    return tuple(out), dy * e, dx * e
+    return _grad_numerators(point, xy, _phi_at(point, xy, obs.z0), obs.m)
 
 
 def observable_grad(point: QuiverPoint, obs: BracketObservable) -> tuple:
@@ -484,7 +520,7 @@ def observable_grad(point: QuiverPoint, obs: BracketObservable) -> tuple:
     """
     xy = _cleared_xy(point)
     _check_moment(point, xy)
-    g, ex, ey = _grad_numerators(point, xy, obs)
+    g, ex, ey = _observable_numerators(point, xy, obs)
     if point.flavor != "exact":
         return g
     half = point.r * point.n
@@ -514,28 +550,31 @@ def poisson_bracket(point: QuiverPoint, f: BracketObservable, g: BracketObservab
     """Canonical holomorphic bracket of two trace-power observables."""
     xy = _cleared_xy(point)
     _check_moment(point, xy)
-    gf, _, ey = _grad_numerators(point, xy, f)
-    gg, ex, _ = _grad_numerators(point, xy, g)
+    gf, _, ey = _observable_numerators(point, xy, f)
+    gg, ex, _ = _observable_numerators(point, xy, g)
     val = _contract(point.r, point.n, gf, gg)
     return ratio(val, ey * ex) if point.flavor == "exact" else val
 
 
-def _entry_grads(r: int, n: int, xy: _Cleared, ws: list) -> dict:
-    # flat gradients of every entry phi(z)_ab on numerators, 2n nonzeros
-    # each: the x entries W_i Y_ib over dy dw, the y entries W_i X_ai over
-    # dx dw; the scaled rows and columns are shared by the r^2 entries
-    xs, ys = xy.xs, xy.ys
-    wy = [[w * ys[i][b] for i, w in enumerate(ws)] for b in range(r)]
-    wx = [[w * xs[a][i] for i, w in enumerate(ws)] for a in range(r)]
-    grads = {}
-    for a in range(r):
-        for b in range(r):
-            out = [0] * (2 * r * n)
-            for i in range(n):
-                out[a * n + i] = wy[b][i]
-                out[r * n + i * r + b] = wx[a][i]
-            grads[(a, b)] = tuple(out)
-    return grads
+def _entry_pairing(rz: tuple, rw: tuple, a: int, b: int, c: int, d: int):
+    """`_contract` of the gradients of phi_ab(z) and phi_cd(w) on their
+    support: with rz = (WX, WY), WX[a][i] = W_i X_ai and WY[b][i] =
+    W_i Y_ib at z, the first is WY[b] in x row a and WX[a] in y column b.
+    Edge by edge, in `_contract`'s order, a product with a zero factor
+    skipped: + WX_z[a] WY_w[d] in column b if b = c, - WY_z[b] WX_w[c] in
+    column a if a = d."""
+    terms = []
+    if b == c:
+        terms.append((True, rz[0][a], rw[1][d]))
+    if a == d:
+        terms.insert(0 if a < b else len(terms), (False, rz[1][b], rw[0][c]))
+    acc = 0
+    for i in range(len(terms[0][1])):
+        for plus, us, vs in terms:
+            u, v = us[i], vs[i]
+            if u and v:
+                acc = acc + u * v if plus else acc - u * v
+    return acc
 
 
 def delta_check(point: QuiverPoint, z, w):
@@ -544,7 +583,9 @@ def delta_check(point: QuiverPoint, z, w):
     Computes {phi_ab(z), phi_cd(w)} for every index quadruple through the
     canonical bracket and compares with delta_bc D_ad - delta_ad D_cb where
     D = phi(z)/(w-z) + phi(w)/(z-w).  Returns the maximum squared magnitude
-    of the difference, which is exactly zero for exact points.
+    of the difference, which is exactly zero for exact points.  Both sides
+    vanish unless b = c or a = d, and each pairing is summed over the
+    edges alone (`_entry_pairing`).
 
     On an exact point every entry pairing is L / E with E = dx dy dz dw,
     and with w - z = s / t the kernel is D = t (dw A_z - dz A_w) / (E s)
@@ -557,11 +598,9 @@ def delta_check(point: QuiverPoint, z, w):
     xy = _cleared_xy(point)
     _check_moment(point, xy)
     exact = point.flavor == "exact"
-    r, n = point.r, point.n
-    wz, dz = _weights(point, xy, z)
-    ww, dw = _weights(point, xy, w)
-    phi_z = _cleared_phi(r, n, xy, wz)
-    phi_w = _cleared_phi(r, n, xy, ww)
+    r = point.r
+    at_z, at_w = _phi_at(point, xy, z), _phi_at(point, xy, w)
+    dz, dw, phi_z, phi_w = at_z.dw, at_w.dw, at_z.phi, at_w.phi
     if exact:
         (s,), t = numerators((w - z,))
         den = xy.dx * xy.dy * dz * dw * s
@@ -571,26 +610,29 @@ def delta_check(point: QuiverPoint, z, w):
     else:
         sz, sw = _entry_scalars(xy.complex_entries, [1 / (w - z), 1 / (z - w)])
         kernel = linalg.mat_add(linalg.mat_scale(phi_z, sz), linalg.mat_scale(phi_w, sw))
-    grads_z = _entry_grads(r, n, xy, wz)
-    grads_w = _entry_grads(r, n, xy, ww)
+    # W_i X_ai and W_i Y_ib at z and at w: the entry gradients' nonzeros
+    rows_z, rows_w = (
+        ([[u * v for u, v in zip(at.ws, row)] for row in xy.xs],
+         [[u * row[b] for u, row in zip(at.ws, xy.ys)] for b in range(r)])
+        for at in (at_z, at_w)
+    )
     worst = 0
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                for d in range(r):
-                    lhs = _contract(r, n, grads_z[(a, b)], grads_w[(c, d)])
-                    rhs = 0
-                    if b == c:
-                        rhs = rhs + kernel[a][d]
-                    if a == d:
-                        rhs = rhs - kernel[c][b]
-                    if exact:
-                        diff = lhs * s - rhs
-                        dev = norm_sq(ratio(diff, den)) if diff else 0
-                    else:
-                        dev = norm_sq(lhs - rhs)
-                    if dev > worst:
-                        worst = dev
+    for a, b, c, d in product(range(r), repeat=4):
+        if b != c and a != d:
+            continue  # no kernel term and an empty pairing
+        lhs = _entry_pairing(rows_z, rows_w, a, b, c, d)
+        rhs = 0
+        if b == c:
+            rhs = rhs + kernel[a][d]
+        if a == d:
+            rhs = rhs - kernel[c][b]
+        if exact:
+            diff = lhs * s - rhs
+            dev = norm_sq(ratio(diff, den)) if diff else 0
+        else:
+            dev = norm_sq(lhs - rhs)
+        if dev > worst:
+            worst = dev
     return worst
 
 
@@ -627,12 +669,10 @@ def commutation_report(point: QuiverPoint) -> CommutationReport:
     n, r = point.n, point.r
     xy = _cleared_xy(point)
     _check_moment(point, xy)
-    obs = [
-        BracketObservable(m, z0)
-        for m in range(2, r + 1)
-        for z0 in _eval_points(point.marked_points, 3)
-    ]
-    grads = [_grad_numerators(point, xy, o) for o in obs]
+    # phi(z0) is built once per evaluation point and read by every power
+    ats = [_phi_at(point, xy, z0) for z0 in _eval_points(point.marked_points, 3)]
+    obs = [(m, at) for m in range(2, r + 1) for at in ats]
+    grads = [_grad_numerators(point, xy, at, m) for m, at in obs]
     # only a nonzero bracket needs norms, and only it is divided
     norms = None
     pairs = []
@@ -652,9 +692,7 @@ def commutation_report(point: QuiverPoint) -> CommutationReport:
                 rel = a / max(1.0, norms[i] * norms[j])
             max_abs = max(max_abs, a)
             max_rel = max(max_rel, rel)
-            pairs.append(
-                (obs[i].m, obs[i].z0, obs[j].m, obs[j].z0, a, rel)
-            )
+            pairs.append((obs[i][0], obs[i][1].z, obs[j][0], obs[j][1].z, a, rel))
     return CommutationReport(
         pairs=tuple(pairs), max_abs=max_abs, max_rel=max_rel, all_zero=all_zero
     )
@@ -725,7 +763,7 @@ def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport
         k = np.arange(count)
         zs = centre + radius * np.exp(2j * np.pi * k / count)
         block = np.array([
-            _grad_numerators(fp, xy, BracketObservable(m, complex(z)))[0] for z in zs
+            _grad_numerators(fp, xy, _phi_at(fp, xy, complex(z)), m)[0] for z in zs
         ])
         block *= np.prod(zs[:, None] - poles, axis=1)[:, None]
         blocks.append(np.exp(-2j * np.pi * np.outer(k, k) / count) @ block)

@@ -83,13 +83,15 @@ def frob_sq(a: Matrix):
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
+    # binary powering; the square past the top bit of k is never taken
     out = identity(len(a))
     base = a
     while k:
         if k & 1:
             out = mat_mul(out, base)
-        base = mat_mul(base, base)
         k >>= 1
+        if k:
+            base = mat_mul(base, base)
     return out
 
 

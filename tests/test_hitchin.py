@@ -349,6 +349,24 @@ def test_commutation_report_exact_nonzero_values(monkeypatch):
         assert rel == pytest.approx(float(want) / max(1.0, norm_f * norm_g), rel=1e-12)
 
 
+def test_delta_check_reports_a_planted_pairing_error(monkeypatch, solved):
+    # delta_check sums each entry pairing over the gradients' support, not
+    # through _contract; one product W_1 X_a1 W'_1 Y_1d added to every
+    # pairing must show on an exact point and stand far above a float
+    # point's rounding
+    points = [(sample_exact(3, 7, seed=0), Fraction(15, 2), Fraction(21, 2)),
+              (solved(3, 7), 7.7, 9.25)]
+    clean = [delta_check(pt, z, w) for pt, z, w in points]
+    pairing = hitchin._entry_pairing
+    monkeypatch.setattr(
+        hitchin, "_entry_pairing",
+        lambda rz, rw, a, b, c, d: pairing(rz, rw, a, b, c, d) + rz[0][a][0] * rw[1][d][0],
+    )
+    planted = [delta_check(pt, z, w) for pt, z, w in points]
+    assert clean[0] == 0 and planted[0] > 0
+    assert clean[1] < 1e-20 and planted[1] > 1e-9
+
+
 def test_commutation_report_float(solved):
     pt = solved(3, 6)
     rep = commutation_report(pt)

@@ -33,12 +33,15 @@ from hyperpoly.exact import (
     poly_from_roots,
     poly_matrix_charpoly,
 )
+from hyperpoly import QuiverPoint, hitchin
 from hyperpoly.hitchin import (
     BracketObservable,
     CommutationReport,
+    HiggsField,
     _contract,
     _eval_points,
     _exact_z,
+    _float_point,
     _pole_overflow,
     commutation_report,
     delta_check,
@@ -633,6 +636,8 @@ def _outputs(point, zs):
     )
 
 
+# (2, 8) at seed 2 has a zero x column 8 and y_7 = 0, so zero factors
+# meet the pairings' skip order
 _EXACT_SHAPES = [(2, 8), (3, 7), (3, 12), (4, 8), (4, 12), (5, 9), (6, 8), (6, 12)]
 
 
@@ -658,6 +663,45 @@ def test_bracket_layer_matches_reference_on_exact_points():
         assert _outputs(point, zs) == _reference_outputs(point, zs), (point.r, point.n)
 
 
+def _residues_reference(point):
+    return HiggsField(
+        tuple(point.residue(i) for i in range(point.n)), point.marked_points, point.flavor
+    )
+
+
+def test_residues_match_reference_on_exact_points():
+    # residues are read off the cleared x and y of the moment check; after a
+    # JSON round trip the Gaussian point has rational entries beside
+    # Gaussian ones, and a product of two rational entries stays a Fraction
+    points = [point for point, _ in _exact_points()]
+    gaussian = next(p for p in points if isinstance(p.x[0][0], GaussianRational))
+    mixed = QuiverPoint.loads(gaussian.dumps())
+    assert any(
+        type(mixed.x[a][i]) is type(mixed.y[i][b]) is Fraction
+        for i in range(mixed.n) for a in range(mixed.r) for b in range(mixed.r)
+    )
+    for point in points + [mixed]:
+        assert _typed_repr(residues(point)) == _typed_repr(_residues_reference(point))
+
+
+def test_commutation_report_builds_phi_once_per_evaluation_point(monkeypatch):
+    # three evaluation points and the powers m = 2, 3, 4 at rank 4: the
+    # weights and phi(z0) are cleared 3 times, not once per (m, z0)
+    calls = []
+    weights = hitchin._weights
+    monkeypatch.setattr(
+        hitchin, "_weights", lambda *args: calls.append(args[3:]) or weights(*args)
+    )
+    exact, floats = sample_exact(4, 8, seed=0), solve_real(4, 8, (Fraction(1),) * 8, seed=0)
+    commutation_report(exact)
+    # the exact weights m / (z0 - p_i) are m W_i over dw: no second pass
+    assert calls == [()] * 3
+    calls.clear()
+    commutation_report(floats)
+    # a float point computes m / (z0 - p_i) itself, once per (m, z0)
+    assert calls.count(()) == 3 and len(calls) == 12
+
+
 def _float_points():
     for r, n in [(2, 5), (3, 7), (4, 8)]:
         for seed in range(2):
@@ -667,6 +711,8 @@ def _float_points():
     # `commutation_report` keep Fraction weights
     point = solve_real(3, 7, (Fraction(1),) * 7, seed=1)
     yield dataclasses.replace(point, marked_points=tuple(Fraction(2 * i + 1, 3) for i in range(7)))
+    # complex entries with a zero x column and a zero y row
+    yield _float_point(sample_exact(2, 8, seed=2))
 
 
 def test_bracket_layer_matches_reference_bit_for_bit_on_float_points():
