@@ -14,14 +14,11 @@ from .errors import (
     DegenerateDiscriminantError,
     DegenerateSampleError,
     DegreeOverflowError,
-    LevelSetError,
     MomentMapError,
     NonConvergenceError,
-    NotMinimalOrbitError,
     PoleEvaluationError,
     TrivialFiberError,
     ValidationError,
-    ZeroMatrixError,
 )
 from .exact import DensePoly, GaussianRational, PolyMatrix
 
@@ -44,9 +41,7 @@ _LAZY = {
     "QuiverPoint": "quiver",
     "exact_point_from_x": "quiver",
     "min_orbit_check": "quiver",
-    "min_orbit_factor": "quiver",
     "moment_residual": "quiver",
-    "polygon_edges": "quiver",
     "sample_exact": "quiver",
     "solve_real": "quiver",
     "spectral": "spectral",
@@ -84,10 +79,8 @@ __all__ = [
     "DensePoly",
     "GaussianRational",
     "HiggsField",
-    "LevelSetError",
     "MomentMapError",
     "NonConvergenceError",
-    "NotMinimalOrbitError",
     "PoincarePoly",
     "PoleEvaluationError",
     "PolyMatrix",
@@ -95,7 +88,6 @@ __all__ = [
     "TrivialFiberError",
     "TwistedHiggs",
     "ValidationError",
-    "ZeroMatrixError",
     "commutation_report",
     "delta_check",
     "dimensions",
@@ -106,14 +98,12 @@ __all__ = [
     "jacobian_rank",
     "local_models",
     "min_orbit_check",
-    "min_orbit_factor",
     "moment_residual",
     "observable_grad",
     "order_check",
     "poincare",
     "poincare_rank2",
     "poisson_bracket",
-    "polygon_edges",
     "recursion_residual",
     "residues",
     "sample_exact",

@@ -19,18 +19,6 @@ class DegenerateSampleError(ValidationError):
     """Random draws kept producing rank-deficient x."""
 
 
-class LevelSetError(ValidationError):
-    """The configuration does not satisfy the required moment equations."""
-
-
-class ZeroMatrixError(ValidationError):
-    """The zero matrix admits no rank-one factorization."""
-
-
-class NotMinimalOrbitError(ValidationError):
-    """Matrix is not in the closure of the minimal nilpotent orbit."""
-
-
 class MomentMapError(ValidationError):
     """A complex moment map equation is violated."""
 

@@ -10,11 +10,11 @@ pairwise commutation of base components, and the rank of their Jacobian.
 Exact base coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k,
 built once per field and read by `hitchin_map` and the spectral layer.
 The exact bracket checks run on numerators too: x and y are cleared once
-per point (and `residues` reads phi_i off them), phi(z0) once per
+per call (and `residues` reads phi_i off them), phi(z0) once per
 evaluation point for every power, gradients are integer numerators over
 one denominator per half, and only a reported value is divided.
 Float points run on Python floats and complexes: the marked points are
-converted once per point (once per evaluation point in `higgs_eval`) and
+converted once per call (once per evaluation point in `higgs_eval`) and
 a Fraction weight once, not at every product, with the bits the Fraction
 fallback gave.
 """
@@ -169,36 +169,8 @@ def _edge_scale(col, row) -> float:
     )
 
 
-def _check_moment(point: QuiverPoint, xy: _Cleared) -> None:
-    """MomentMapError unless the point lies on the complex moment fiber.
-
-    Every scalar y_i x_i must vanish, edge by edge, and then the residues
-    x_i y_i must sum to zero.  An exact point is checked on its cleared
-    numerators: sum_a X_ai Y_ia = 0 for each edge i, then X Y = 0.  A float
-    point is checked within _MOMENT_TOL relative to the entry scale
-    (`_float_residues`).
-    """
-    if point.flavor != "exact":
-        _float_residues(point)
-        return
-    r, n = point.r, point.n
-    xs, ys = xy.xs, xy.ys
-    for i in range(n):
-        if sum(xs[a][i] * ys[i][a] for a in range(r)):
-            raise MomentMapError(
-                f"complex moment map violated: y_i x_i != 0 at edge {i + 1}",
-                edge=i + 1,
-            )
-    for a in range(r):
-        for b in range(r):
-            if sum(xs[a][i] * ys[i][b] for i in range(n)):
-                raise MomentMapError(
-                    "complex moment map violated: residues do not sum to zero"
-                )
-
-
 def _float_residues(point: QuiverPoint) -> tuple:
-    """Residue matrices of a float point, checked as `_check_moment` says."""
+    """Residue matrices of a float point, checked as `_checked_xy` says."""
     mats = []
     for i in range(point.n):
         col = point.x_col(i)
@@ -242,16 +214,14 @@ def _exact_residues(point: QuiverPoint, xy: _Cleared) -> tuple:
 def residues(point: QuiverPoint) -> HiggsField:
     """Residue matrices phi_i = x_i y_i of a quiver point.
 
-    Validates the complex moment map first (`_check_moment`: exactly on
+    Validates the complex moment map first (`_checked_xy`: exactly on
     the cleared numerators of an exact point, within a tolerance on a
     float point); tracelessness, square-zero and rank <= 1 of each phi_i
     then hold automatically for the outer products, which are built once,
     after the check: on an exact point from the numerators it checked.
     """
     if point.flavor == "exact":
-        xy = _cleared_xy(point)
-        _check_moment(point, xy)
-        mats = _exact_residues(point, xy)
+        mats = _exact_residues(point, _checked_xy(point))
     else:
         mats = _float_residues(point)
     return HiggsField(
@@ -376,7 +346,7 @@ def _exact_z(flavor: str, z):
 
 
 class _Cleared(NamedTuple):
-    """A point as the bracket kernels read it, prepared once per point.
+    """A point as the bracket kernels read it, prepared once per call.
 
     x = xs / dx and y = ys / dy, with xs r x n and ys n x r.  On a float
     point the entries are their own numerators over 1, ``poles`` holds the
@@ -392,11 +362,19 @@ class _Cleared(NamedTuple):
     complex_entries: bool = False
 
 
-def _cleared_xy(point: QuiverPoint) -> _Cleared:
-    """The point's `_Cleared` form: an exact point is cleared once with
-    `numerators`, a float point has its poles converted and its entries
-    tested once."""
+def _checked_xy(point: QuiverPoint) -> _Cleared:
+    """The point's `_Cleared` form, once it lies on the complex moment fiber.
+
+    An exact point is cleared once with `numerators`, a float point has its
+    poles converted and its entries tested once.  MomentMapError unless
+    every scalar y_i x_i vanishes, edge by edge, and then the residues
+    x_i y_i sum to zero.  An exact point is checked on its cleared
+    numerators: sum_a X_ai Y_ia = 0 for each edge i, then X Y = 0.  A float
+    point is checked within _MOMENT_TOL relative to the entry scale
+    (`_float_residues`).
+    """
     if point.flavor != "exact":
+        _float_residues(point)
         return _Cleared(
             point.x, 1, point.y, 1,
             tuple(float(p) for p in point.marked_points),
@@ -405,10 +383,21 @@ def _cleared_xy(point: QuiverPoint) -> _Cleared:
     r, n = point.r, point.n
     xs, dx = numerators(v for row in point.x for v in row)
     ys, dy = numerators(v for row in point.y for v in row)
-    return _Cleared(
-        [xs[a * n:(a + 1) * n] for a in range(r)], dx,
-        [ys[i * r:(i + 1) * r] for i in range(n)], dy,
-    )
+    xs = [xs[a * n:(a + 1) * n] for a in range(r)]
+    ys = [ys[i * r:(i + 1) * r] for i in range(n)]
+    for i in range(n):
+        if sum(xs[a][i] * ys[i][a] for a in range(r)):
+            raise MomentMapError(
+                f"complex moment map violated: y_i x_i != 0 at edge {i + 1}",
+                edge=i + 1,
+            )
+    for a in range(r):
+        for b in range(r):
+            if sum(xs[a][i] * ys[i][b] for i in range(n)):
+                raise MomentMapError(
+                    "complex moment map violated: residues do not sum to zero"
+                )
+    return _Cleared(xs, dx, ys, dy)
 
 
 def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1, poles=None) -> list:
@@ -416,8 +405,8 @@ def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1, poles=None
     pole.
 
     On the float flavor a float or complex z meets the marked points as
-    floats: ``poles`` when the caller converted them once per point
-    (`_cleared_xy`), else converted here.  Fraction's fallback makes the
+    floats: ``poles`` when the caller converted them once per call
+    (`_checked_xy`), else converted here.  Fraction's fallback makes the
     same conversion at every z - p_i (complex(p) is complex(float(p))), so
     each difference keeps its bits, and z equals the converted point
     exactly when the difference is zero.
@@ -518,8 +507,7 @@ def observable_grad(point: QuiverPoint, obs: BracketObservable) -> tuple:
     (z0 - p_i): the x entries row by row, then the y entries row by row.
     Exact points run on numerators and divide once per entry.
     """
-    xy = _cleared_xy(point)
-    _check_moment(point, xy)
+    xy = _checked_xy(point)
     g, ex, ey = _observable_numerators(point, xy, obs)
     if point.flavor != "exact":
         return g
@@ -548,8 +536,7 @@ def _contract(r: int, n: int, f: tuple, g: tuple):
 
 def poisson_bracket(point: QuiverPoint, f: BracketObservable, g: BracketObservable):
     """Canonical holomorphic bracket of two trace-power observables."""
-    xy = _cleared_xy(point)
-    _check_moment(point, xy)
+    xy = _checked_xy(point)
     gf, _, ey = _observable_numerators(point, xy, f)
     gg, ex, _ = _observable_numerators(point, xy, g)
     val = _contract(point.r, point.n, gf, gg)
@@ -595,8 +582,7 @@ def delta_check(point: QuiverPoint, z, w):
     z, w = _exact_z(point.flavor, z), _exact_z(point.flavor, w)
     if z == w:
         raise ValueError("coincident evaluation points")
-    xy = _cleared_xy(point)
-    _check_moment(point, xy)
+    xy = _checked_xy(point)
     exact = point.flavor == "exact"
     r = point.r
     at_z, at_w = _phi_at(point, xy, z), _phi_at(point, xy, w)
@@ -667,8 +653,7 @@ def commutation_report(point: QuiverPoint) -> CommutationReport:
     """Brackets of all observable pairs at the evaluation points
     max(p_j) + 1, + 2, + 3."""
     n, r = point.n, point.r
-    xy = _cleared_xy(point)
-    _check_moment(point, xy)
+    xy = _checked_xy(point)
     # phi(z0) is built once per evaluation point and read by every power
     ats = [_phi_at(point, xy, z0) for z0 in _eval_points(point.marked_points, 3)]
     obs = [(m, at) for m in range(2, r + 1) for at in ats]
@@ -750,8 +735,7 @@ def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport
             f"dim_b; use the dual level ({n - r}, {n})"
         )
     fp = _float_point(point)
-    xy = _cleared_xy(fp)
-    _check_moment(fp, xy)
+    xy = _checked_xy(fp)
     poles = np.array([float(p) for p in fp.marked_points])
     centre = poles.mean()
     radius = 1.2 * np.abs(poles - centre).max() + 1

@@ -21,14 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DegenerateSampleError,
-    LevelSetError,
-    NonConvergenceError,
-    NotMinimalOrbitError,
-    TrivialFiberError,
-    ZeroMatrixError,
-)
+from .errors import DegenerateSampleError, NonConvergenceError, TrivialFiberError
 from .exact import (
     GaussianRational,
     numerators,
@@ -554,86 +547,7 @@ def solve_real(
 
 
 # ---------------------------------------------------------------------------
-# polygon edge vectors
-
-@dataclass(frozen=True)
-class PolygonEdges:
-    """Traceless Hermitian edge vectors of the underlying polygon."""
-
-    v: tuple[tuple[tuple, ...], ...]
-    closure_sq: object
-    norms_sq: tuple
-
-
-def polygon_edges(x: Sequence[Sequence], alpha: Sequence, tol: float = 1e-9) -> PolygonEdges:
-    """Edge vectors v_i = x_i x_i^* - (alpha_i / r) Id of a polygon point.
-
-    Requires x to lie on the polygon level set: x x^* must be (|alpha|/r) Id
-    and each column must have squared length alpha_i.  Exact input is
-    checked exactly, float input within tol.
-    """
-    xm = linalg.mat(x)
-    r, n = linalg.shape(xm)
-    avec = tuple(Fraction(a) for a in alpha)
-    if len(avec) != n:
-        raise ValueError("length vector size must match the edge count")
-    exact = _is_exact_matrix(xm)
-    total = sum(avec)
-    if exact:
-        center = total / r
-        avals = list(avec)
-    else:
-        center = float(total) / r
-        avals = [float(a) for a in avec]
-    gram = linalg.mat_sub(
-        linalg.mat_mul(xm, linalg.conj_t(xm)),
-        linalg.mat_scale(linalg.identity(r), center),
-    )
-    defect = linalg.frob_sq(gram)
-    cols_defect = []
-    for i in range(n):
-        col = tuple(xm[a][i] for a in range(r))
-        cols_defect.append(sum(norm_sq(v) for v in col) - avals[i])
-    edge_defect = sum(d * d for d in cols_defect)
-    bad = (defect != 0 or edge_defect != 0) if exact else (
-        float(defect) > tol or float(edge_defect) > tol
-    )
-    if bad:
-        raise LevelSetError(
-            "x is not on the polygon level set for this length vector"
-        )
-    edges = []
-    norms = []
-    for i in range(n):
-        col = tuple(xm[a][i] for a in range(r))
-        vi = tuple(
-            tuple(
-                col[a] * col[b].conjugate() - (avals[i] / r if a == b else 0)
-                for b in range(r)
-            )
-            for a in range(r)
-        )
-        edges.append(vi)
-        norms.append(linalg.frob_sq(vi))
-    closure = linalg.frob_sq(
-        [
-            [sum(e[a][b] for e in edges) for b in range(r)]
-            for a in range(r)
-        ]
-    )
-    return PolygonEdges(
-        v=tuple(edges), closure_sq=closure, norms_sq=tuple(norms)
-    )
-
-
-# ---------------------------------------------------------------------------
 # minimal nilpotent orbit closure
-
-def _is_exact_matrix(m) -> bool:
-    return all(
-        isinstance(v, (int, Fraction, GaussianRational)) for row in m for v in row
-    )
-
 
 def min_orbit_check(m: Sequence[Sequence], tol: float = 1e-8) -> bool:
     """Membership test for {M : M traceless, M^2 = 0, rank M <= 1}.
@@ -642,7 +556,7 @@ def min_orbit_check(m: Sequence[Sequence], tol: float = 1e-8) -> bool:
     the largest singular value.
     """
     mm = linalg.mat(m)
-    if _is_exact_matrix(mm):
+    if all(isinstance(v, (int, Fraction, GaussianRational)) for row in mm for v in row):
         if linalg.mat_trace(mm):
             return False
         if linalg.frob_sq(linalg.mat_mul(mm, mm)) != 0:
@@ -659,37 +573,3 @@ def min_orbit_check(m: Sequence[Sequence], tol: float = 1e-8) -> bool:
         return False
     return svals.size < 2 or float(svals[1]) <= tol * scale
 
-
-def min_orbit_factor(m: Sequence[Sequence]) -> tuple[tuple, tuple]:
-    """Factor a minimal-orbit matrix as an outer product M = x y with y x = 0.
-
-    The factorization is unique up to a scalar.  Raises ZeroMatrixError on
-    the zero matrix and NotMinimalOrbitError when the membership test fails.
-    """
-    mm = linalg.mat(m)
-    r = len(mm)
-    if _is_exact_matrix(mm):
-        if linalg.frob_sq(mm) == 0:
-            raise ZeroMatrixError("the zero matrix has no rank-one factor")
-        if not min_orbit_check(mm):
-            raise NotMinimalOrbitError("matrix is not in the minimal orbit closure")
-        col = None
-        for j in range(r):
-            c = tuple(mm[a][j] for a in range(r))
-            if any(c):
-                col = c
-                break
-        a0 = next(i for i, v in enumerate(col) if v)
-        x = col
-        y = tuple(v / col[a0] for v in mm[a0])
-        return x, y
-    arr = np.array([[complex(v) for v in row] for row in mm])
-    svals = np.linalg.svd(arr, compute_uv=False)
-    if not svals.size or float(svals[0]) == 0.0:
-        raise ZeroMatrixError("the zero matrix has no rank-one factor")
-    if not min_orbit_check(mm):
-        raise NotMinimalOrbitError("matrix is not in the minimal orbit closure")
-    u, s, vh = np.linalg.svd(arr)
-    x = tuple(complex(v) for v in (u[:, 0] * s[0]))
-    y = tuple(complex(v) for v in vh[0, :])
-    return x, y

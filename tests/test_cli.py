@@ -651,6 +651,9 @@ print(bad)
     from hyperpoly import hitchin, quiver, spectral
 
     assert set(hyperpoly.__all__) <= set(dir(hyperpoly))
+    # a lazy export missing from __all__ is a half-deleted name
+    modules = {"hitchin", "quiver", "spectral"}
+    assert set(hyperpoly._LAZY) - modules <= set(hyperpoly.__all__)
     assert hyperpoly.residues is hitchin.residues
     assert hyperpoly.QuiverPoint is quiver.QuiverPoint
     assert hyperpoly.twist is spectral.twist

@@ -9,23 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly import quiver
-from hyperpoly.errors import (
-    LevelSetError,
-    NonConvergenceError,
-    NotMinimalOrbitError,
-    TrivialFiberError,
-    ValidationError,
-    ZeroMatrixError,
-)
+from hyperpoly.errors import NonConvergenceError, TrivialFiberError, ValidationError
 from hyperpoly.exact import GaussianRational
 from hyperpoly.linalg import exact_rank
 from hyperpoly.quiver import (
     QuiverPoint,
     exact_point_from_x,
     min_orbit_check,
-    min_orbit_factor,
     moment_residual,
-    polygon_edges,
     sample_exact,
     solve_real,
 )
@@ -301,38 +292,34 @@ def test_solve_real_converges_on_ten_seeds(r, n):
 # ---------------------------------------------------------------------------
 # polygon-space shadow
 
+# with y = 0 the real moment equation is the polygon one: x x* = (|alpha| / r) Id
+# and each column of x (an edge) has squared length alpha_i; the 2x4 x below,
+# with alpha = 1^4, lies on that level set
+
+_POLYGON_X = (
+    (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
+    (Fraction(0), Fraction(1), Fraction(1), Fraction(0)),
+)
+
+
+def _real_norm_at_zero_y(x, flavor):
+    y = ((0, 0),) * 4 if flavor == "exact" else ((0.0, 0.0),) * 4
+    pt = QuiverPoint(r=2, n=4, flavor=flavor, x=x, y=y)
+    return moment_residual(pt, alpha=(1, 1, 1, 1)).real_norm
+
+
 def test_polygon_edges_exact_norms():
-    # scaled 2x4 sample satisfying the real equation exactly:
-    # columns of x orthogonal rows scaled so xx* = (sum alpha / r) I
-    x = (
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(1), Fraction(1), Fraction(0)),
-    )
-    alpha = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
-    edges = polygon_edges(x, alpha)
-    assert edges.closure_sq == 0
-    assert edges.norms_sq == tuple(
-        (1 - Fraction(1, 2)) * a * a for a in alpha
-    )
+    assert _real_norm_at_zero_y(_POLYGON_X, "exact") == 0
 
 
 def test_polygon_edges_rejects_wrong_level():
-    x = (
-        (Fraction(2), Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(1), Fraction(1), Fraction(0)),
-    )
-    with pytest.raises(LevelSetError):
-        polygon_edges(x, (Fraction(1),) * 4)
+    wrong_level = ((Fraction(2),) + _POLYGON_X[0][1:], _POLYGON_X[1])
+    assert _real_norm_at_zero_y(wrong_level, "exact") > 0
 
 
 def test_polygon_edges_float():
-    # float copy of the exact configuration above; y = 0 here, so the pure
-    # polygon equations hold (a hyperpolygon solver point would not pass)
-    x = ((1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0))
-    edges = polygon_edges(x, (1, 1, 1, 1), tol=1e-9)
-    assert float(edges.closure_sq) < 1e-14
-    for nsq in edges.norms_sq:
-        assert abs(float(nsq) - 0.5) < 1e-12
+    x = tuple(tuple(float(v) for v in row) for row in _POLYGON_X)
+    assert _real_norm_at_zero_y(x, "float") < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +346,7 @@ rat9 = st.fractions(min_value=-9, max_value=9, max_denominator=4)
         )
     )
 )
-def test_min_orbit_factor_roundtrip(xy):
+def test_min_orbit_check_on_traceless_outer_products(xy):
     xs, ys = xy
     # force tracelessness: y orthogonal to x
     dot = sum(a * b for a, b in zip(xs, ys))
@@ -371,29 +358,20 @@ def test_min_orbit_factor_roundtrip(xy):
         xs = list(xs)
         # subtract along the first coordinate instead: adjust y_0
         ys[0] = ys[0] - correction
+    # a rank <= 1 square-zero matrix, the zero matrix included
     m = [[a * b for b in ys] for a in xs]
-    if all(all(v == 0 for v in row) for row in m):
-        with pytest.raises(ZeroMatrixError):
-            min_orbit_factor(m)
-        return
-    xv, yv = min_orbit_factor(m)
-    rebuilt = [[a * b for b in yv] for a in xv]
-    assert rebuilt == [list(row) for row in m]
+    assert min_orbit_check(m) is True
 
 
 def test_min_orbit_factor_rejects_rank2():
+    # traceless, but its square is the identity: rank 2, not x_i y_i
     m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
-    with pytest.raises(NotMinimalOrbitError):
-        min_orbit_factor(m)
+    assert min_orbit_check(m) is False
 
 
 def test_min_orbit_float():
     m = [[0.5, -0.5], [0.5, -0.5]]
     assert min_orbit_check(m) is True
-    x, y = min_orbit_factor(m)
-    for a in range(2):
-        for b in range(2):
-            assert abs(x[a] * y[b] - m[a][b]) < 1e-12
 
 
 def test_min_orbit_gaussian_entries():
