@@ -6,8 +6,9 @@ exact entries (int, Fraction, GaussianRational) and floating entries
 arithmetic, ``.conjugate()`` and ``.real``.  The one exact elimination,
 `_eliminate`, does not run on the entries themselves: it clears their
 denominators once and eliminates fraction-free on the numerators (ints, or
-GaussianRationals with integral parts).  `exact_rank` reads its pivots and
-`kernel_numerators` its kernel on those numerators, with no division.
+GaussianRationals with integral parts).  `exact_rank` reads its pivots,
+`kernel_numerators` its kernel and `quiver._fiber_kernel` the kernel of the
+fiber equations x y = 0, all on those numerators with no division.
 """
 
 from __future__ import annotations
@@ -83,32 +84,31 @@ def frob_sq(a: Matrix):
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
-    # binary powering; the square past the top bit of k is never taken
-    out = identity(len(a))
+    # binary powering from the lowest set bit of k, so no product I * A is
+    # taken; the square past the top bit of k is never taken either
+    out = None
     base = a
     while k:
         if k & 1:
-            out = mat_mul(out, base)
+            out = base if out is None else mat_mul(out, base)
         k >>= 1
         if k:
             base = mat_mul(base, base)
-    return out
+    return identity(len(a)) if out is None else out
 
 
-def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object, list]:
+def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object]:
     """Fraction-free Gauss-Jordan (Bareiss) on the cleared numerators of a.
 
-    Returns (rows, pivots, d, order): the reduced rows on numerators, the
-    pivot columns, the last pivot d and the input row each reduced row
-    came from.  At each pivot every other row becomes (pivot * row -
-    row[c] * pivot_row) // previous pivot; that division is exact, every
-    entry stays a minor of the cleared matrix, and every pivot row ends
-    with d as its leading entry, so rows / d is the canonical form.
+    Returns (rows, pivots, d): the reduced rows on numerators, the pivot
+    columns and the last pivot d.  At each pivot every other row becomes
+    (pivot * row - row[c] * pivot_row) // previous pivot; that division is
+    exact, every entry stays a minor of the cleared matrix, and every pivot
+    row ends with d as its leading entry, so rows / d is the canonical form.
     """
     p, q = len(a), len(a[0])
     nums, _ = numerators(v for row in a for v in row)
     rows = [nums[i * q:(i + 1) * q] for i in range(p)]
-    order = list(range(p))
     pivots = []
     prev = 1
     for c in range(q):
@@ -117,7 +117,6 @@ def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object, list]:
         if pivot is None:
             continue
         rows[ri], rows[pivot] = rows[pivot], rows[ri]
-        order[ri], order[pivot] = order[pivot], order[ri]
         top = rows[ri]
         lead = top[c]
         for i, row in enumerate(rows):
@@ -132,7 +131,7 @@ def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object, list]:
         pivots.append(c)
         if len(pivots) == p:
             break
-    return rows, tuple(pivots), prev, order
+    return rows, tuple(pivots), prev
 
 
 def exact_rank(a: Matrix) -> int:
@@ -148,7 +147,7 @@ def kernel_numerators(a: Matrix) -> tuple[list[list], object]:
     """
     if not a:
         return [], 1
-    rows, pivots, d, _ = _eliminate(a)
+    rows, pivots, d = _eliminate(a)
     q = len(a[0])
     basis = []
     for fc in (c for c in range(q) if c not in pivots):

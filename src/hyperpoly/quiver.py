@@ -217,24 +217,67 @@ def _canonical_primitive(nums: Sequence[int]) -> tuple[Fraction, ...]:
 
 def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int) -> tuple[list[list], object]:
     """Kernel of the linear system cutting out { y : x y = 0, y_i x_i = 0 },
-    as `linalg.kernel_numerators`: integer vectors K and d with K / d the
-    canonical basis.
+    as `linalg.kernel_numerators`: vectors K and d with K / d the canonical
+    basis of that system, unknowns the entries of y flattened row by row.
 
-    Unknowns are the entries of y flattened row by row.
+    Let c0 be the first nonzero entry of the column x_i.  Column (i, c0) is
+    always a pivot: only the edge equation y_i x_i = 0 gives it an entry
+    outside x y = 0, where the earlier columns of edge i have zeros.  That
+    equation is solved for y_(i,c0) by hand, which leaves the r^2 equations
+    x y = 0 in z_(i,c) = y_(i,c) / X_(c0,i), c != c0, on the cleared
+    numerators X of x: every entry integral, no division.  An edge with
+    x_i = 0 keeps its r unknowns, with scale 1.  The substitution keeps the
+    column order and the support of every kernel vector, so the other
+    pivots are those of this reduced system and each canonical vector is a
+    reduced one w_f, lifted edge by edge: y_p = X_(c0,p) w_f[p] / X_(c0,f)
+    and y_(i,c0) = -sum_c X_(c,i) w_f[(i,c)] / X_(c0,f), over one common d.
+    A Gaussian X_(c0,f) is divided as its conjugate over its norm.
     """
-    rows = []
-    for i in range(n):
-        row = [0] * (n * r)
+    nums, _ = numerators(v for row in x for v in row)
+    xs = [nums[a * n:(a + 1) * n] for a in range(r)]
+    lead = [next((a for a in range(r) if xs[a][i]), None) for i in range(n)]
+    # reduced unknowns in column order: (edge, component, scale)
+    cols = [
+        (i, c, 1 if c0 is None else xs[c0][i])
+        for i, c0 in enumerate(lead)
+        for c in range(r)
+        if c != c0
+    ]
+    reduced = [[0] * len(cols) for _ in range(r * r)]
+    for j, (i, c, s) in enumerate(cols):
         for a in range(r):
-            row[i * r + a] = x[a][i]
-        rows.append(row)
-    for a in range(r):
-        for b in range(r):
-            row = [0] * (n * r)
-            for i in range(n):
-                row[i * r + b] = x[a][i]
-            rows.append(row)
-    return linalg.kernel_numerators(linalg.mat(rows))
+            if xs[a][i]:
+                reduced[a * r + c][j] = xs[a][i] * s
+                if xs[c][i]:
+                    reduced[a * r + lead[i]][j] = -xs[a][i] * xs[c][i]
+    rows, pivots, d_red = linalg._eliminate(reduced)
+    # 1 / X_(c0,f) = inv / norm with norm a positive int
+    inverses = {}
+    for f in range(len(cols)):
+        if f in pivots:
+            continue
+        s = cols[f][2]
+        if isinstance(s, int):
+            inverses[f] = (1 if s > 0 else -1), abs(s)
+        else:
+            inverses[f] = s.conjugate(), (s * s.conjugate()).re.numerator
+    scale = math.lcm(*(norm for _, norm in inverses.values()))
+    d = d_red * scale
+    # typed zeros: a Gaussian d keeps every entry Gaussian
+    zero = 0 * d
+    basis = []
+    for f, (inv, norm) in inverses.items():
+        m = inv * (scale // norm)
+        vec = [zero] * (n * r)
+        for j, w in [(f, d_red)] + [(p, -row[f]) for row, p in zip(rows, pivots)]:
+            if not w:
+                continue
+            i, c, s = cols[j]
+            vec[i * r + c] = s * w * m
+            if xs[c][i]:
+                vec[i * r + lead[i]] -= xs[c][i] * w * m
+        basis.append(vec)
+    return basis, d
 
 
 def exact_point_from_x(
@@ -249,7 +292,7 @@ def exact_point_from_x(
     integer coefficients, then scaled to a primitive integer vector with
     positive leading coordinate, so the output is deterministic and unique
     up to the seed.  The coefficients combine the kernel on numerators
-    (`linalg.kernel_numerators`, K / d): a real combination is scaled
+    (`_fiber_kernel`, K / d): a real combination is scaled
     straight to its primitive vector, a complex one is divided by d once
     per entry.
     """

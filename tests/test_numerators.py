@@ -1,15 +1,17 @@
 """The exact kernels on numerators against Fraction references.
 
-The elimination `linalg._eliminate` and `linalg.kernel_numerators`,
-`exact.poly_matrix_charpoly`, `HiggsField.cleared_traces`,
-`exact.cleared_vanishing_order` and the bracket layer of `hitchin` clear
-denominators once and divide once at the end, or never.  The references
-below are the field eliminations and gradients they replaced, kept here
-only, with the `DensePoly` division they need.  Reduced rows and kernels
-over their last pivot d must equal the references' by value; elsewhere
-typed reprs must agree: same values and same scalar types.  On float
-points the bracket layer must give the references' floats bit for bit,
-and so must the float `hitchin_map`, which keeps a reference here too.
+The elimination `linalg._eliminate` and `linalg.kernel_numerators`, the
+fiber kernel `quiver._fiber_kernel`, `exact.poly_matrix_charpoly`,
+`HiggsField.cleared_traces`, `exact.cleared_vanishing_order` and the
+bracket layer of `hitchin` clear denominators once and divide once at the
+end, or never.  The references below are the field eliminations and
+gradients they replaced, kept here only, with the `DensePoly` division
+they need, and the full fiber system of n + r^2 rows.  Reduced rows and
+kernels over their last pivot d must equal the references' by value;
+elsewhere typed reprs must agree: same values and same scalar types.  On
+float points the bracket layer must give the references' floats bit for
+bit, and so must the float `hitchin_map`, which keeps a reference here
+too.
 """
 
 import dataclasses
@@ -51,7 +53,7 @@ from hyperpoly.hitchin import (
     residues,
 )
 from hyperpoly.linalg import norm_sq
-from hyperpoly.quiver import exact_point_from_x, sample_exact, solve_real
+from hyperpoly.quiver import _fiber_kernel, exact_point_from_x, sample_exact, solve_real
 from hyperpoly.spectral import order_check, spectral_charpoly, twist
 
 
@@ -447,7 +449,7 @@ def _over_d(rows, d) -> tuple:
 
 def _eliminated(a):
     """The reduced rows of `_eliminate` over its last pivot, with pivots."""
-    rows, pivots, d, _ = linalg._eliminate(a)
+    rows, pivots, d = linalg._eliminate(a)
     return _over_d(rows, d), pivots
 
 
@@ -496,10 +498,10 @@ def test_kernel_numerators_over_d_are_the_kernel_basis(a):
         assert type(d) is int
 
 
-def test_rref_on_the_sampling_fiber():
-    # the system sample_exact solves for y: int zeros around Fraction entries
-    r, n = 5, 9
-    x = sample_exact(r, n, seed=0).x
+def _fiber_system(x):
+    """The full linear system for y: one row y_i x_i = 0 per edge, then the
+    r^2 rows of x y = 0, with int zeros around the entries of x."""
+    r, n = len(x), len(x[0])
     rows = []
     for i in range(n):
         row = [0] * (n * r)
@@ -512,7 +514,51 @@ def test_rref_on_the_sampling_fiber():
             for i in range(n):
                 row[i * r + b] = x[a][i]
             rows.append(tuple(row))
-    assert _eliminated(tuple(rows)) == _rref_reference(tuple(rows))
+    return tuple(rows)
+
+
+def test_rref_on_the_sampling_fiber():
+    # the system sample_exact solves for y: int zeros around Fraction entries
+    rows = _fiber_system(sample_exact(5, 9, seed=0).x)
+    assert _eliminated(rows) == _rref_reference(rows)
+
+
+@st.composite
+def fiber_xs(draw):
+    """r-by-n x, r <= 5 and n <= 12: rational entries with non-unit
+    denominators or Gaussian ones, half of them zero, and whole zero
+    columns and rows on request."""
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(Fraction(0)), draw(st.sampled_from([small, gaussian])))
+    x = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        for row in x:
+            row[i] = Fraction(0)
+    for a in draw(st.lists(st.integers(0, r - 1), max_size=2)):
+        x[a] = [Fraction(0)] * n
+    return tuple(tuple(row) for row in x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fiber_xs())
+def test_fiber_kernel_is_the_full_systems_canonical_kernel(x):
+    # the kernel on x y = 0 alone, lifted through the edge equations, is the
+    # canonical kernel of the full system, in its numerator ring: a Gaussian
+    # d keeps every entry Gaussian, zeros included
+    r, n = len(x), len(x[0])
+    basis, d = _fiber_kernel(x, r, n)
+    assert list(_over_d(basis, d)) == _kernel_reference(_fiber_system(x))
+    ring = GaussianRational if isinstance(d, GaussianRational) else int
+    assert type(d) is ring and all(type(v) is ring for vec in basis for v in vec)
+
+
+def test_mat_pow_is_repeated_mat_mul():
+    a = ((Fraction(1, 2), 2, 0), (GaussianRational(0, 1), Fraction(-3), 1), (0, Fraction(1, 3), 5))
+    want = linalg.identity(3)
+    for k in range(8):
+        assert linalg.mat_pow(a, k) == want
+        want = linalg.mat_mul(want, a)
 
 
 # ---------------------------------------------------------------------------

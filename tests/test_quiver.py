@@ -79,6 +79,9 @@ _SAMPLE_DIGESTS = {
     (5, 9): "a27afdbddd0f46ad22c9998cc94a04147d80dc07553acfe7221abaed6590fdfc",
     (6, 8): "edbfc47c88ddbd310070e1a69097ea4b5bff8ed8c52b9cc731b47d167c65699e",
     (6, 12): "44aeeba174ac9e53366d763f147c6712083edad64f6035cda04b0da218c9cb89",
+    # recorded before the fiber kernel was solved on x y = 0 alone
+    (3, 30): "63e5b2da567f27a0a43925a4f5d2af225392309ab8a50d8429dfcb0ffbed25c6",
+    (4, 30): "da22530998983179f5d2f1f745bf4fad9330d7d25210f3097d2edbef468e4282",
 }
 
 
