@@ -5,17 +5,18 @@ complex) plus :class:`GaussianRational`.  All exact code in this package is
 duck-typed over that protocol: a scalar must support field arithmetic,
 ``.conjugate()``, ``.real`` and ``.imag``.  Rationals are plain
 ``fractions.Fraction``; there is no custom real-rational class.
-The exact kernels (the elimination in `linalg`, `charpoly_numerators`,
-`cleared_vanishing_order`, the cleared traces of a Higgs field, its moment
-map and bracket checks) run on numerators: `numerators` clears the
-denominators of their input once, the kernel works in that numerator ring
-(Python ints, or GaussianRational with integral parts for complex input,
-where ``//`` is exact division in both), and `ratio` divides once at the
-end.  `poly_add`, `poly_mul` and `poly_divmod` on coefficient lists are
-the only polynomial sum, product and division loops over a numerator
-ring, and `squarefree_mod_p` the one loop over F_p; `DensePoly` is a
-value type over the first two, and `PolyMatrix` a validated container of
-polynomials that keeps their Faddeev-LeVerrier numerators.
+The exact kernels (the elimination in `linalg`, the division-free
+charpoly `charpoly_numerators`, `cleared_vanishing_order`, the cleared
+traces of a Higgs field, its moment map and bracket checks) run on
+numerators: `numerators` clears the denominators of their input once, the
+kernel works in that numerator ring (Python ints, or GaussianRational with
+integral parts for complex input, where ``//`` is exact division in both),
+and `ratio` divides once at the end.  `poly_add`, `poly_mul` and
+`poly_divmod` on coefficient lists are the only polynomial sum, product
+and division loops over a numerator ring, and `squarefree_mod_p` the one
+loop over F_p; `DensePoly` is a value type over the first two, and
+`PolyMatrix` a validated container of polynomials that keeps the
+Berkowitz numerators of its characteristic polynomial.
 Truncated power series have no type here: the Betti layer keeps them as
 plain coefficient lists.
 """
@@ -522,7 +523,7 @@ class PolyMatrix:
 
     A validated container: its arithmetic is the generic ring code of
     `linalg` applied to ``rows``.  It also keeps the result of
-    `charpoly_numerators`, which every reader of one matrix shares.
+    `charpoly_numerators`, one Berkowitz pass that all its readers share.
     """
 
     __slots__ = ("rows", "size", "var", "_numerators")
@@ -558,21 +559,13 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows!r})"
 
 
-def _poly_matmul(a: list, b: list, diagonal_only: bool = False) -> list:
-    """Product of square matrices of coefficient lists; with diagonal_only
-    the entries off the diagonal are left empty."""
-    size = len(a)
-    out = []
-    for i, row in enumerate(a):
-        new = []
-        for j in range(size):
-            acc: list = []
-            if not diagonal_only or i == j:
-                for f, brow in zip(row, b):
-                    acc = poly_add(acc, poly_mul(f, brow[j]))
-            new.append(acc)
-        out.append(new)
-    return out
+def _poly_dot(xs: Sequence, ys: Sequence) -> list:
+    """Sum of the products of paired coefficient lists."""
+    acc: list = []
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = poly_add(acc, poly_mul(x, y))
+    return acc
 
 
 def charpoly_numerators(m: PolyMatrix) -> tuple[tuple[list, ...], int]:
@@ -580,31 +573,34 @@ def charpoly_numerators(m: PolyMatrix) -> tuple[tuple[list, ...], int]:
 
     D is the least common denominator of the coefficients of ``m``, and the
     C_i, coefficient lists lowest degree first, are the characteristic
-    coefficients of the numerator matrix D*m.  They come from the
-    Faddeev-LeVerrier recurrence M_1 = D*m, M_k = D*m (M_(k-1) + C_(k-1) Id),
-    C_k = -Tr(M_k) / k, run on numerators: Tr(M_k) is divisible by k, so
-    the pass never leaves the numerator ring.  r - 1 matrix products, the
-    last one on the diagonal only; the pass runs once per matrix.
+    coefficients of the numerator matrix A = D*m.  They come from
+    Berkowitz's recurrence (Inf. Process. Lett. 18, 1984), which uses ring
+    operations only: with the leading block of size k + 1 split as
+    [[A_k, S], [R, a]], the charpoly of A_(k+1), highest power first, is
+    the lower triangular Toeplitz matrix with first column
+    (1, -a, -R S, -R A_k S, ..., -R A_k^(k-1) S) times that of A_k.  From
+    the empty block (charpoly 1) this takes k - 1 matrix-vector products
+    on A_k per step; the pass runs once per matrix.
     """
     if m._numerators is None:
-        size = m.size
         nums, d = numerators(c for row in m.rows for e in row for c in e.coeffs)
         it = iter(nums)
         a = [[[next(it) for _ in e.coeffs] for e in row] for row in m.rows]
-        mk = a
-        cs = []
-        for k in range(1, size + 1):
-            if k > 1:
-                shifted = [
-                    [poly_add(e, cs[-1]) if i == j else e for j, e in enumerate(row)]
-                    for i, row in enumerate(mk)
-                ]
-                # only the trace of the last product is read
-                mk = _poly_matmul(a, shifted, diagonal_only=k == size)
-            trace: list = []
-            for i in range(size):
-                trace = poly_add(trace, mk[i][i])
-            cs.append([-(t // k) for t in trace])
+        cs: list = []
+        for k in range(m.size):
+            block = [row[:k] for row in a[:k]]
+            col = [a[i][k] for i in range(k)]
+            # the Toeplitz column below its leading 1
+            q = [[-c for c in a[k][k]]]
+            for j in range(k):
+                if j:
+                    col = [_poly_dot(row, col) for row in block]
+                q.append([-c for c in _poly_dot(a[k][:k], col)])
+            # times the old charpoly; both leading 1s are added as sums
+            cs = [
+                poly_add(poly_add(q[i], cs[i] if i < k else []), _poly_dot(q[:i][::-1], cs))
+                for i in range(k + 1)
+            ]
         m._numerators = (tuple(cs), d)
     return m._numerators
 
@@ -613,9 +609,9 @@ def poly_matrix_charpoly(m: PolyMatrix) -> list[DensePoly]:
     """Characteristic polynomial coefficients of a polynomial matrix.
 
     Returns [c_1, ..., c_r] with det(t*Id - m) = t^r + c_1 t^(r-1) + ... + c_r,
-    each c_i a polynomial in the matrix variable.  The recurrence runs on
-    the numerators of `charpoly_numerators`; the only division is the one
-    boundary division c_i = C_i / D^i per coefficient.
+    each c_i a polynomial in the matrix variable.  Berkowitz's recurrence
+    on the numerators of `charpoly_numerators` divides nowhere; the only
+    division is the boundary one c_i = C_i / D^i per coefficient.
     """
     cs, d = charpoly_numerators(m)
     return [

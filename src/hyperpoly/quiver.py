@@ -307,16 +307,18 @@ def exact_point_from_x(
         raise TrivialFiberError(
             f"trivial fiber: only y = 0 satisfies the equations at r={r}, n={n}"
         )
+    # sparse vectors (<= 2(r^2 + 1) nonzeros); untouched entries stay 0 * d
+    support = [[(k, v) for k, v in enumerate(vec) if v] for vec in basis]
     rng = random.Random(seed)
     flat = None
     while flat is None:
         coeffs = [rng.randint(-5, 5) for _ in basis]
         if not any(coeffs):
             continue
-        flat = [
-            sum(c * vec[k] for c, vec in zip(coeffs, basis))
-            for k in range(n * r)
-        ]
+        flat = [0 * d] * (n * r)
+        for c, terms in zip(coeffs, support):
+            for k, v in terms:
+                flat[k] += c * v
         if not any(flat):
             flat = None
     # on int numerators (a rational x) the combination and its quotient by

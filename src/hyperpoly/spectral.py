@@ -10,10 +10,10 @@ powers at which `hitchin_map` raises.  This module computes the c_i,
 checks the vanishing-order bounds ord_{p_j}(c_i) >= floor((i+1)/2) at the
 marked points, and certifies the curve smooth away from the marked fibers.
 The certificate splits the exact discriminant det g(C) (g = df/dlam, C
-the companion matrix of f, read off the Faddeev-LeVerrier kernel that
-gives the c_i) as prod_j (v_j z - u_j)^(o_j) * R and tests R squarefree
-mod p.  The module also carries two small hardcoded local models (one of
-rank 3, one of rank 4) used as fixtures.
+the companion matrix of f, read off the Berkowitz kernel that gives the
+c_i) as prod_j (v_j z - u_j)^(o_j) * R and tests R squarefree mod p.
+The module also carries two small hardcoded local models (one of rank 3,
+one of rank 4) used as fixtures.
 """
 
 from __future__ import annotations
@@ -262,8 +262,8 @@ def _resultant_lambda(f_coeffs: list[DensePoly], g_coeffs: list[DensePoly]) -> D
     Coefficient lists are highest power first; entries are polynomials in z.
     Res(f, g) = det g(C) for the companion matrix C of f (Cohen, GTM 138,
     section 3.3).  g(C) comes from Horner's rule, and its determinant is
-    (-1)^r times the last coefficient of its Faddeev-LeVerrier
-    characteristic polynomial.
+    (-1)^r times the last coefficient of its characteristic polynomial,
+    from the division-free Berkowitz pass of `charpoly_numerators`.
     """
     if f_coeffs[0] != 1:
         raise ValueError("the resultant needs a monic f")

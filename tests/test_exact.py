@@ -199,17 +199,24 @@ def _charpoly_via_cofactors(m: PolyMatrix) -> list[DensePoly]:
     return [full.get(size - k, DensePoly([], m.var)) for k in range(1, size + 1)]
 
 
-small_polys = st.lists(
-    st.integers(min_value=-4, max_value=4), min_size=0, max_size=3
-).map(lambda cs: DensePoly(cs, "z"))
+small_ints = st.integers(min_value=-4, max_value=4)
+small_fractions = st.builds(Fraction, small_ints, st.integers(min_value=1, max_value=6))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda k: st.lists(
-        st.lists(small_polys, min_size=k, max_size=k), min_size=k, max_size=k
+def _poly_matrices(coeffs):
+    polys = st.lists(coeffs, min_size=0, max_size=3).map(lambda cs: DensePoly(cs, "z"))
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.lists(st.lists(polys, min_size=k, max_size=k), min_size=k, max_size=k)
     )
-))
+
+
+# one coefficient ring per matrix: ints, Fractions or GaussianRationals
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([
+    small_ints,
+    small_fractions,
+    st.builds(GaussianRational, small_fractions, small_fractions),
+]).flatmap(_poly_matrices))
 def test_charpoly_matches_cofactor_expansion(rows):
     m = PolyMatrix(rows, "z")
     assert poly_matrix_charpoly(m) == _charpoly_via_cofactors(m)

@@ -584,7 +584,7 @@ def _gaussian_field():
 
 
 def test_charpoly_matches_reference_with_real_denominators():
-    for r, n, seed in [(2, 6, 0), (3, 7, 1), (4, 8, 2)]:
+    for r, n, seed in [(2, 6, 0), (3, 7, 1), (4, 8, 2), (5, 10, 0), (6, 8, 1)]:
         psi = _rational_field(r, n, seed).psi
         assert any(c.denominator > 1 for row in psi.rows for e in row for c in e.coeffs)
         assert _typed(poly_matrix_charpoly(psi)) == _typed(_charpoly_reference(psi))

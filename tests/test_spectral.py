@@ -124,23 +124,24 @@ def test_trace_consistency_low_rank(point24):
 
 def test_one_charpoly_pass_per_field(monkeypatch):
     # hitchin_map, spectral_charpoly and trace_consistency share psi and
-    # its Faddeev-LeVerrier pass: r - 1 matrix products in all
-    from hyperpoly import exact
+    # its one Berkowitz pass, kept on the matrix
+    from hyperpoly import exact, hitchin
     from hyperpoly.hitchin import hitchin_map
 
     field = residues(sample_exact(3, 7, seed=0))
-    calls = []
-    matmul = exact._poly_matmul
+    passes = []
+    kernel = exact.charpoly_numerators
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return matmul(*args, **kwargs)
+    def counted(m):
+        passes.append(m._numerators is None)
+        return kernel(m)
 
-    monkeypatch.setattr(exact, "_poly_matmul", counted)
+    monkeypatch.setattr(exact, "charpoly_numerators", counted)
+    monkeypatch.setattr(hitchin, "charpoly_numerators", counted)
     hitchin_map(field)
     spectral_charpoly(twist(field))
     trace_consistency(field)
-    assert len(calls) == 2
+    assert passes.count(True) == 1
 
 
 def test_trace_consistency_rank4_gap():
