@@ -9,14 +9,15 @@ powers), and checks the Poisson geometry: the bracket kernel identity, the
 pairwise commutation of base components, and the rank of their Jacobian.
 Exact base coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k,
 built once per field and read by `hitchin_map` and the spectral layer.
-The exact bracket checks run on numerators too: x and y are cleared once
-per call (and `residues` reads phi_i off them), phi(z0) once per
-evaluation point for every power, gradients are integer numerators over
-one denominator per half, and only a reported value is divided.
-Float points run on Python floats and complexes: the marked points are
-converted once per call (once per evaluation point in `higgs_eval`) and
-a Fraction weight once, not at every product, with the bits the Fraction
-fallback gave.
+The exact bracket checks run on numerators too: x and y are cleared and
+checked once per point, not once per call (and `residues` reads phi_i off
+them), phi(z0) once per evaluation point for every power, gradients are
+integer numerators over one denominator per half, and only a reported
+value is divided.  A point off the fiber keeps nothing and raises at
+every call.  Float points run on Python floats and complexes: the marked
+points are converted once per point (once per evaluation point in
+`higgs_eval`) and a Fraction weight once, not at every product, with the
+bits the Fraction fallback gave.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -170,7 +172,7 @@ def _edge_scale(col, row) -> float:
 
 
 def _float_residues(point: QuiverPoint) -> tuple:
-    """Residue matrices of a float point, checked as `_checked_xy` says."""
+    """Residue matrices of a float point, checked as `_clear` says."""
     mats = []
     for i in range(point.n):
         col = point.x_col(i)
@@ -218,12 +220,11 @@ def residues(point: QuiverPoint) -> HiggsField:
     the cleared numerators of an exact point, within a tolerance on a
     float point); tracelessness, square-zero and rank <= 1 of each phi_i
     then hold automatically for the outer products, which are built once,
-    after the check: on an exact point from the numerators it checked.
+    after the check: on an exact point from the numerators it checked, on
+    a float point while checking, kept with the point's cleared record.
     """
-    if point.flavor == "exact":
-        mats = _exact_residues(point, _checked_xy(point))
-    else:
-        mats = _float_residues(point)
+    xy = _checked_xy(point)
+    mats = _exact_residues(point, xy) if point.flavor == "exact" else xy.residues
     return HiggsField(
         residues=mats,
         marked_points=point.marked_points,
@@ -346,12 +347,13 @@ def _exact_z(flavor: str, z):
 
 
 class _Cleared(NamedTuple):
-    """A point as the bracket kernels read it, prepared once per call.
+    """A point as the bracket kernels read it, prepared once per point.
 
     x = xs / dx and y = ys / dy, with xs r x n and ys n x r.  On a float
     point the entries are their own numerators over 1, ``poles`` holds the
-    marked points as floats and ``complex_entries`` tells whether every
-    entry is complex; an exact point has no float poles.
+    marked points as floats, ``complex_entries`` tells whether every
+    entry is complex and ``residues`` holds the matrices x_i y_i built
+    while checking; an exact point has no float poles and no residues.
     """
 
     xs: list
@@ -360,25 +362,26 @@ class _Cleared(NamedTuple):
     dy: object
     poles: Optional[tuple] = None
     complex_entries: bool = False
+    residues: Optional[tuple] = None
 
 
-def _checked_xy(point: QuiverPoint) -> _Cleared:
+def _clear(point: QuiverPoint) -> _Cleared:
     """The point's `_Cleared` form, once it lies on the complex moment fiber.
 
-    An exact point is cleared once with `numerators`, a float point has its
-    poles converted and its entries tested once.  MomentMapError unless
-    every scalar y_i x_i vanishes, edge by edge, and then the residues
-    x_i y_i sum to zero.  An exact point is checked on its cleared
-    numerators: sum_a X_ai Y_ia = 0 for each edge i, then X Y = 0.  A float
-    point is checked within _MOMENT_TOL relative to the entry scale
+    An exact point is cleared with `numerators`, a float point has its
+    poles converted and its entries tested.  MomentMapError unless every
+    scalar y_i x_i vanishes, edge by edge, and then the residues x_i y_i
+    sum to zero.  An exact point is checked on its cleared numerators:
+    sum_a X_ai Y_ia = 0 for each edge i, then X Y = 0.  A float point is
+    checked within _MOMENT_TOL relative to the entry scale
     (`_float_residues`).
     """
     if point.flavor != "exact":
-        _float_residues(point)
         return _Cleared(
             point.x, 1, point.y, 1,
             tuple(float(p) for p in point.marked_points),
             all(type(v) is complex for row in point.x + point.y for v in row),
+            _float_residues(point),
         )
     r, n = point.r, point.n
     xs, dx = numerators(v for row in point.x for v in row)
@@ -400,12 +403,23 @@ def _checked_xy(point: QuiverPoint) -> _Cleared:
     return _Cleared(xs, dx, ys, dy)
 
 
+def _checked_xy(point: QuiverPoint) -> _Cleared:
+    """`_clear` once per point: the record is kept on the immutable point
+    and read by every later call.  A point off the fiber keeps nothing, so
+    each call checks it again and raises the same MomentMapError."""
+    xy = getattr(point, "_cleared", None)
+    if xy is None:
+        xy = _clear(point)
+        object.__setattr__(point, "_cleared", xy)
+    return xy
+
+
 def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1, poles=None) -> list:
     """scale / (z - p_i) for every marked point; PoleEvaluationError at a
     pole.
 
     On the float flavor a float or complex z meets the marked points as
-    floats: ``poles`` when the caller converted them once per call
+    floats: ``poles`` when the caller converted them once per point
     (`_checked_xy`), else converted here.  Fraction's fallback makes the
     same conversion at every z - p_i (complex(p) is complex(float(p))), so
     each difference keeps its bits, and z equals the converted point
@@ -454,14 +468,13 @@ class _PhiAt(NamedTuple):
 
 
 def _phi_at(point: QuiverPoint, xy: _Cleared, z) -> _PhiAt:
-    """The `_PhiAt` of z: phi * dx dy dw is the sum of X_i Y_i W_i, added
+    """The `_PhiAt` of z: phi * dx dy dw is the sum of (X_i Y_i) W_i, added
     in the order `higgs_eval` adds floats."""
     z = _exact_z(point.flavor, z)
     ws, dw = _weights(point, xy, z)
-    xs, ys, n = xy.xs, xy.ys, point.n
+    cols = list(zip(*xy.ys))
     phi = tuple(
-        tuple(sum(xs[a][i] * ys[i][b] * ws[i] for i in range(n)) for b in range(point.r))
-        for a in range(point.r)
+        tuple(sum(map(mul, map(mul, row, col), ws)) for col in cols) for row in xy.xs
     )
     return _PhiAt(z, ws, dw, phi)
 

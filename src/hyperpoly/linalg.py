@@ -13,6 +13,7 @@ fiber equations x y = 0, all on those numerators with no division.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .exact import numerators
@@ -60,11 +61,9 @@ def mat_scale(a: Matrix, c) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    # each entry is the sum of row[k] * col[k] in k order, formed in C
     cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
-        for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_trace(a: Matrix):

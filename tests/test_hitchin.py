@@ -103,6 +103,70 @@ def test_exact_moment_map_check_is_the_same_everywhere(call, gaussian):
             delta_check(pt, 7, Fraction(7))
 
 
+def _count_clearings(monkeypatch, pt):
+    calls = []
+    clear = hitchin._clear
+    monkeypatch.setattr(
+        hitchin, "_clear", lambda p: calls.append(p is pt) or clear(p)
+    )
+    return calls
+
+
+def _reports(pt):
+    return (
+        residues(pt).residues,
+        commutation_report(pt),
+        delta_check(pt, Fraction(21, 2), 11.25),
+        delta_check(pt, complex(10.5, 0.5), 11.25),
+        jacobian_rank(pt),
+    )
+
+
+@pytest.mark.parametrize("flavor", ["exact", "float"])
+def test_a_point_is_cleared_once(monkeypatch, flavor):
+    pt = sample_exact(3, 7, seed=0)
+    if flavor == "float":
+        pt = _float_copy(pt)
+    calls = _count_clearings(monkeypatch, pt)
+    first = _reports(pt)
+    assert _reports(pt) == first
+    # jacobian_rank on an exact point clears a new float copy at every call
+    assert calls.count(True) == 1
+    assert len(calls) == (1 if flavor == "float" else 3)
+
+
+def _edge_one_violation(r, n, flavor):
+    # y_1 x_1 = 1 on the first unit vectors; every other y_i x_i vanishes
+    unit = tuple(Fraction(int(a == 0)) for a in range(r))
+    x = tuple(tuple(unit[a] for _ in range(n)) for a in range(r))
+    y = (unit,) + tuple(tuple(Fraction(int(a == 1)) for a in range(r)) for _ in range(n - 1))
+    pt = QuiverPoint(r=r, n=n, flavor="exact", x=x, y=y)
+    return pt if flavor == "exact" else _float_copy(pt)
+
+
+@pytest.mark.parametrize("flavor", ["exact", "float"])
+def test_a_point_off_the_fiber_raises_at_every_call(monkeypatch, flavor):
+    pt = _edge_one_violation(2, 4, flavor)
+    calls = _count_clearings(monkeypatch, pt)
+    checked = dict(_CHECKED_CALLS, jacobian_rank=jacobian_rank)
+    for call in sorted(checked) * 2:
+        with pytest.raises(MomentMapError) as exc:
+            checked[call](pt)
+        assert str(exc.value) == "complex moment map violated: y_i x_i != 0 at edge 1"
+        assert exc.value.edge == 1
+    # every call checks the point again, but jacobian_rank checks the float
+    # copy of an exact point
+    assert calls.count(True) == 2 * (len(checked) - (flavor == "exact"))
+    # the checks that come before the point's own still come first
+    with pytest.raises(ValueError, match="coincident evaluation points"):
+        delta_check(pt, 7, Fraction(7))
+    low = _edge_one_violation(3, 4, flavor)
+    with pytest.raises(ValueError, match=r"dual level \(1, 4\)"):
+        jacobian_rank(low)
+    with pytest.raises(MomentMapError, match="at edge 1"):
+        residues(low)
+
+
 def test_higgs_eval_pole(point24):
     field = residues(point24)
     with pytest.raises(PoleEvaluationError):
