@@ -273,6 +273,8 @@ def hitchin_map(field: HiggsField) -> BasePoint:
     holds only while every g_k is a polynomial: from k = 4 on Tr(phi^k)
     may carry a higher-order pole that no fit sees, so a float field of
     rank r >= 4 raises the power-4 degree overflow before any fitting.
+    A coefficient off the float range, as a huge entry that passes the
+    scale-relative moment check can give, raises ValueError.
     """
     r, n = field.r, field.n
     if field.flavor == "exact":
@@ -300,15 +302,18 @@ def hitchin_map(field: HiggsField) -> BasePoint:
         return complex(np.trace(np.linalg.matrix_power(a, k))) * prod
 
     g = {}
-    for k in range(2, r + 1):
-        count = max(n - 2 * k + 1, 0)
-        coeffs = ()
-        if count:
-            vander = np.vander(np.array(zs[:count]), count, increasing=True)
-            coeffs = np.linalg.solve(
-                vander, np.array([cleared(j, k) for j in range(count)])
-            )
-        g[k] = tuple(complex(c) for c in coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, r + 1):
+            count = max(n - 2 * k + 1, 0)
+            coeffs = ()
+            if count:
+                vander = np.vander(np.array(zs[:count]), count, increasing=True)
+                coeffs = np.linalg.solve(
+                    vander, np.array([cleared(j, k) for j in range(count)])
+                )
+                if not np.isfinite(coeffs).all():
+                    raise ValueError(f"base map g_{k} outside the float range")
+            g[k] = tuple(complex(c) for c in coeffs)
     return BasePoint(r=r, n=n, g=g)
 
 
@@ -423,17 +428,23 @@ def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1, poles=None
     (`_checked_xy`), else converted here.  Fraction's fallback makes the
     same conversion at every z - p_i (complex(p) is complex(float(p))), so
     each difference keeps its bits, and z equals the converted point
-    exactly when the difference is zero.
+    exactly when the difference is zero.  A rational z and p_i meet in one
+    correctly rounded int division: the float the Fraction weight gives.
     """
     if flavor == "exact" or not isinstance(z, (float, complex)):
         poles = marked_points
     elif poles is None:
         poles = [float(p) for p in marked_points]
+    rational_z = flavor != "exact" and isinstance(z, (int, Fraction))
     ws = []
     for i, q in enumerate(poles):
         if z == q:
             raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {marked_points[i]}")
-        ws.append(scale / (z - q))
+        if rational_z and isinstance(q, (int, Fraction)):
+            zd, qd = z.denominator, q.denominator
+            ws.append(scale * zd * qd / (z.numerator * qd - q.numerator * zd))
+        else:
+            ws.append(scale / (z - q))
     return ws
 
 
@@ -454,7 +465,7 @@ def _weights(point: QuiverPoint, xy: _Cleared, z, scale=1) -> tuple[list, object
     ws = _inverse_distances(point.flavor, point.marked_points, z, scale, xy.poles)
     if point.flavor == "exact":
         return numerators(ws)
-    return _entry_scalars(xy.complex_entries, ws), 1
+    return ws, 1
 
 
 class _PhiAt(NamedTuple):

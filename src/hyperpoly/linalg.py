@@ -5,10 +5,11 @@ exact entries (int, Fraction, GaussianRational) and floating entries
 (float, complex) alike, because every scalar type used here supports field
 arithmetic, ``.conjugate()`` and ``.real``.  The one exact elimination,
 `_eliminate`, does not run on the entries themselves: it clears their
-denominators once and eliminates fraction-free on the numerators (ints, or
-GaussianRationals with integral parts).  `exact_rank` reads its pivots,
-`kernel_numerators` its kernel and `quiver._fiber_kernel` the kernel of the
-fiber equations x y = 0, all on those numerators with no division.
+denominators once and eliminates forward, fraction-free, on the numerators
+(ints, or GaussianRationals with integral parts).  `exact_rank` reads its
+pivots; `quiver._fiber_kernel` back-substitutes one vector of the kernel of
+the fiber equations x y = 0 through its echelon rows (`back_substitute`),
+all on those numerators, each division exact.
 """
 
 from __future__ import annotations
@@ -97,13 +98,12 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 
 
 def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object]:
-    """Fraction-free Gauss-Jordan (Bareiss) on the cleared numerators of a.
-
-    Returns (rows, pivots, d): the reduced rows on numerators, the pivot
-    columns and the last pivot d.  At each pivot every other row becomes
-    (pivot * row - row[c] * pivot_row) // previous pivot; that division is
-    exact, every entry stays a minor of the cleared matrix, and every pivot
-    row ends with d as its leading entry, so rows / d is the canonical form.
+    """Fraction-free forward elimination (Bareiss) on the cleared numerators
+    of a: (rows, pivots, d), the echelon rows, the pivot columns and the
+    last pivot d.  At each pivot c every row below becomes (pivot * row -
+    row[c] * pivot_row) // previous pivot from column c on (it is zero left
+    of c); that division is exact and every entry stays a minor of the
+    cleared matrix.
     """
     p, q = len(a), len(a[0])
     nums, _ = numerators(v for row in a for v in row)
@@ -116,16 +116,14 @@ def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object]:
         if pivot is None:
             continue
         rows[ri], rows[pivot] = rows[pivot], rows[ri]
-        top = rows[ri]
-        lead = top[c]
-        for i, row in enumerate(rows):
-            if i == ri:
-                continue
+        top = rows[ri][c:]
+        lead = top[0]
+        for row in rows[ri + 1:]:
             f = row[c]
             if f:
-                rows[i] = [(lead * x - f * y) // prev for x, y in zip(row, top)]
+                row[c:] = [(lead * x - f * y) // prev for x, y in zip(row[c:], top)]
             else:
-                rows[i] = [lead * x // prev for x in row]
+                row[c:] = [lead * x // prev for x in row[c:]]
         prev = lead
         pivots.append(c)
         if len(pivots) == p:
@@ -137,22 +135,18 @@ def exact_rank(a: Matrix) -> int:
     return len(_eliminate(a)[1]) if a else 0
 
 
-def kernel_numerators(a: Matrix) -> tuple[list[list], object]:
-    """(K, d) with K / d the standard basis of the right kernel of a.
-
-    Each vector of K is d at its free column, minus the reduced numerator
-    of each pivot row there at that row's pivot column, and 0 elsewhere:
-    numerators (ints, or Gaussian integers) with no division at all.
+def back_substitute(rows: list, pivots: tuple[int, ...], values: list) -> list:
+    """The kernel vector of `_eliminate`'s echelon rows with the given free
+    values: one entry per column, multiples of the last pivot d at the free
+    columns; the pivot columns are filled, last pivot first, with the
+    integral solution.  Every division is then exact; one that is not
+    raises ArithmeticError.
     """
-    if not a:
-        return [], 1
-    rows, pivots, d = _eliminate(a)
-    q = len(a[0])
-    basis = []
-    for fc in (c for c in range(q) if c not in pivots):
-        v = [0] * q
-        v[fc] = d
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis, d
+    values = list(values)
+    for row, c in zip(reversed(rows[:len(pivots)]), reversed(pivots)):
+        lead = row[c]
+        s = -sum(map(mul, row[c + 1:], values[c + 1:]), 0 * lead)
+        values[c] = v = s // lead
+        if v * lead != s:
+            raise ArithmeticError(f"non-integral kernel entry at column {c}")
+    return values

@@ -215,10 +215,13 @@ def _canonical_primitive(nums: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v // g) for v in nums)
 
 
-def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int) -> tuple[list[list], object]:
-    """Kernel of the linear system cutting out { y : x y = 0, y_i x_i = 0 },
-    as `linalg.kernel_numerators`: vectors K and d with K / d the canonical
-    basis of that system, unknowns the entries of y flattened row by row.
+def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int, rng: random.Random) -> tuple[list, object]:
+    """One seeded vector of the kernel of the linear system cutting out
+    { y : x y = 0, y_i x_i = 0 }, unknowns the entries of y flattened row
+    by row: numerators (v, d) with v / d = sum_f c_f K_f for the canonical
+    basis K of that system and coefficients c_f in [-5, 5] drawn from rng,
+    one per free column and redrawn while all are zero.  TrivialFiberError
+    when no column is free.
 
     Let c0 be the first nonzero entry of the column x_i.  Column (i, c0) is
     always a pivot: only the edge equation y_i x_i = 0 gives it an entry
@@ -231,7 +234,11 @@ def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int) -> tuple[list[list], obj
     pivots are those of this reduced system and each canonical vector is a
     reduced one w_f, lifted edge by edge: y_p = X_(c0,p) w_f[p] / X_(c0,f)
     and y_(i,c0) = -sum_c X_(c,i) w_f[(i,c)] / X_(c0,f), over one common d.
-    A Gaussian X_(c0,f) is divided as its conjugate over its norm.
+    A Gaussian X_(c0,f) is divided as its conjugate over its norm.  The
+    lift is linear, so the combination is the reduced vector with free
+    values c_f m_f d_red, m_f the numerator of 1 / X_(c0,f) over the common
+    denominator, whose pivot values one back-substitution through the
+    forward echelon rows gives (`linalg.back_substitute`), lifted once.
     """
     nums, _ = numerators(v for row in x for v in row)
     xs = [nums[a * n:(a + 1) * n] for a in range(r)]
@@ -261,23 +268,29 @@ def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int) -> tuple[list[list], obj
             inverses[f] = (1 if s > 0 else -1), abs(s)
         else:
             inverses[f] = s.conjugate(), (s * s.conjugate()).re.numerator
+    if not inverses:
+        raise TrivialFiberError(
+            f"trivial fiber: only y = 0 satisfies the equations at r={r}, n={n}"
+        )
+    coeffs = [0]
+    while not any(coeffs):
+        coeffs = [rng.randint(-5, 5) for _ in inverses]
+    # a combination of independent vectors with a nonzero coefficient is
+    # never zero: its free entry c_f m_f d_red is not, so no second redraw
     scale = math.lcm(*(norm for _, norm in inverses.values()))
+    values = [0] * len(cols)
+    for (f, (inv, norm)), c in zip(inverses.items(), coeffs):
+        values[f] = c * inv * (scale // norm) * d_red
+    values = linalg.back_substitute(rows, pivots, values)
     d = d_red * scale
     # typed zeros: a Gaussian d keeps every entry Gaussian
-    zero = 0 * d
-    basis = []
-    for f, (inv, norm) in inverses.items():
-        m = inv * (scale // norm)
-        vec = [zero] * (n * r)
-        for j, w in [(f, d_red)] + [(p, -row[f]) for row, p in zip(rows, pivots)]:
-            if not w:
-                continue
-            i, c, s = cols[j]
-            vec[i * r + c] = s * w * m
+    flat = [0 * d] * (n * r)
+    for (i, c, s), w in zip(cols, values):
+        if w:
+            flat[i * r + c] = s * w
             if xs[c][i]:
-                vec[i * r + lead[i]] -= xs[c][i] * w * m
-        basis.append(vec)
-    return basis, d
+                flat[i * r + lead[i]] -= xs[c][i] * w
+    return flat, d
 
 
 def exact_point_from_x(
@@ -288,13 +301,13 @@ def exact_point_from_x(
 ) -> QuiverPoint:
     """Complete a given exact x to a point on the complex moment fiber.
 
-    y is drawn from the kernel of the fiber equations with small seeded
-    integer coefficients, then scaled to a primitive integer vector with
-    positive leading coordinate, so the output is deterministic and unique
-    up to the seed.  The coefficients combine the kernel on numerators
-    (`_fiber_kernel`, K / d): a real combination is scaled
-    straight to its primitive vector, a complex one is divided by d once
-    per entry.
+    y is one combination of the kernel of the fiber equations with small
+    seeded integer coefficients (`_fiber_kernel`, found by one forward
+    elimination and one back-substitution as numerators v / d), then scaled
+    to a primitive integer vector with positive leading coordinate, so the
+    output is deterministic and unique up to the seed: a real combination
+    is scaled straight to its primitive vector, a complex one is divided by
+    d once per entry.
     """
     xm = linalg.mat(
         [[v if isinstance(v, (Fraction, GaussianRational)) else Fraction(v) for v in row] for row in x]
@@ -302,25 +315,7 @@ def exact_point_from_x(
     r, n = linalg.shape(xm)
     if n < 1 or r < 1:
         raise ValueError("x must be a nonempty matrix")
-    basis, d = _fiber_kernel(xm, r, n)
-    if not basis:
-        raise TrivialFiberError(
-            f"trivial fiber: only y = 0 satisfies the equations at r={r}, n={n}"
-        )
-    # sparse vectors (<= 2(r^2 + 1) nonzeros); untouched entries stay 0 * d
-    support = [[(k, v) for k, v in enumerate(vec) if v] for vec in basis]
-    rng = random.Random(seed)
-    flat = None
-    while flat is None:
-        coeffs = [rng.randint(-5, 5) for _ in basis]
-        if not any(coeffs):
-            continue
-        flat = [0 * d] * (n * r)
-        for c, terms in zip(coeffs, support):
-            for k, v in terms:
-                flat[k] += c * v
-        if not any(flat):
-            flat = None
+    flat, d = _fiber_kernel(xm, r, n, random.Random(seed))
     # on int numerators (a rational x) the combination and its quotient by
     # d have the same primitive vector
     if isinstance(d, int):

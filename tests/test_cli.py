@@ -430,6 +430,22 @@ def test_point_file_errors(tmp_path, capsys):
             assert code == 3, (name, cmd)
 
 
+def test_float_base_map_overflow_is_one_error_line(tmp_path, capsys):
+    # x_11 = 1e200 passes the float moment check, whose tolerance is
+    # relative to the entry scale, but overflows phi(z)^2 in the base map
+    obj = {
+        "r": 2, "n": 4, "flavor": "float", "alpha": None,
+        "marked_points": ["1/1", "2/1", "3/1", "4/1"],
+        "x": [[1e200, 3, -8, -7], [-9, -6, -4, 6]],
+        "y": [[760, -760], [-1482, -741], [-702, 1404], [-810, -945]],
+    }
+    path = tmp_path / "huge_entry.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hitchin", "--point", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: base map g_2 outside the float range\n"
+
+
 # values a hand-edited or corrupted point file may carry in any position
 _ODD_VALUES = st.one_of(
     st.sampled_from([

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly import hitchin
 from hyperpoly.errors import (
@@ -497,6 +499,30 @@ def test_float_kernels_never_mix_fractions_with_floats(solved, monkeypatch):
     delta_check(pt, Fraction(1, 2), Fraction(15, 2))
     jacobian_rank(pt)
     hitchin_map(field)
+
+
+_wide = st.fractions(max_denominator=10**40).filter(lambda f: abs(f.numerator) < 10**40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_wide, st.integers(-50, 50)),
+       st.lists(st.one_of(_wide, st.integers(-50, 50)), min_size=1, max_size=6, unique=True),
+       st.integers(1, 6))
+def test_float_weights_at_a_rational_point_are_the_rounded_fractions(z, poles, scale):
+    # one int division per weight gives the float of the Fraction weight
+    if z in poles:
+        with pytest.raises(PoleEvaluationError):
+            hitchin._inverse_distances("float", tuple(poles), z, scale)
+        return
+    ws = hitchin._inverse_distances("float", tuple(poles), z, scale)
+    assert [w.hex() for w in ws] == [float(Fraction(scale) / (z - p)).hex() for p in poles]
+
+
+def test_float_weights_at_float_marked_points_stay_float_arithmetic():
+    z = Fraction(1, 3)
+    ws = hitchin._inverse_distances("float", (1.5, Fraction(2)), z, 2)
+    assert ws[0].hex() == (2 / (z - 1.5)).hex()
+    assert ws[1].hex() == float(Fraction(2) / (z - 2)).hex()
 
 
 # ---------------------------------------------------------------------------

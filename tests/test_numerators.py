@@ -1,14 +1,14 @@
 """The exact kernels on numerators against Fraction references.
 
-The elimination `linalg._eliminate` and `linalg.kernel_numerators`, the
-fiber kernel `quiver._fiber_kernel`, `exact.poly_matrix_charpoly`,
+The fiber kernel `quiver._fiber_kernel`, `exact.poly_matrix_charpoly`,
 `HiggsField.cleared_traces`, `exact.cleared_vanishing_order` and the
 bracket layer of `hitchin` clear denominators once and divide once at the
 end, or never.  The references below are the field eliminations and
 gradients they replaced, kept here only, with the `DensePoly` division
-they need, and the full fiber system of n + r^2 rows.  Reduced rows and
-kernels over their last pivot d must equal the references' by value;
-elsewhere typed reprs must agree: same values and same scalar types.  On
+they need, and the full fiber system of n + r^2 rows, whose canonical
+kernel (`test_linalg`'s Fraction reference) the seeded fiber vector over
+its d must combine by value; elsewhere typed reprs must agree: same
+values and same scalar types.  On
 float points the bracket layer must give the references' floats bit for
 bit, and so must the float `hitchin_map`, which keeps a reference here
 too.
@@ -16,6 +16,7 @@ too.
 
 import dataclasses
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from hyperpoly import linalg
-from hyperpoly.errors import DegreeOverflowError, PoleEvaluationError
+from hyperpoly.errors import DegreeOverflowError, PoleEvaluationError, TrivialFiberError
 from hyperpoly.exact import (
     DensePoly,
     GaussianRational,
@@ -57,47 +58,11 @@ from hyperpoly.linalg import norm_sq
 from hyperpoly.quiver import _fiber_kernel, exact_point_from_x, sample_exact, solve_real
 from hyperpoly.spectral import order_check, spectral_charpoly, twist
 
+from test_linalg import _kernel, _kernel_reference, _over_d, _reference, gaussian, small
+
 
 # ---------------------------------------------------------------------------
 # Fraction references
-
-def _rref_reference(a):
-    rows = [list(r) for r in a]
-    if not rows:
-        return (), ()
-    p, q = len(rows), len(rows[0])
-    pivots = []
-    ri = 0
-    for c in range(q):
-        pivot = next((i for i in range(ri, p) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[ri], rows[pivot] = rows[pivot], rows[ri]
-        inv = rows[ri][c]
-        rows[ri] = [x / inv for x in rows[ri]]
-        for i in range(p):
-            if i != ri and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[ri])]
-        pivots.append(c)
-        ri += 1
-        if ri == p:
-            break
-    return linalg.mat(rows), tuple(pivots)
-
-
-def _kernel_reference(a):
-    reduced, pivots = _rref_reference(a)
-    q = len(a[0])
-    basis = []
-    for fc in (c for c in range(q) if c not in pivots):
-        v = [0] * q
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = -reduced[ri][fc]
-        basis.append(tuple(v))
-    return basis
-
 
 def _divmod_reference(a: DensePoly, b: DensePoly):
     """Euclidean division over the field of fractions of the coefficients.
@@ -417,87 +382,7 @@ def test_poly_division_of_int_coefficients_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# the elimination and its kernel
-
-small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-gaussian = st.builds(GaussianRational, small, small)
-
-
-@st.composite
-def matrices(draw, entries):
-    """Matrices of rank at most k, built as a product B C, with a duplicate
-    row and a zero row (int or typed zeros) spliced in on request."""
-    p = draw(st.integers(1, 5))
-    q = draw(st.integers(1, 6))
-    k = draw(st.integers(1, min(p, q)))
-    b = [[draw(entries) for _ in range(k)] for _ in range(p)]
-    c = [[draw(entries) for _ in range(q)] for _ in range(k)]
-    rows = [tuple(sum(b[i][l] * c[l][j] for l in range(k)) for j in range(q)) for i in range(p)]
-    if draw(st.booleans()):
-        rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, p - 1))])
-    if draw(st.booleans()):
-        zero = draw(st.sampled_from([0, rows[0][0] * 0]))
-        rows.insert(draw(st.integers(0, len(rows))), (zero,) * q)
-    return tuple(rows)
-
-
-def _over_d(rows, d) -> tuple:
-    # a kernel vector keeps int zeros beside Gaussian numerators
-    return tuple(
-        tuple(Fraction(x) / d if type(x) is int else x / d for x in row) for row in rows
-    )
-
-
-def _eliminated(a):
-    """The reduced rows of `_eliminate` over its last pivot, with pivots."""
-    rows, pivots, d = linalg._eliminate(a)
-    return _over_d(rows, d), pivots
-
-
-def _kernel(a) -> list:
-    basis, d = linalg.kernel_numerators(a)
-    return list(_over_d(basis, d))
-
-
-@settings(max_examples=80, deadline=None)
-@given(matrices(small))
-def test_rref_and_kernel_match_reference_on_rationals(a):
-    assert _eliminated(a) == _rref_reference(a)
-    assert _kernel(a) == _kernel_reference(a)
-
-
-@settings(max_examples=20, deadline=None)
-@given(matrices(gaussian))
-def test_rref_and_kernel_match_reference_on_gaussians(a):
-    assert _eliminated(a) == _rref_reference(a)
-    assert _kernel(a) == _kernel_reference(a)
-
-
-@settings(max_examples=20, deadline=None)
-@given(matrices(st.one_of(small, gaussian)))
-def test_rref_mixed_entries_come_back_gaussian(a):
-    # with real and complex entries mixed, the numerator ring is the
-    # Gaussian one and every pivot row comes back as GaussianRationals;
-    # the field elimination kept some of their entries as Fractions
-    got, pivots = _eliminated(a)
-    want, want_pivots = _rref_reference(a)
-    assert got == want and pivots == want_pivots
-    if any(isinstance(v, GaussianRational) for row in a for v in row):
-        assert all(isinstance(v, GaussianRational) for row in got[: len(pivots)] for v in row)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(matrices(small), matrices(gaussian)))
-def test_kernel_numerators_over_d_are_the_kernel_basis(a):
-    # zero rows and rank-deficient products included; the numerators stay
-    # in the ring of the cleared entries, ints for rational input
-    basis, d = linalg.kernel_numerators(a)
-    assert _kernel(a) == _kernel_reference(a)
-    assert len(basis) == len(a[0]) - linalg.exact_rank(a)
-    if all(isinstance(v, (int, Fraction)) for row in a for v in row):
-        assert all(type(v) is int for vec in basis for v in vec)
-        assert type(d) is int
-
+# the fiber kernel
 
 def _fiber_system(x):
     """The full linear system for y: one row y_i x_i = 0 per edge, then the
@@ -521,7 +406,7 @@ def _fiber_system(x):
 def test_rref_on_the_sampling_fiber():
     # the system sample_exact solves for y: int zeros around Fraction entries
     rows = _fiber_system(sample_exact(5, 9, seed=0).x)
-    assert _eliminated(rows) == _rref_reference(rows)
+    assert _kernel(rows) == _reference(rows)
 
 
 @st.composite
@@ -542,16 +427,26 @@ def fiber_xs(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(fiber_xs())
-def test_fiber_kernel_is_the_full_systems_canonical_kernel(x):
+@given(fiber_xs(), st.integers(0, 2**32 - 1))
+def test_fiber_kernel_is_the_full_systems_canonical_kernel(x, seed):
     # the kernel on x y = 0 alone, lifted through the edge equations, is the
-    # canonical kernel of the full system, in its numerator ring: a Gaussian
-    # d keeps every entry Gaussian, zeros included
+    # canonical kernel of the full system: the drawn vector is the seeded
+    # combination of that basis, in its numerator ring, where a Gaussian d
+    # keeps every entry Gaussian, zeros included
     r, n = len(x), len(x[0])
-    basis, d = _fiber_kernel(x, r, n)
-    assert list(_over_d(basis, d)) == _kernel_reference(_fiber_system(x))
+    basis = _kernel_reference(_fiber_system(x))
+    if not basis:
+        with pytest.raises(TrivialFiberError):
+            _fiber_kernel(x, r, n, random.Random(seed))
+        return
+    rng = random.Random(seed)
+    coeffs = [0]
+    while not any(coeffs):
+        coeffs = [rng.randint(-5, 5) for _ in basis]
+    flat, d = _fiber_kernel(x, r, n, random.Random(seed))
+    assert _over_d([flat], d)[0] == tuple(sum(c * v for c, v in zip(coeffs, col)) for col in zip(*basis))
     ring = GaussianRational if isinstance(d, GaussianRational) else int
-    assert type(d) is ring and all(type(v) is ring for vec in basis for v in vec)
+    assert type(d) is ring and all(type(v) is ring for v in flat)
 
 
 def _mat_mul_reference(a, b):
