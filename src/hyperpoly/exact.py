@@ -6,17 +6,19 @@ duck-typed over that protocol: a scalar must support field arithmetic,
 ``.conjugate()``, ``.real`` and ``.imag``.  Rationals are plain
 ``fractions.Fraction``; there is no custom real-rational class.
 The exact kernels (the elimination in `linalg`, the division-free
-charpoly `charpoly_numerators`, `cleared_vanishing_order`, the cleared
-traces of a Higgs field, its moment map and bracket checks) run on
-numerators: `numerators` clears the denominators of their input once, the
-kernel works in that numerator ring (Python ints, or GaussianRational with
-integral parts for complex input, where ``//`` is exact division in both),
-and `ratio` divides once at the end.  `poly_add`, `poly_mul` and
-`poly_divmod` on coefficient lists are the only polynomial sum, product
-and division loops over a numerator ring, and `squarefree_mod_p` the one
-loop over F_p; `DensePoly` is a value type over the first two, and
-`PolyMatrix` a validated container of polynomials that keeps the
-Berkowitz numerators of its characteristic polynomial.
+charpoly `berkowitz`, `cleared_vanishing_order`, the cleared traces of a
+Higgs field, its moment map and bracket checks) run on numerators:
+`numerators` clears the denominators of their input once, the kernel works
+in that numerator ring (Python ints, or GaussianRational with integral
+parts for complex input, where ``//`` is exact division in both), and
+`ratio` divides once at the end.  A caller that holds numerators already
+(a Higgs field's psi, the fiber equations) hands them to the kernel as
+they are.  `poly_add`, `poly_mul` and `poly_divmod` on coefficient lists
+are the only polynomial sum, product and division loops over a numerator
+ring, and `squarefree_mod_p` the one loop over F_p; `DensePoly` is a
+value type over the first two, and `PolyMatrix` a validated container of
+polynomials that keeps the Berkowitz numerators of its characteristic
+polynomial, or the ones its builder seeded.
 Truncated power series have no type here: the Betti layer keeps them as
 plain coefficient lists.
 """
@@ -409,8 +411,13 @@ def cleared_vanishing_order(nums: Sequence, a):
     if not nums:
         return math.inf
     (u,), v = numerators((a,))
-    top = len(nums) - 1
-    cur = [c * v ** (top - k) for k, c in enumerate(nums)]
+    cur = list(nums)
+    if v != 1:
+        # P_k v^(deg-k) from the top coefficient down, by a running power
+        scale = 1
+        for k in range(len(cur) - 1, -1, -1):
+            cur[k] *= scale
+            scale *= v
     order = 0
     while True:
         acc = 0
@@ -523,7 +530,8 @@ class PolyMatrix:
 
     A validated container: its arithmetic is the generic ring code of
     `linalg` applied to ``rows``.  It also keeps the result of
-    `charpoly_numerators`, one Berkowitz pass that all its readers share.
+    `charpoly_numerators`, one Berkowitz pass that all its readers share;
+    a builder that ran the pass on its own numerators may seed it.
     """
 
     __slots__ = ("rows", "size", "var", "_numerators")
@@ -568,40 +576,50 @@ def _poly_dot(xs: Sequence, ys: Sequence) -> list:
     return acc
 
 
-def charpoly_numerators(m: PolyMatrix) -> tuple[tuple[list, ...], int]:
-    """Numerators (C_1, ..., C_r) and D with c_i = C_i / D^i.
+def berkowitz(a: Sequence) -> tuple[list, ...]:
+    """Characteristic coefficients (C_1, ..., C_r) of a square matrix of
+    coefficient lists over a numerator ring (ints, or GaussianRationals
+    with integral parts), each a coefficient list lowest degree first.
 
-    D is the least common denominator of the coefficients of ``m``, and the
-    C_i, coefficient lists lowest degree first, are the characteristic
-    coefficients of the numerator matrix A = D*m.  They come from
-    Berkowitz's recurrence (Inf. Process. Lett. 18, 1984), which uses ring
+    Berkowitz's recurrence (Inf. Process. Lett. 18, 1984) uses ring
     operations only: with the leading block of size k + 1 split as
     [[A_k, S], [R, a]], the charpoly of A_(k+1), highest power first, is
     the lower triangular Toeplitz matrix with first column
     (1, -a, -R S, -R A_k S, ..., -R A_k^(k-1) S) times that of A_k.  From
     the empty block (charpoly 1) this takes k - 1 matrix-vector products
-    on A_k per step; the pass runs once per matrix.
+    on A_k per step.
+    """
+    cs: list = []
+    for k in range(len(a)):
+        block = [row[:k] for row in a[:k]]
+        col = [a[i][k] for i in range(k)]
+        # the Toeplitz column below its leading 1
+        q = [[-c for c in a[k][k]]]
+        for j in range(k):
+            if j:
+                col = [_poly_dot(row, col) for row in block]
+            q.append([-c for c in _poly_dot(a[k][:k], col)])
+        # times the old charpoly; both leading 1s are added as sums
+        cs = [
+            poly_add(poly_add(q[i], cs[i] if i < k else []), _poly_dot(q[:i][::-1], cs))
+            for i in range(k + 1)
+        ]
+    return tuple(cs)
+
+
+def charpoly_numerators(m: PolyMatrix) -> tuple[tuple[list, ...], int]:
+    """Numerators (C_1, ..., C_r) and D with c_i = C_i / D^i.
+
+    Unless a caller seeded the matrix with its own pass, D is the least
+    common denominator of the coefficients of ``m``, and the C_i are the
+    `berkowitz` coefficients of the numerator matrix A = D*m.  The pass
+    runs once per matrix.
     """
     if m._numerators is None:
         nums, d = numerators(c for row in m.rows for e in row for c in e.coeffs)
         it = iter(nums)
         a = [[[next(it) for _ in e.coeffs] for e in row] for row in m.rows]
-        cs: list = []
-        for k in range(m.size):
-            block = [row[:k] for row in a[:k]]
-            col = [a[i][k] for i in range(k)]
-            # the Toeplitz column below its leading 1
-            q = [[-c for c in a[k][k]]]
-            for j in range(k):
-                if j:
-                    col = [_poly_dot(row, col) for row in block]
-                q.append([-c for c in _poly_dot(a[k][:k], col)])
-            # times the old charpoly; both leading 1s are added as sums
-            cs = [
-                poly_add(poly_add(q[i], cs[i] if i < k else []), _poly_dot(q[:i][::-1], cs))
-                for i in range(k + 1)
-            ]
-        m._numerators = (tuple(cs), d)
+        m._numerators = (berkowitz(a), d)
     return m._numerators
 
 

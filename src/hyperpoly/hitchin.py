@@ -7,17 +7,27 @@ at most one, and decay like z^{-2} at infinity.  This module builds phi,
 maps it to base coordinates (coefficient vectors of the cleared trace
 powers), and checks the Poisson geometry: the bracket kernel identity, the
 pairwise commutation of base components, and the rank of their Jacobian.
-Exact base coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k,
-built once per field and read by `hitchin_map` and the spectral layer.
-The exact bracket checks run on numerators too: x and y are cleared and
-checked once per point, not once per call (and `residues` reads phi_i off
-them), phi(z0) once per evaluation point for every power, gradients are
-integer numerators over one denominator per half, and only a reported
-value is divided.  A point off the fiber keeps nothing and raises at
-every call.  Float points run on Python floats and complexes: the marked
-points are converted once per point (once per evaluation point in
-`higgs_eval`) and a Fraction weight once, not at every product, with the
-bits the Fraction fallback gave.
+
+Each point is cleared and checked once, not once per call, and its record
+keeps the residue table U_ab,i = X_ai Y_ib, the products of the cleared
+numerators x = X / dx and y = Y / dy (the floats x_ai y_ib on a float
+point) that the moment check forms.  Everything built from phi reads that
+table: the residues divide it, every phi(z) (`_phi_at`, `higgs_eval`, so
+the float base map too) is one sum over it per entry, and psi's numerators
+are sum_i U_ab,i cof_i over one denominator.  A field built directly from
+residues clears them once into the same table.  Exact base coordinates
+take one route, psi -> c_i -> Tr(psi^k) -> g_k, on integers: one
+Berkowitz pass on psi's numerators, built once per field and read by
+`hitchin_map` and the spectral layer; the Fraction psi is built only for
+its readers, with that pass kept on it.  The exact bracket checks run on
+numerators too: phi(z0) once per evaluation point for every power,
+gradients are integer numerators over one denominator per half, and only
+a reported value is divided.  A point off the fiber keeps nothing and
+raises at every call.  Float points run on Python floats and complexes:
+the marked points are converted once per point (once per evaluation point
+in `higgs_eval`) and a Fraction weight once, not at every product, with
+the bits the Fraction fallback gave; sums run left to right, the order
+of a fold of matrix sums.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -38,7 +48,7 @@ from .exact import (
     DensePoly,
     GaussianRational,
     PolyMatrix,
-    charpoly_numerators,
+    berkowitz,
     numerators,
     poly_add,
     poly_divmod,
@@ -62,7 +72,8 @@ def _pole_overflow(k: int) -> str:
 class HiggsField:
     """Residue data of sum_i phi_i / (z - p_i).
 
-    `psi` and `cleared_traces` are cached outside the dataclass fields.
+    The residue table, psi and the cleared traces are cached outside the
+    dataclass fields; `residues` seeds the table from its point.
     """
 
     residues: tuple  # n matrices, each r x r
@@ -76,6 +87,37 @@ class HiggsField:
     @property
     def r(self) -> int:
         return len(self.residues[0])
+
+    @cached_property
+    def _table(self) -> tuple:
+        """(U, d): U[a][b] holds entry (a, b) of phi_1, ..., phi_n over d.
+
+        An exact field is cleared once, to ints, or to GaussianRationals
+        with integral parts as soon as one residue is complex; a float
+        field keeps its floats over 1.  Every phi(z) and psi sum over it.
+        """
+        if self.flavor != "exact":
+            return _columns(self.residues), 1
+        r = self.r
+        nums, d = numerators(v for m in self.residues for row in m for v in row)
+        rows = [nums[k:k + r] for k in range(0, len(nums), r)]
+        return _columns([rows[i * r:(i + 1) * r] for i in range(self.n)]), d
+
+    @cached_property
+    def _gaussian_entries(self) -> tuple[set, set]:
+        """The entries (a, b) where some residue is a GaussianRational, and
+        where some nonzero one is: the Fraction sums that the table's
+        numerators replace were complex exactly there (`higgs_eval` adds
+        every residue, psi the nonzero ones)."""
+        typed, valued = set(), set()
+        for m in self.residues:
+            for a, row in enumerate(m):
+                for b, v in enumerate(row):
+                    if isinstance(v, GaussianRational):
+                        typed.add((a, b))
+                        if v:
+                            valued.add((a, b))
+        return typed, valued
 
     @cached_property
     def _divisor(self) -> tuple[list, int, list]:
@@ -93,35 +135,77 @@ class HiggsField:
         return full, math.prod(f[1] for f in factors), cofactors
 
     @cached_property
-    def psi(self) -> PolyMatrix:
-        """phi(z) * prod_j (z - p_j) assembled as a polynomial matrix.
+    def _psi_numerators(self) -> tuple[list, object, set]:
+        """psi(z) = phi(z) * prod_j (z - p_j) on numerators: (N, D, C).
 
-        Entry (a, b) is sum_i (phi_i)_ab prod_(j != i) (z - p_j), summed on
-        numerators over the nonzero residue entries and divided once per
-        coefficient.  Entry degrees must not exceed n - 2: the z^(n-1)
+        Entry (a, b) of psi is sum_i (phi_i)_ab prod_(j != i) (z - p_j),
+        that is N_ab / D with N_ab = sum_i U_ab,i cof_i and D = d V, for
+        the table U / d and the cofactors of `_divisor`: each coefficient
+        is one sum over the edges.  C holds the complex entries, those
+        whose column has a nonzero GaussianRational residue.  N is in the
+        ring that clearing psi's coefficients gives: ints unless C is not
+        empty.  Entry degrees must not exceed n - 2: the z^(n-1)
         coefficient of each entry is the corresponding entry of
         sum_i phi_i.  Exact fields only.
         """
         if self.flavor != "exact":
             raise ValueError("polynomial twisting requires exact residues")
-        n, r = self.n, self.r
+        n = self.n
+        table, d = self._table
         _, v, cofactors = self._divisor
+        # coefficient k of every cofactor, edge by edge
+        powers = list(zip(*cofactors))
         rows = []
-        for a in range(r):
-            row = []
-            for b in range(r):
-                terms = [(i, m[a][b]) for i, m in enumerate(self.residues) if m[a][b]]
-                nums, d = numerators(c for _, c in terms)
-                acc: list = []
-                for (i, _), c in zip(terms, nums):
-                    acc = poly_add(acc, [c * q for q in cofactors[i]])
+        for row in table:
+            out = []
+            for u in row:
+                acc = [sum(map(mul, u, c)) for c in powers]
+                while acc and not acc[-1]:
+                    acc.pop()
                 if len(acc) - 1 > n - 2:
                     raise DegreeOverflowError(
                         "degree overflow: residues do not sum to zero"
                     )
-                row.append(DensePoly([ratio(c, d * v) for c in acc], "z"))
-            rows.append(row)
-        return PolyMatrix(rows, "z")
+                out.append(acc)
+            rows.append(out)
+        complex_entries = set()
+        if isinstance(table[0][0][0], GaussianRational):
+            complex_entries = {(a, b) for a, b in self._gaussian_entries[1] if rows[a][b]}
+            if not complex_entries:
+                rows = [[[c.re.numerator for c in e] for e in row] for row in rows]
+        return rows, d * v, complex_entries
+
+    @cached_property
+    def _charpoly(self) -> tuple[tuple, object]:
+        """(C_1, ..., C_r) and D with c_i = C_i / D^i: one `berkowitz`
+        pass on psi's numerators."""
+        rows, den, _ = self._psi_numerators
+        return berkowitz(rows), den
+
+    @cached_property
+    def psi(self) -> PolyMatrix:
+        """psi(z) as a polynomial matrix, for its readers (`spectral.twist`),
+        with `_charpoly` kept on it as its charpoly numerators.  A complex
+        entry has GaussianRational coefficients and every other one
+        Fractions, as the Fraction sums it replaces had.  Exact fields
+        only.
+        """
+        rows, den, complex_entries = self._psi_numerators
+
+        def entry(a, b, acc):
+            if (a, b) in complex_entries:
+                return [c / den for c in acc]
+            if complex_entries:  # a real entry on Gaussian numerators
+                return [Fraction(c.re, den) for c in acc]
+            return list(map(Fraction, acc, repeat(den)))
+
+        m = PolyMatrix(
+            [[DensePoly(entry(a, b, acc), "z") for b, acc in enumerate(row)]
+             for a, row in enumerate(rows)],
+            "z",
+        )
+        m._numerators = self._charpoly
+        return m
 
     @cached_property
     def cleared_traces(self) -> tuple:
@@ -131,14 +215,14 @@ class HiggsField:
         t_k = Tr(psi^k) = -k c_k - sum_(i<k) c_i t_(k-i), and
         g_k = t_k / prod(z - p_j)^(k-1) must be a polynomial of degree at
         most n - 2k.  Both steps run on numerators: with c_i = C_i / D^i
-        (`charpoly_numerators`) the same recurrence gives T_k = D^k t_k, and
-        with prod(z - p_j) = P / V for a primitive integer P,
-        g_k = T_k V^(k-1) / (D^k P^(k-1)).  P^(k-1) divides T_k over the
-        rationals exactly when the numerator long division leaves no
-        remainder, and each coefficient of g_k is divided once.
+        (`_charpoly`, on psi's numerators) the same recurrence gives
+        T_k = D^k t_k, and with prod(z - p_j) = P / V for a primitive
+        integer P, g_k = T_k V^(k-1) / (D^k P^(k-1)).  P^(k-1) divides T_k
+        over the rationals exactly when the numerator long division leaves
+        no remainder, and each coefficient of g_k is divided once.
         """
         n = self.n
-        cs, d = charpoly_numerators(self.psi)
+        cs, d = self._charpoly
         divisor, v, _ = self._divisor
         den = [1]
         traces, out = [], []
@@ -196,20 +280,33 @@ def _float_residues(point: QuiverPoint) -> tuple:
     return tuple(mats)
 
 
+def _columns(mats) -> tuple:
+    """The table U[a][b] = (M_1[a][b], ..., M_n[a][b]) of n r x r matrices;
+    `_matrices` undoes it."""
+    return tuple(tuple(zip(*(m[a] for m in mats))) for a in range(len(mats[0])))
+
+
+def _matrices(table) -> tuple:
+    return tuple(zip(*(zip(*row) for row in table)))
+
+
 def _exact_residues(point: QuiverPoint, xy: _Cleared) -> tuple:
-    """Residue matrices of an exact point from its cleared x and y: entry
-    (a, b) of phi_i is X_ai Y_ib / (dx dy), a Fraction where x_ai and y_ib
+    """Residue matrices of an exact point from its cleared products: entry
+    (a, b) of phi_i is U_ab,i / (dx dy), a Fraction where x_ai and y_ib
     are both rational, as their product is."""
-    r, d, xs, ys = point.r, xy.dx * xy.dy, xy.xs, xy.ys
+    d, x, y = xy.dx * xy.dy, point.x, point.y
+    if not isinstance(xy.products[0][0][0], GaussianRational):
+        return _matrices(
+            [[tuple(map(Fraction, u, repeat(d))) for u in row] for row in xy.products]
+        )
 
-    def entry(a, i, b):
-        v = ratio(xs[a][i] * ys[i][b], d)
-        real = GaussianRational not in (type(point.x[a][i]), type(point.y[i][b]))
-        return v.re if real and isinstance(v, GaussianRational) else v
+    def entry(a, b, i, u):
+        v = u / d
+        return v if GaussianRational in (type(x[a][i]), type(y[i][b])) else v.re
 
-    return tuple(
-        tuple(tuple(entry(a, i, b) for b in range(r)) for a in range(r))
-        for i in range(point.n)
+    return _matrices(
+        [[tuple(entry(a, b, i, v) for i, v in enumerate(u)) for b, u in enumerate(row)]
+         for a, row in enumerate(xy.products)]
     )
 
 
@@ -220,26 +317,49 @@ def residues(point: QuiverPoint) -> HiggsField:
     the cleared numerators of an exact point, within a tolerance on a
     float point); tracelessness, square-zero and rank <= 1 of each phi_i
     then hold automatically for the outer products, which are built once,
-    after the check: on an exact point from the numerators it checked, on
-    a float point while checking, kept with the point's cleared record.
+    by the check: divided from its products on an exact point, kept with
+    the point's cleared record on a float point.  The field's table is the
+    point's products, so the field is not cleared again.
     """
     xy = _checked_xy(point)
-    mats = _exact_residues(point, xy) if point.flavor == "exact" else xy.residues
-    return HiggsField(
-        residues=mats,
+    field = HiggsField(
+        residues=_exact_residues(point, xy) if point.flavor == "exact" else xy.residues,
         marked_points=point.marked_points,
         flavor=point.flavor,
     )
+    object.__setattr__(field, "_table", (xy.products, xy.dx * xy.dy))
+    return field
 
 
 def higgs_eval(field: HiggsField, z):
     """The matrix sum_i phi_i / (z - p_i), with z taken at its exact value
-    on an exact field (`_exact_z`)."""
+    on an exact field (`_exact_z`).
+
+    Each entry is one sum over the field's table.  A float field adds the
+    floats U_ab,i / (z - p_i) from the left, as a fold of matrix sums
+    would.  An exact field sums numerators and divides once per entry; an
+    entry is complex where z or some residue there is, as the Fraction
+    sum it replaces was.
+    """
     z = _exact_z(field.flavor, z)
-    acc = linalg.zeros(field.r, field.r)
-    for m, w in zip(field.residues, _inverse_distances(field.flavor, field.marked_points, z)):
-        acc = linalg.mat_add(acc, linalg.mat_scale(m, w))
-    return acc
+    ws = _inverse_distances(field.flavor, field.marked_points, z)
+    table, d = field._table
+    if field.flavor != "exact":
+        return tuple(tuple(sum(map(mul, u, ws)) for u in row) for row in table)
+    ws, dw = numerators(ws)
+    d *= dw
+    # on Gaussian numerators at a rational z, an entry where no residue is
+    # complex is real
+    real = isinstance(table[0][0][0], GaussianRational) and not isinstance(z, GaussianRational)
+    typed = field._gaussian_entries[0] if real else ()
+
+    def entry(a, b, u):
+        v = ratio(sum(map(mul, u, ws)), d)
+        return v.re if real and (a, b) not in typed else v
+
+    return tuple(
+        tuple(entry(a, b, u) for b, u in enumerate(row)) for a, row in enumerate(table)
+    )
 
 
 @dataclass(frozen=True)
@@ -354,17 +474,21 @@ def _exact_z(flavor: str, z):
 class _Cleared(NamedTuple):
     """A point as the bracket kernels read it, prepared once per point.
 
-    x = xs / dx and y = ys / dy, with xs r x n and ys n x r.  On a float
+    x = xs / dx and y = ys / dy, with xs r x n and ys n x r, and the
+    residue table ``products``: products[a][b][i] = xs[a][i] ys[i][b],
+    over dx dy, that every phi(z), the residues and psi read.  On a float
     point the entries are their own numerators over 1, ``poles`` holds the
     marked points as floats, ``complex_entries`` tells whether every
     entry is complex and ``residues`` holds the matrices x_i y_i built
-    while checking; an exact point has no float poles and no residues.
+    while checking, whose entries the table holds; an exact point has no
+    float poles and no residues.
     """
 
     xs: list
     dx: object
     ys: list
     dy: object
+    products: tuple
     poles: Optional[tuple] = None
     complex_entries: bool = False
     residues: Optional[tuple] = None
@@ -376,36 +500,37 @@ def _clear(point: QuiverPoint) -> _Cleared:
     An exact point is cleared with `numerators`, a float point has its
     poles converted and its entries tested.  MomentMapError unless every
     scalar y_i x_i vanishes, edge by edge, and then the residues x_i y_i
-    sum to zero.  An exact point is checked on its cleared numerators:
-    sum_a X_ai Y_ia = 0 for each edge i, then X Y = 0.  A float point is
-    checked within _MOMENT_TOL relative to the entry scale
-    (`_float_residues`).
+    sum to zero.  An exact point is checked on its products
+    U_ab,i = X_ai Y_ib: sum_a U_aa,i = 0 for each edge i, then
+    sum_i U_ab,i = 0.  A float point is checked within _MOMENT_TOL
+    relative to the entry scale (`_float_residues`).
     """
     if point.flavor != "exact":
+        mats = _float_residues(point)
         return _Cleared(
-            point.x, 1, point.y, 1,
+            point.x, 1, point.y, 1, _columns(mats),
             tuple(float(p) for p in point.marked_points),
             all(type(v) is complex for row in point.x + point.y for v in row),
-            _float_residues(point),
+            mats,
         )
     r, n = point.r, point.n
     xs, dx = numerators(v for row in point.x for v in row)
     ys, dy = numerators(v for row in point.y for v in row)
     xs = [xs[a * n:(a + 1) * n] for a in range(r)]
     ys = [ys[i * r:(i + 1) * r] for i in range(n)]
-    for i in range(n):
-        if sum(xs[a][i] * ys[i][a] for a in range(r)):
+    cols = list(zip(*ys))
+    products = tuple(tuple(tuple(map(mul, row, col)) for col in cols) for row in xs)
+    for i, s in enumerate(map(sum, zip(*(products[a][a] for a in range(r))))):
+        if s:
             raise MomentMapError(
                 f"complex moment map violated: y_i x_i != 0 at edge {i + 1}",
                 edge=i + 1,
             )
-    for a in range(r):
-        for b in range(r):
-            if sum(xs[a][i] * ys[i][b] for i in range(n)):
-                raise MomentMapError(
-                    "complex moment map violated: residues do not sum to zero"
-                )
-    return _Cleared(xs, dx, ys, dy)
+    if any(sum(u) for row in products for u in row):
+        raise MomentMapError(
+            "complex moment map violated: residues do not sum to zero"
+        )
+    return _Cleared(xs, dx, ys, dy, products)
 
 
 def _checked_xy(point: QuiverPoint) -> _Cleared:
@@ -479,14 +604,11 @@ class _PhiAt(NamedTuple):
 
 
 def _phi_at(point: QuiverPoint, xy: _Cleared, z) -> _PhiAt:
-    """The `_PhiAt` of z: phi * dx dy dw is the sum of (X_i Y_i) W_i, added
-    in the order `higgs_eval` adds floats."""
+    """The `_PhiAt` of z: entry (a, b) of phi * dx dy dw is the sum of
+    U_ab,i W_i over the point's products, added in `higgs_eval`'s order."""
     z = _exact_z(point.flavor, z)
     ws, dw = _weights(point, xy, z)
-    cols = list(zip(*xy.ys))
-    phi = tuple(
-        tuple(sum(map(mul, map(mul, row, col), ws)) for col in cols) for row in xy.xs
-    )
+    phi = tuple(tuple(sum(map(mul, u, ws)) for u in row) for row in xy.products)
     return _PhiAt(z, ws, dw, phi)
 
 
@@ -675,7 +797,8 @@ class CommutationReport:
 
 def commutation_report(point: QuiverPoint) -> CommutationReport:
     """Brackets of all observable pairs at the evaluation points
-    max(p_j) + 1, + 2, + 3."""
+    max(p_j) + 1, + 2, + 3.  A nonzero bracket whose value or gradient
+    norms leave the float range raises ValueError naming the bracket."""
     n, r = point.n, point.r
     xy = _checked_xy(point)
     # phi(z0) is built once per evaluation point and read by every power
@@ -698,6 +821,12 @@ def commutation_report(point: QuiverPoint) -> CommutationReport:
                 if norms is None:
                     norms = [_grad_norm(*g) for g in grads]
                 a = math.sqrt(norm_sq(val) / (ey * ex) ** 2)
+                if not all(map(math.isfinite, (a, norms[i], norms[j]))):
+                    (m, at), (m2, at2) = obs[i], obs[j]
+                    raise ValueError(
+                        f"bracket of Tr phi({at.z})^{m} and Tr phi({at2.z})^{m2} "
+                        "outside the float range"
+                    )
                 rel = a / max(1.0, norms[i] * norms[j])
             max_abs = max(max_abs, a)
             max_rel = max(max_rel, rel)
@@ -761,20 +890,22 @@ def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport
     fp = _float_point(point)
     xy = _checked_xy(fp)
     poles = np.array([float(p) for p in fp.marked_points])
-    centre = poles.mean()
-    radius = 1.2 * np.abs(poles - centre).max() + 1
     blocks = []
-    for m in range(2, r + 1):
-        count = n - 2 * m + 1
-        if count <= 0:
-            continue
-        k = np.arange(count)
-        zs = centre + radius * np.exp(2j * np.pi * k / count)
-        block = np.array([
-            _grad_numerators(fp, xy, _phi_at(fp, xy, complex(z)), m)[0] for z in zs
-        ])
-        block *= np.prod(zs[:, None] - poles, axis=1)[:, None]
-        blocks.append(np.exp(-2j * np.pi * np.outer(k, k) / count) @ block)
+    # a row off the float range raises below, with no numpy warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = poles.mean()
+        radius = 1.2 * np.abs(poles - centre).max() + 1
+        for m in range(2, r + 1):
+            count = n - 2 * m + 1
+            if count <= 0:
+                continue
+            k = np.arange(count)
+            zs = centre + radius * np.exp(2j * np.pi * k / count)
+            block = np.array([
+                _grad_numerators(fp, xy, _phi_at(fp, xy, complex(z)), m)[0] for z in zs
+            ])
+            block *= np.prod(zs[:, None] - poles, axis=1)[:, None]
+            blocks.append(np.exp(-2j * np.pi * np.outer(k, k) / count) @ block)
     dim_b = (r - 1) * (n - r - 1)
     if not blocks:
         return JacobianReport(rank=0, dim_b=dim_b, singular_values=())

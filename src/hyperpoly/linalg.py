@@ -4,12 +4,12 @@ Matrices are tuples of tuples of scalars.  The arithmetic helpers serve
 exact entries (int, Fraction, GaussianRational) and floating entries
 (float, complex) alike, because every scalar type used here supports field
 arithmetic, ``.conjugate()`` and ``.real``.  The one exact elimination,
-`_eliminate`, does not run on the entries themselves: it clears their
-denominators once and eliminates forward, fraction-free, on the numerators
-(ints, or GaussianRationals with integral parts).  `exact_rank` reads its
-pivots; `quiver._fiber_kernel` back-substitutes one vector of the kernel of
-the fiber equations x y = 0 through its echelon rows (`back_substitute`),
-all on those numerators, each division exact.
+`_eliminate`, does not run on the entries themselves: it eliminates
+forward, fraction-free, on numerator rows (ints, or GaussianRationals with
+integral parts).  `exact_rank` clears its matrix once and reads the
+pivots; `quiver._fiber_kernel` hands over its integral fiber equations
+x y = 0 as they are and back-substitutes one vector of their kernel
+through the echelon rows (`back_substitute`), each division exact.
 """
 
 from __future__ import annotations
@@ -97,17 +97,23 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return identity(len(a)) if out is None else out
 
 
-def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object]:
-    """Fraction-free forward elimination (Bareiss) on the cleared numerators
-    of a: (rows, pivots, d), the echelon rows, the pivot columns and the
-    last pivot d.  At each pivot c every row below becomes (pivot * row -
-    row[c] * pivot_row) // previous pivot from column c on (it is zero left
-    of c); that division is exact and every entry stays a minor of the
-    cleared matrix.
-    """
-    p, q = len(a), len(a[0])
+def _numerator_rows(a: Matrix) -> list:
+    """The rows of a cleared to numerators over one denominator, as lists."""
+    q = len(a[0])
     nums, _ = numerators(v for row in a for v in row)
-    rows = [nums[i * q:(i + 1) * q] for i in range(p)]
+    return [nums[i * q:(i + 1) * q] for i in range(len(a))]
+
+
+def _eliminate(rows: list) -> tuple[list, tuple[int, ...], object]:
+    """Fraction-free forward elimination (Bareiss), in place, on rows of
+    numerators, ints or GaussianRationals with integral parts (int zeros
+    among the latter are fine): (rows, pivots, d), the echelon rows, the
+    pivot columns and the last pivot d.  At each pivot c every row below
+    becomes (pivot * row - row[c] * pivot_row) // previous pivot from
+    column c on (it is zero left of c); that division is exact and every
+    entry stays a minor of the input.
+    """
+    p, q = len(rows), len(rows[0])
     pivots = []
     prev = 1
     for c in range(q):
@@ -132,7 +138,7 @@ def _eliminate(a: Matrix) -> tuple[list, tuple[int, ...], object]:
 
 
 def exact_rank(a: Matrix) -> int:
-    return len(_eliminate(a)[1]) if a else 0
+    return len(_eliminate(_numerator_rows(a))[1]) if a else 0
 
 
 def back_substitute(rows: list, pivots: tuple[int, ...], values: list) -> list:

@@ -250,6 +250,7 @@ def _fiber_kernel(x: tuple[tuple, ...], r: int, n: int, rng: random.Random) -> t
         for c in range(r)
         if c != c0
     ]
+    # integral already, so `_eliminate` takes the rows as they are
     reduced = [[0] * len(cols) for _ in range(r * r)]
     for j, (i, c, s) in enumerate(cols):
         for a in range(r):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import itertools
@@ -152,6 +153,27 @@ def test_solver_refuses_coefficients_above_the_dimension_bound(monkeypatch):
     monkeypatch.setattr(betti, "gaussian_binomial", spurious)
     with pytest.raises(ArithmeticError, match=r"above u\^6 .* level \(3, 7\)"):
         poincare(3, 7, margin=4)
+
+
+def test_default_margin_catches_a_spurious_sub_level_coefficient(monkeypatch):
+    # the same planted term, two degrees above the bound u^6 of (3, 7): it
+    # lies inside the default truncation 6 + DEFAULT_MARGIN and outside a
+    # zero margin.  (3, 7) is solved as a sub-level of (4, 8), through
+    # `_poincare_coeffs`; fresh caches keep every level solved before from
+    # being reused and every level solved here from being kept
+    grassmannian = betti.gaussian_binomial
+
+    def spurious(r, n):
+        coeffs = list(grassmannian(r, n).coeffs)
+        if (r, n) == (3, 7):
+            coeffs[8] += 1
+        return betti.DensePoly(coeffs, "u")
+
+    monkeypatch.setattr(betti, "gaussian_binomial", spurious)
+    monkeypatch.setattr(betti, "_poincare_coeffs", functools.cache(betti._poincare_coeffs.__wrapped__))
+    monkeypatch.setattr(betti, "_HEAVY_SUMS", {})
+    with pytest.raises(ArithmeticError, match=r"above u\^6 .* level \(3, 7\)"):
+        poincare(4, 8)
 
 
 def test_truncation_stability():

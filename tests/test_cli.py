@@ -430,20 +430,48 @@ def test_point_file_errors(tmp_path, capsys):
             assert code == 3, (name, cmd)
 
 
+# x_11 = 1e200 passes the float moment check, whose tolerance is relative
+# to the entry scale, but overflows phi(z)^2
+_HUGE_ENTRY_POINT = {
+    "r": 2, "n": 4, "flavor": "float", "alpha": None,
+    "marked_points": ["1/1", "2/1", "3/1", "4/1"],
+    "x": [[1e200, 3, -8, -7], [-9, -6, -4, 6]],
+    "y": [[760, -760], [-1482, -741], [-702, 1404], [-810, -945]],
+}
+
+
 def test_float_base_map_overflow_is_one_error_line(tmp_path, capsys):
-    # x_11 = 1e200 passes the float moment check, whose tolerance is
-    # relative to the entry scale, but overflows phi(z)^2 in the base map
-    obj = {
-        "r": 2, "n": 4, "flavor": "float", "alpha": None,
-        "marked_points": ["1/1", "2/1", "3/1", "4/1"],
-        "x": [[1e200, 3, -8, -7], [-9, -6, -4, 6]],
-        "y": [[760, -760], [-1482, -741], [-702, 1404], [-810, -945]],
-    }
     path = tmp_path / "huge_entry.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_HUGE_ENTRY_POINT))
     code, out, err = run(capsys, "hitchin", "--point", str(path))
     assert (code, out) == (3, "")
     assert err == "error: base map g_2 outside the float range\n"
+
+
+def test_float_bracket_overflow_is_one_error_line(tmp_path, capsys):
+    # the first bracket's value and gradient norms leave the float range;
+    # the report names that bracket instead of writing nan into the JSON
+    path = tmp_path / "huge_entry.json"
+    path.write_text(json.dumps(_HUGE_ENTRY_POINT))
+    code, out, err = run(capsys, "commute", "--point", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: bracket of Tr phi(5)^2 and Tr phi(6)^2 outside the float range\n"
+
+
+def test_jacobian_at_a_huge_marked_point_is_one_error_line(tmp_path, capsys):
+    # prod(z - p_j) on the sampling circle overflows: the rows are refused
+    # by their range check, with no numpy warning on stderr
+    obj = {
+        "r": 2, "n": 4, "flavor": "exact", "alpha": None,
+        "marked_points": ["1e100", "2/1", "3/1", "4/1"],
+        "x": [["-9/1", "3/1", "-8/1", "-7/1"], ["-9/1", "-6/1", "-4/1", "6/1"]],
+        "y": [["760/1", "-760/1"], ["-1482/1", "-741/1"], ["-702/1", "1404/1"], ["-810/1", "-945/1"]],
+    }
+    path = tmp_path / "huge_pole.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "jacobian", "--point", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: Jacobian rows outside the float range\n"
 
 
 # values a hand-edited or corrupted point file may carry in any position

@@ -9,6 +9,8 @@ from hyperpoly.exact import (
     DensePoly,
     GaussianRational,
     PolyMatrix,
+    berkowitz,
+    charpoly_numerators,
     cleared_vanishing_order,
     numerators,
     parse_rational,
@@ -220,6 +222,43 @@ def _poly_matrices(coeffs):
 def test_charpoly_matches_cofactor_expansion(rows):
     m = PolyMatrix(rows, "z")
     assert poly_matrix_charpoly(m) == _charpoly_via_cofactors(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([
+    small_ints,
+    small_fractions,
+    st.builds(GaussianRational, small_fractions, small_fractions),
+]).flatmap(_poly_matrices), st.integers(min_value=1, max_value=6))
+def test_berkowitz_on_numerator_rows_is_charpoly_numerators(rows, scale):
+    # on the numerators A = s D m of m, for any multiple s D of the least
+    # common denominator D, the kernel gives (s D)^i c_i: the numerators of
+    # `charpoly_numerators` times s^i, with the same scalar types, and a
+    # matrix seeded with them has the same charpoly
+    m = PolyMatrix(rows, "z")
+    cs, d = charpoly_numerators(m)
+    nums, _ = numerators(c for row in m.rows for e in row for c in e.coeffs)
+    it = iter(nums)
+    a = [[[next(it) * scale for _ in e.coeffs] for e in row] for row in m.rows]
+    got = berkowitz(a)
+    want = [[c * scale ** k for c in ck] for k, ck in enumerate(cs, start=1)]
+    assert repr(list(got)) == repr(want)
+    seeded = PolyMatrix(rows, "z")
+    seeded._numerators = (got, d * scale)
+
+    def typed(polys):
+        return [[(type(c), c) for c in p.coeffs] for p in polys]
+
+    assert typed(poly_matrix_charpoly(seeded)) == typed(poly_matrix_charpoly(m))
+
+
+def test_berkowitz_of_an_integer_companion_matrix():
+    # rows of [z], [1, z] and [] lists: the characteristic coefficients of
+    # the companion matrix of t^3 - z t - z^2, as int lists
+    assert berkowitz([[[], [0, 1], []], [[1], [], [0, 1]], [[1], [], []]]) == (
+        [], [0, -1], [0, 0, -1]
+    )
+    assert berkowitz([]) == ()
 
 
 def test_charpoly_companion_fixture():

@@ -1,7 +1,8 @@
 """The exact elimination of `linalg` against Fraction references.
 
-`linalg._eliminate` eliminates forward, fraction-free, on the cleared
-numerators, and `linalg.back_substitute` solves its echelon rows for one
+`linalg._eliminate` eliminates forward, fraction-free, on numerator rows
+(here the matrix cleared by `linalg._numerator_rows`, as `exact_rank`
+clears it), and `linalg.back_substitute` solves its echelon rows for one
 kernel vector.  The references below are the field Gauss-Jordan
 elimination they replaced and the canonical kernel basis it gives, kept
 here only.  Pivots must equal the reference's, and back-substituting d at
@@ -92,10 +93,15 @@ def _over_d(rows, d) -> tuple:
     )
 
 
+def _eliminated(a) -> tuple[list, tuple, object]:
+    """`_eliminate` on the numerator rows that `exact_rank` clears a to."""
+    return linalg._eliminate(linalg._numerator_rows(a))
+
+
 def _unit_vectors(a) -> tuple[list, tuple, object]:
     """(K, pivots, d): K holds, for each free column in order, the vector
     back-substituted from d there and 0 at the other free columns."""
-    rows, pivots, d = linalg._eliminate(a)
+    rows, pivots, d = _eliminated(a)
     q = len(a[0])
     basis = []
     for f in (c for c in range(q) if c not in pivots):
@@ -119,7 +125,7 @@ def _assert_echelon(a):
     # every row of the forward pass is zero left of its pivot, the rows
     # past the rank are zero, and the pivot rows span the reference's row
     # space: their reduced form over d is the reference's
-    rows, pivots, d = linalg._eliminate(a)
+    rows, pivots, d = _eliminated(a)
     for row, c in zip(rows, pivots):
         assert row[c] and not any(row[:c])
     assert not any(v for row in rows[len(pivots):] for v in row)
@@ -150,7 +156,7 @@ def test_mixed_entries_come_back_gaussian(a):
     # some of their entries as Fractions
     assert _kernel(a) == _reference(a)
     if any(isinstance(v, GaussianRational) for row in a for v in row):
-        rows, pivots, _ = linalg._eliminate(a)
+        rows, pivots, _ = _eliminated(a)
         assert all(isinstance(v, GaussianRational) for row in rows[: len(pivots)] for v in row)
         for vec in _unit_vectors(a)[0]:
             assert all(isinstance(vec[c], GaussianRational) for c in pivots)
@@ -182,7 +188,7 @@ def test_back_substitution_is_linear_in_the_free_values(a, data):
         for j in range(q):
             if j not in pivots:
                 values[j] += c * vec[j]
-    got = linalg.back_substitute(linalg._eliminate(a)[0], pivots, values)
+    got = linalg.back_substitute(_eliminated(a)[0], pivots, values)
     assert got == [sum((c * vec[j] for c, vec in zip(coeffs, basis)), 0 * d) for j in range(q)]
 
 
@@ -194,7 +200,7 @@ def test_back_substitution_is_linear_in_the_free_values(a, data):
     (((3, 1, 1), (0, 2, 4)), [0, 0, 1]),
 ], ids=["int", "gaussian", "second-step"])
 def test_back_substitution_refuses_an_inexact_division(a, free):
-    rows, pivots, d = linalg._eliminate(a)
+    rows, pivots, d = _eliminated(a)
     with pytest.raises(ArithmeticError):
         linalg.back_substitute(rows, pivots, free)
     # the same free values times d divide exactly

@@ -1,17 +1,18 @@
 """The exact kernels on numerators against Fraction references.
 
 The fiber kernel `quiver._fiber_kernel`, `exact.poly_matrix_charpoly`,
-`HiggsField.cleared_traces`, `exact.cleared_vanishing_order` and the
-bracket layer of `hitchin` clear denominators once and divide once at the
-end, or never.  The references below are the field eliminations and
-gradients they replaced, kept here only, with the `DensePoly` division
-they need, and the full fiber system of n + r^2 rows, whose canonical
-kernel (`test_linalg`'s Fraction reference) the seeded fiber vector over
-its d must combine by value; elsewhere typed reprs must agree: same
-values and same scalar types.  On
-float points the bracket layer must give the references' floats bit for
-bit, and so must the float `hitchin_map`, which keeps a reference here
-too.
+`HiggsField.psi` and `cleared_traces`, `hitchin.higgs_eval`,
+`exact.cleared_vanishing_order` and the bracket layer of `hitchin` clear
+denominators once and divide once at the end, or never.  The references
+below are the field eliminations, sums and gradients they replaced, kept
+here only: with the `DensePoly` division they need, psi built from the
+Fraction residues entry by entry, and the full fiber system of n + r^2
+rows, whose canonical kernel (`test_linalg`'s Fraction reference) the
+seeded fiber vector over its d must combine by value; elsewhere typed
+reprs must agree: same values and same scalar types.  On float points
+the bracket layer and `higgs_eval` must give the references' floats bit
+for bit, and so must the float `hitchin_map`, which keeps a reference
+here too.
 """
 
 import dataclasses
@@ -32,10 +33,13 @@ from hyperpoly.exact import (
     DensePoly,
     GaussianRational,
     PolyMatrix,
+    charpoly_numerators,
     cleared_vanishing_order,
     numerators,
+    poly_add,
     poly_from_roots,
     poly_matrix_charpoly,
+    ratio,
 )
 from hyperpoly import QuiverPoint, hitchin
 from hyperpoly.hitchin import (
@@ -49,6 +53,7 @@ from hyperpoly.hitchin import (
     _pole_overflow,
     commutation_report,
     delta_check,
+    higgs_eval,
     hitchin_map,
     observable_grad,
     poisson_bracket,
@@ -146,6 +151,27 @@ def _cleared_traces_reference(field):
         else:
             out.append((k, _padded(quot, bound + 1) if bound >= 0 else (), None))
     return out
+
+
+def _psi_reference(field):
+    """psi from the Fraction residues, each entry cleared on its own over
+    the nonzero residues there: the route the residue table replaced."""
+    n, r = field.n, field.r
+    _, v, cofactors = field._divisor
+    rows = []
+    for a in range(r):
+        row = []
+        for b in range(r):
+            terms = [(i, m[a][b]) for i, m in enumerate(field.residues) if m[a][b]]
+            nums, d = numerators(c for _, c in terms)
+            acc: list = []
+            for (i, _), c in zip(terms, nums):
+                acc = poly_add(acc, [c * q for q in cofactors[i]])
+            if len(acc) - 1 > n - 2:
+                raise DegreeOverflowError("degree overflow: residues do not sum to zero")
+            row.append(DensePoly([ratio(c, d * v) for c in acc], "z"))
+        rows.append(row)
+    return PolyMatrix(rows, "z")
 
 
 def _vanishing_order_reference(p: DensePoly, a):
@@ -556,6 +582,69 @@ def test_cleared_traces_match_reference():
     assert fields[1].cleared_traces[-1][2].endswith("higher-order pole at a marked point")
 
 
+def _typed_fields():
+    """Exact fields of every kind: from sampled, Gaussian, JSON round-tripped
+    Gaussian and (2i + 1) / 3 points, the same residues as a field built
+    directly, a direct field whose residues are a seeded mix of Fractions
+    and GaussianRationals of the same values, zeros included, and one whose
+    only GaussianRationals are zeros: its table is Gaussian, its psi
+    real."""
+    # ranks up to 4: the kernels are rank-blind, the references slow
+    points = [point for point, _ in _exact_points() if point.r <= 4]
+    points.append(QuiverPoint.loads(next(
+        p for p in points if isinstance(p.x[0][0], GaussianRational)
+    ).dumps()))
+    for point in points:
+        field = residues(point)
+        yield field
+        yield HiggsField(field.residues, field.marked_points, field.flavor)
+        rng = random.Random(repr(point.x))
+        mixed = tuple(
+            tuple(tuple(
+                GaussianRational(v) if type(v) is Fraction and rng.random() < 0.3 else v
+                for v in row) for row in m)
+            for m in field.residues
+        )
+        yield HiggsField(mixed, field.marked_points, field.flavor)
+        zeros = tuple(
+            tuple(tuple(v or GaussianRational() for v in row) for row in m) for m in field.residues
+        )
+        yield HiggsField(zeros, field.marked_points, field.flavor)
+
+
+def _psi_rows(psi):
+    return [[e.coeffs for e in row] for row in psi.rows]
+
+
+def test_psi_and_cleared_traces_match_the_fraction_route():
+    # the table's psi has the Fraction route's coefficients with their
+    # types, entry by entry; its seeded charpoly and the cleared traces from
+    # its numerators are the ones the Fraction psi's own numerators give
+    kinds = set()
+    for field in _typed_fields():
+        want = _psi_reference(field)
+        assert _typed_repr(_psi_rows(field.psi)) == _typed_repr(_psi_rows(want))
+        assert _typed(poly_matrix_charpoly(field.psi)) == _typed(poly_matrix_charpoly(want))
+        ref = HiggsField(field.residues, field.marked_points, field.flavor)
+        object.__setattr__(ref, "_charpoly", charpoly_numerators(want))
+        assert _typed_repr(field.cleared_traces) == _typed_repr(ref.cleared_traces)
+        kinds.add(tuple(sorted({type(c).__name__ for row in _psi_rows(want) for e in row for c in e})))
+    # real, complex and mixed psi all occur
+    assert {("Fraction",), ("GaussianRational",), ("Fraction", "GaussianRational")} <= kinds
+
+
+def test_exact_higgs_eval_matches_the_fraction_sums():
+    # values and scalar types of the sum of Fraction matrices, at rational,
+    # Gaussian and float z
+    for field in _typed_fields():
+        top = max(field.marked_points)
+        for z in (top + Fraction(1, 2), Fraction(-5, 4), GaussianRational(1, 2), 0.75, 3):
+            if z in field.marked_points:
+                continue
+            got = higgs_eval(field, z)
+            assert _typed_repr(got) == _typed_repr(_higgs_eval_reference(field, z)), z
+
+
 # ---------------------------------------------------------------------------
 # vanishing orders
 
@@ -709,6 +798,15 @@ def _float_points():
     yield dataclasses.replace(point, marked_points=tuple(Fraction(2 * i + 1, 3) for i in range(7)))
     # complex entries with a zero x column and a zero y row
     yield _float_point(sample_exact(2, 8, seed=2))
+    # real float entries: their sums take sum()'s float path, whose bits are
+    # those of the left-to-right additions of the references on
+    # CPython 3.11 and earlier only
+    point = sample_exact(3, 7, seed=0)
+    yield dataclasses.replace(
+        point, flavor="float",
+        x=tuple(tuple(map(float, row)) for row in point.x),
+        y=tuple(tuple(map(float, row)) for row in point.y),
+    )
 
 
 def test_bracket_layer_matches_reference_bit_for_bit_on_float_points():
@@ -720,6 +818,16 @@ def test_bracket_layer_matches_reference_bit_for_bit_on_float_points():
             (Fraction(1, 2), Fraction(2 * n + 1, 2)),
         ]:
             assert _outputs(point, zs) == _reference_outputs(point, zs), (point.r, n)
+
+
+def test_float_higgs_eval_matches_the_fold_of_matrix_sums_bit_for_bit():
+    for point in _float_points():
+        n = point.n
+        field = residues(point)
+        direct = HiggsField(field.residues, field.marked_points, field.flavor)
+        for z in (n + 0.7, complex(n + 1, 0.5), Fraction(1, 2), Fraction(2 * n + 1, 2)):
+            want = _typed_repr(_higgs_eval_reference(field, z))
+            assert _typed_repr(higgs_eval(field, z)) == want == _typed_repr(higgs_eval(direct, z))
 
 
 def _map_outcome(base_map, field):

@@ -123,25 +123,29 @@ def test_trace_consistency_low_rank(point24):
 
 
 def test_one_charpoly_pass_per_field(monkeypatch):
-    # hitchin_map, spectral_charpoly and trace_consistency share psi and
-    # its one Berkowitz pass, kept on the matrix
+    # hitchin_map, spectral_charpoly and trace_consistency share one
+    # Berkowitz pass on psi's numerators, kept on the field and seeded
+    # into psi, whichever of them runs first
     from hyperpoly import exact, hitchin
     from hyperpoly.hitchin import hitchin_map
 
-    field = residues(sample_exact(3, 7, seed=0))
     passes = []
-    kernel = exact.charpoly_numerators
+    kernel = exact.berkowitz
 
-    def counted(m):
-        passes.append(m._numerators is None)
-        return kernel(m)
+    def counted(a):
+        passes.append(len(a))
+        return kernel(a)
 
-    monkeypatch.setattr(exact, "charpoly_numerators", counted)
-    monkeypatch.setattr(hitchin, "charpoly_numerators", counted)
-    hitchin_map(field)
-    spectral_charpoly(twist(field))
-    trace_consistency(field)
-    assert passes.count(True) == 1
+    monkeypatch.setattr(exact, "berkowitz", counted)
+    monkeypatch.setattr(hitchin, "berkowitz", counted)
+    for twist_first in (False, True):
+        field = residues(sample_exact(3, 7, seed=0))
+        if twist_first:
+            spectral_charpoly(twist(field))
+        hitchin_map(field)
+        spectral_charpoly(twist(field))
+        trace_consistency(field)
+    assert passes == [3, 3]
 
 
 def test_trace_consistency_rank4_gap():
