@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -114,14 +115,19 @@ def _fold(numerators: dict[int, Sequence], order: int) -> list:
     """sum_s N_s / (1-u)^s through u^order, as a coefficient list.
 
     Horner in 1/(1-u): ((N_S/(1-u) + N_(S-1))/(1-u) + ...)/(1-u)^(s_min),
-    where each division by (1-u) is one prefix sum.
+    where each division by (1-u) is one prefix sum.  Below the lowest
+    nonzero coefficient of the N_s added so far the sum is zero, so each
+    prefix sum starts there.  Every N_s and the sum have length order + 1.
     """
     acc = [0] * (order + 1)
+    low = order + 1
     for s in range(max(numerators, default=0), -1, -1):
-        for k, c in enumerate(numerators.get(s, ())[: order + 1]):
-            acc[k] += c
+        row = numerators.get(s)
+        if row is not None:
+            acc = list(map(operator.add, acc, row))
+            low = min(low, next(itertools.compress(itertools.count(), row), low))
         if s:
-            acc = list(itertools.accumulate(acc))
+            acc[low:] = itertools.accumulate(acc[low:])
     return acc
 
 
@@ -188,9 +194,10 @@ def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool,
     The total t taken by H fixes n' = n - t and the pole order
     s = len(lam) + n - 1 - t, and the leaves of that total sum to the
     bucket C(n, t) u^(r(n-r) - h_max t) Q_H(t) of `_heavy_sums`, cut at the
-    top degree the numerator keeps.  Each bucket is multiplied once by its
-    light factor and shifted by m - n' into N_s.  exclude_top drops
-    t = n, the unknown top family of lam = (r).
+    top degree the numerator keeps, with the weight folded into C(n, t).
+    Each bucket is multiplied once by its light factor, cut at the same
+    degree, and added at its shift m - n' into N_s as one slice.
+    exclude_top drops t = n, the unknown top family of lam = (r).
     """
     r = sum(lam)
     heavy = tuple(p for p in lam if p >= 2)
@@ -211,17 +218,19 @@ def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool,
             d -= n - t - m
         if d > order:
             continue
-        c = math.comb(n, t)
-        bucket = [c * v for v in q[: order - d + 1]]
+        # coefficients of index cap and above land past u^order
+        cap = order - d + 1
+        c = weight * math.comb(n, t)
+        bucket = [c * v for v in q[:cap]]
         if m:
-            bucket = poly_mul(bucket, _light_factor(m, n - t))
+            bucket = poly_mul(bucket, _light_factor(m, n - t)[:cap])
         if d < 0:
             if any(bucket[:-d]):
                 raise ArithmeticError("negative exponent in collapsed family sum")
             bucket, d = bucket[-d:], 0
+        end = min(d + len(bucket), order + 1)
         row = numerators.setdefault(len(lam) + n - 1 - t, [0] * (order + 1))
-        for i, v in enumerate(bucket[: order + 1 - d], d):
-            row[i] += weight * v
+        row[d:end] = map(operator.add, row[d:end], bucket)
 
 
 @functools.cache

@@ -13,9 +13,13 @@ in that numerator ring (Python ints, or GaussianRational with integral
 parts for complex input, where ``//`` is exact division in both), and
 `ratio` divides once at the end.  A caller that holds numerators already
 (a Higgs field's psi, the fiber equations) hands them to the kernel as
-they are.  `poly_add`, `poly_mul` and `poly_divmod` on coefficient lists
-are the only polynomial sum, product and division loops over a numerator
-ring, and `squarefree_mod_p` the one loop over F_p; `DensePoly` is a
+they are.  Marked points enter as integer pairs p_j = u_j / v_j:
+`shifted_reciprocals` gives the numerators of scale / (z - p_j) at a
+rational z, and `linear_product` gives prod_j (v_j z - u_j) with its
+cofactors, on ints alone.  `poly_add`, `poly_mul` and `poly_divmod` on
+coefficient lists are the only general polynomial sum, product and
+division loops over a numerator ring, and `squarefree_mod_p` the one loop
+over F_p; `DensePoly` is a
 value type over the first two, and `PolyMatrix` a validated container of
 polynomials that keeps the Berkowitz numerators of its characteristic
 polynomial, or the ones its builder seeded.
@@ -178,6 +182,30 @@ def ratio(num, den):
     return Fraction(num, den)
 
 
+def shifted_reciprocals(pairs: Sequence, z: Rat, scale: int = 1) -> tuple[list, int]:
+    """`numerators` of scale / (z - u_j / v_j) for a rational z, on ints.
+
+    The pairs (u_j, v_j) are in lowest terms with v_j > 0.  At z = a / b
+    each value is scale b v_j / (a v_j - u_j b), put in lowest terms by
+    one gcd, and the common denominator is one lcm: the numerators and
+    least common denominator that the Fraction values give.  ZeroDivisionError, with the first index j
+    where z = u_j / v_j as its argument.
+    """
+    a, b = z.numerator, z.denominator
+    nums, dens = [], []
+    for j, (u, v) in enumerate(pairs):
+        den = a * v - u * b
+        if not den:
+            raise ZeroDivisionError(j)
+        num = scale * b * v
+        g = math.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    # lcm is positive, and d // e carries the sign of a negative e
+    d = math.lcm(*dens)
+    return [w * (d // e) for w, e in zip(nums, dens)], d
+
+
 # ---------------------------------------------------------------------------
 # serialization helpers: rationals as "p/q" strings, complex values as
 # {"re": ..., "im": ...} objects
@@ -189,11 +217,19 @@ def format_rational(v: Rat) -> str:
 
 def parse_rational(s) -> Fraction:
     """Parse "p/q", an int or a Fraction; ValueError on anything else,
-    a zero denominator included."""
+    a zero denominator included.
+
+    Strings take `Fraction`'s syntax.  The form every point file writes,
+    decimal digits over decimal digits with an optional "-" in front, is
+    built from its two ints; any other string is left to ``Fraction(s)``.
+    """
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     if isinstance(s, str):
+        num, sep, den = s.partition("/")
         try:
+            if num.removeprefix("-").isdecimal() and (den.isdecimal() or not sep):
+                return Fraction(int(num), int(den) if sep else 1)
             return Fraction(s)
         except ZeroDivisionError as e:
             raise ValueError(f"zero denominator in {s!r}") from e
@@ -486,6 +522,31 @@ def poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
         while cs and not cs[-1]:
             cs.pop()
     return q, rem
+
+
+def linear_product(pairs: Sequence) -> tuple[list, int, list]:
+    """P = prod_j (v_j z - u_j), V = prod_j v_j and the cofactors
+    v_i P / (v_i z - u_i), for integer pairs (u_j, v_j) in lowest terms.
+
+    P is built one linear factor at a time, and each quotient by
+    v_i z - u_i by synthetic division from the top,
+    q_(k-1) = (c_k + u_i q_k) / v_i.  Every division is exact: the
+    quotient of primitive integer polynomials is integral (Gauss's
+    lemma).  No list has a trailing zero.
+    """
+    full = [1]
+    for u, v in pairs:
+        full = [-u * full[0], *(v * lo - u * hi for lo, hi in zip(full, full[1:])),
+                v * full[-1]]
+    cofactors = []
+    for u, v in pairs:
+        acc = full[-1] // v
+        q = [acc]
+        for c in full[-2:0:-1]:
+            acc = (c + u * acc) // v
+            q.append(acc)
+        cofactors.append([v * c for c in reversed(q)])
+    return full, math.prod(v for _, v in pairs), cofactors
 
 
 # the Mersenne prime 2^61 - 1, the field F_p of `squarefree_mod_p`

@@ -15,19 +15,23 @@ point) that the moment check forms.  Everything built from phi reads that
 table: the residues divide it, every phi(z) (`_phi_at`, `higgs_eval`, so
 the float base map too) is one sum over it per entry, and psi's numerators
 are sum_i U_ab,i cof_i over one denominator.  A field built directly from
-residues clears them once into the same table.  Exact base coordinates
-take one route, psi -> c_i -> Tr(psi^k) -> g_k, on integers: one
-Berkowitz pass on psi's numerators, built once per field and read by
-`hitchin_map` and the spectral layer; the Fraction psi is built only for
-its readers, with that pass kept on it.  The exact bracket checks run on
-numerators too: phi(z0) once per evaluation point for every power,
-gradients are integer numerators over one denominator per half, and only
-a reported value is divided.  A point off the fiber keeps nothing and
-raises at every call.  Float points run on Python floats and complexes:
-the marked points are converted once per point (once per evaluation point
-in `higgs_eval`) and a Fraction weight once, not at every product, with
-the bits the Fraction fallback gave; sums run left to right, the order
-of a fold of matrix sums.
+residues clears them once into the same table.  The poles enter exact
+work as integer pairs p_j = u_j / v_j: every weight 1 / (z - p_j) at a
+rational z, and prod_j (z - p_j) with its cofactors, are formed from them
+with no Fraction arithmetic.  Exact base coordinates take one route,
+psi -> c_i -> Tr(psi^k) -> g_k, on integers: one Berkowitz pass on psi's
+numerators, built once per field and read by `hitchin_map` and the
+spectral layer; the Fraction psi is built only for its readers, with that
+pass kept on it.  The exact bracket checks run on numerators too: phi(z0)
+once per evaluation point for every power, gradients are integer
+numerators over one denominator per half, each split once into the two
+operands of a C-level pairing sum, and only a reported value is divided.
+A point off the fiber keeps nothing and raises at every call.  Float
+points run on Python floats and complexes: the marked points are
+converted once per point (once per evaluation point in `higgs_eval`) and
+a Fraction weight once, not at every product, with the bits the Fraction
+fallback gave; sums run left to right, the order of a fold of matrix
+sums.
 """
 
 from __future__ import annotations
@@ -49,12 +53,14 @@ from .exact import (
     GaussianRational,
     PolyMatrix,
     berkowitz,
+    linear_product,
     numerators,
     poly_add,
     poly_divmod,
     poly_mul,
     ratio,
     scalar_to_json,
+    shifted_reciprocals,
 )
 from .linalg import norm_sq
 from .quiver import QuiverPoint
@@ -120,19 +126,20 @@ class HiggsField:
         return typed, valued
 
     @cached_property
+    def _poles(self) -> tuple:
+        """The marked points as `_pole_pairs`."""
+        return _pole_pairs(self.marked_points)
+
+    @cached_property
     def _divisor(self) -> tuple[list, int, list]:
         """prod_j (z - p_j) = P / V on numerators, with its cofactors.
 
         With p_j = u_j / v_j in lowest terms, P = prod_j (v_j z - u_j) is a
         primitive integer polynomial and V = prod_j v_j.  Cofactor i is
-        v_i P / (v_i z - u_i), that is V prod_(j != i) (z - p_j).
+        v_i P / (v_i z - u_i), that is V prod_(j != i) (z - p_j): the
+        `linear_product` of the field's `_pole_pairs`.
         """
-        factors = [(-p.numerator, p.denominator) for p in map(Fraction, self.marked_points)]
-        full = [1]
-        for f in factors:
-            full = poly_mul(full, f)
-        cofactors = [[f[1] * c for c in poly_divmod(full, f)[0]] for f in factors]
-        return full, math.prod(f[1] for f in factors), cofactors
+        return linear_product(self._poles)
 
     @cached_property
     def _psi_numerators(self) -> tuple[list, object, set]:
@@ -342,11 +349,11 @@ def higgs_eval(field: HiggsField, z):
     sum it replaces was.
     """
     z = _exact_z(field.flavor, z)
-    ws = _inverse_distances(field.flavor, field.marked_points, z)
-    table, d = field._table
     if field.flavor != "exact":
-        return tuple(tuple(sum(map(mul, u, ws)) for u in row) for row in table)
-    ws, dw = numerators(ws)
+        ws = _inverse_distances(field.flavor, field.marked_points, z)
+        return tuple(tuple(sum(map(mul, u, ws)) for u in row) for row in field._table[0])
+    ws, dw = _exact_weights(field._poles, field.marked_points, z)
+    table, d = field._table
     d *= dw
     # on Gaussian numerators at a rational z, an entry where no residue is
     # complex is real
@@ -476,12 +483,13 @@ class _Cleared(NamedTuple):
 
     x = xs / dx and y = ys / dy, with xs r x n and ys n x r, and the
     residue table ``products``: products[a][b][i] = xs[a][i] ys[i][b],
-    over dx dy, that every phi(z), the residues and psi read.  On a float
-    point the entries are their own numerators over 1, ``poles`` holds the
-    marked points as floats, ``complex_entries`` tells whether every
-    entry is complex and ``residues`` holds the matrices x_i y_i built
-    while checking, whose entries the table holds; an exact point has no
-    float poles and no residues.
+    over dx dy, that every phi(z), the residues and psi read.  ``poles``
+    holds the marked points as an exact point's weights read them, the
+    `_pole_pairs` (u_j, v_j), and as floats on a float point.  On a float
+    point the entries are their own numerators over 1, ``complex_entries``
+    tells whether every entry is complex and ``residues`` holds the
+    matrices x_i y_i built while checking, whose entries the table holds;
+    an exact point has no residues.
     """
 
     xs: list
@@ -530,7 +538,7 @@ def _clear(point: QuiverPoint) -> _Cleared:
         raise MomentMapError(
             "complex moment map violated: residues do not sum to zero"
         )
-    return _Cleared(xs, dx, ys, dy, products)
+    return _Cleared(xs, dx, ys, dy, products, _pole_pairs(point.marked_points))
 
 
 def _checked_xy(point: QuiverPoint) -> _Cleared:
@@ -585,12 +593,34 @@ def _entry_scalars(complex_entries: bool, ws: list) -> list:
     return ws
 
 
+def _pole_pairs(marked_points) -> tuple:
+    """The pairs (u_j, v_j) with p_j = u_j / v_j in lowest terms, v_j > 0."""
+    return tuple(p.as_integer_ratio() for p in marked_points)
+
+
+def _exact_weights(poles: tuple, marked_points: tuple, z, scale=1) -> tuple[list, object]:
+    """`numerators` of the exact weights scale / (z - p_i), for the
+    `_pole_pairs` of the marked points; PoleEvaluationError at a pole.
+
+    A rational z takes `shifted_reciprocals`, on ints alone.  A
+    GaussianRational z keeps the Fraction route: its weights need a
+    division by a Gaussian norm per part, and no report's evaluation
+    point is complex.
+    """
+    if not isinstance(z, (int, Fraction)):
+        return numerators(_inverse_distances("exact", marked_points, z, scale))
+    try:
+        return shifted_reciprocals(poles, z, scale)
+    except ZeroDivisionError as e:
+        i = e.args[0]
+        raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {marked_points[i]}") from None
+
+
 def _weights(point: QuiverPoint, xy: _Cleared, z, scale=1) -> tuple[list, object]:
     """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float point."""
-    ws = _inverse_distances(point.flavor, point.marked_points, z, scale, xy.poles)
     if point.flavor == "exact":
-        return numerators(ws)
-    return ws, 1
+        return _exact_weights(xy.poles, point.marked_points, z, scale)
+    return _inverse_distances(point.flavor, point.marked_points, z, scale, xy.poles), 1
 
 
 class _PhiAt(NamedTuple):
@@ -661,23 +691,31 @@ def observable_grad(point: QuiverPoint, obs: BracketObservable) -> tuple:
     return tuple(ratio(v, ex) for v in g[:half]) + tuple(ratio(v, ey) for v in g[half:])
 
 
-def _contract(r: int, n: int, f: tuple, g: tuple):
-    """Canonical bracket pairing of two flat gradients.
+def _halves(r: int, n: int, g: tuple) -> tuple[list, list]:
+    """A flat gradient split once into `_contract`'s two operands, edge by
+    edge and row by row, (i, a): the left one holds the y entry (i, a),
+    then minus the x entry (a, i); the right one the x entry, then the y
+    entry."""
+    xs = [g[a * n + i] for i in range(n) for a in range(r)]
+    ys = g[r * n:]
+    left, right = [0] * (2 * len(xs)), [0] * (2 * len(xs))
+    left[0::2], left[1::2] = ys, [-v for v in xs]
+    right[0::2], right[1::2] = xs, ys
+    return left, right
+
+
+def _contract(f: list, g: list):
+    """Canonical bracket pairing of two gradients: f the left `_halves` of
+    the first, g the right `_halves` of the second.
 
     The sign is fixed so that the bracket induced on the residue entries
-    M = x_i y_i is delta_jk M_il - delta_il M_kj.  A product with a zero
-    factor is skipped and the others are added in the full sum's order, so
-    float sums keep their bits up to the sign of a zero.
+    M = x_i y_i is delta_jk M_il - delta_il M_kj.  One sum in C of the
+    products in (i, a) order: + f_y g_x, then - f_x g_y as (-f_x) g_y,
+    which rounds to the same float.  A product with a zero factor is
+    added too, which can change only the sign of a zero sum, and 0 * inf
+    is nan where a skipped product left the sum finite.
     """
-    acc = 0
-    for i in range(n):
-        for a in range(r):
-            x, y = a * n + i, r * n + i * r + a
-            if f[y] and g[x]:
-                acc = acc + f[y] * g[x]
-            if f[x] and g[y]:
-                acc = acc - f[x] * g[y]
-    return acc
+    return sum(map(mul, f, g))
 
 
 def poisson_bracket(point: QuiverPoint, f: BracketObservable, g: BracketObservable):
@@ -685,29 +723,28 @@ def poisson_bracket(point: QuiverPoint, f: BracketObservable, g: BracketObservab
     xy = _checked_xy(point)
     gf, _, ey = _observable_numerators(point, xy, f)
     gg, ex, _ = _observable_numerators(point, xy, g)
-    val = _contract(point.r, point.n, gf, gg)
+    r, n = point.r, point.n
+    val = _contract(_halves(r, n, gf)[0], _halves(r, n, gg)[1])
     return ratio(val, ey * ex) if point.flavor == "exact" else val
 
 
 def _entry_pairing(rz: tuple, rw: tuple, a: int, b: int, c: int, d: int):
     """`_contract` of the gradients of phi_ab(z) and phi_cd(w) on their
-    support: with rz = (WX, WY), WX[a][i] = W_i X_ai and WY[b][i] =
-    W_i Y_ib at z, the first is WY[b] in x row a and WX[a] in y column b.
-    Edge by edge, in `_contract`'s order, a product with a zero factor
-    skipped: + WX_z[a] WY_w[d] in column b if b = c, - WY_z[b] WX_w[c] in
-    column a if a = d."""
-    terms = []
-    if b == c:
-        terms.append((True, rz[0][a], rw[1][d]))
-    if a == d:
-        terms.insert(0 if a < b else len(terms), (False, rz[1][b], rw[0][c]))
-    acc = 0
-    for i in range(len(terms[0][1])):
-        for plus, us, vs in terms:
-            u, v = us[i], vs[i]
-            if u and v:
-                acc = acc + u * v if plus else acc - u * v
-    return acc
+    support: with rz = (WX, WY, -WY) at z and rw = (WX, WY) at w,
+    WX[a][i] = W_i X_ai and WY[b][i] = W_i Y_ib, the first is WY[b] in x
+    row a and WX[a] in y column b.  Edge by edge, in `_contract`'s order
+    and as one sum in C: + WX_z[a] WY_w[d] in column b if b = c, and
+    (-WY_z[b]) WX_w[c] in column a if a = d."""
+    plus = (rz[0][a], rw[1][d]) if b == c else None
+    minus = (rz[2][b], rw[0][c]) if a == d else None
+    if not (plus and minus):
+        return sum(map(mul, *(plus or minus)))
+    first, second = (minus, plus) if a < b else (plus, minus)
+    size = 2 * len(first[0])
+    left, right = [0] * size, [0] * size
+    left[0::2], left[1::2] = first[0], second[0]
+    right[0::2], right[1::2] = first[1], second[1]
+    return sum(map(mul, left, right))
 
 
 def delta_check(point: QuiverPoint, z, w):
@@ -742,12 +779,14 @@ def delta_check(point: QuiverPoint, z, w):
     else:
         sz, sw = _entry_scalars(xy.complex_entries, [1 / (w - z), 1 / (z - w)])
         kernel = linalg.mat_add(linalg.mat_scale(phi_z, sz), linalg.mat_scale(phi_w, sw))
-    # W_i X_ai and W_i Y_ib at z and at w: the entry gradients' nonzeros
+    # W_i X_ai and W_i Y_ib at z and at w: the entry gradients' nonzeros,
+    # with -W_i Y_ib at z for the pairings' minus terms
     rows_z, rows_w = (
         ([[u * v for u, v in zip(at.ws, row)] for row in xy.xs],
          [[u * row[b] for u, row in zip(at.ws, xy.ys)] for b in range(r)])
         for at in (at_z, at_w)
     )
+    rows_z += ([[-v for v in row] for row in rows_z[1]],)
     worst = 0
     for a, b, c, d in product(range(r), repeat=4):
         if b != c and a != d:
@@ -805,16 +844,17 @@ def commutation_report(point: QuiverPoint) -> CommutationReport:
     ats = [_phi_at(point, xy, z0) for z0 in _eval_points(point.marked_points, 3)]
     obs = [(m, at) for m in range(2, r + 1) for at in ats]
     grads = [_grad_numerators(point, xy, at, m) for m, at in obs]
+    halves = [_halves(r, n, g) for g, _, _ in grads]
     # only a nonzero bracket needs norms, and only it is divided
     norms = None
     pairs = []
     max_abs = 0.0
     max_rel = 0.0
     all_zero = True
-    for i, (gi, _, ey) in enumerate(grads):
+    for i, (_, _, ey) in enumerate(grads):
         for j in range(i + 1, len(obs)):
-            gj, ex, _ = grads[j]
-            val = _contract(r, n, gi, gj)
+            _, ex, _ = grads[j]
+            val = _contract(halves[i][0], halves[j][1])
             a = rel = 0.0
             if val:
                 all_zero = False

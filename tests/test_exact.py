@@ -12,13 +12,16 @@ from hyperpoly.exact import (
     berkowitz,
     charpoly_numerators,
     cleared_vanishing_order,
+    linear_product,
     numerators,
     parse_rational,
+    poly_divmod,
     poly_from_roots,
     poly_matrix_charpoly,
     poly_mul,
     scalar_from_json,
     scalar_to_json,
+    shifted_reciprocals,
     squarefree_mod_p,
 )
 from hyperpoly.betti import _geom_coeffs
@@ -91,6 +94,32 @@ def test_parse_rational_forms():
         parse_rational(1.5)
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def _parse_outcome(parse, s):
+    try:
+        v = parse(s)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    return type(v), v.numerator, v.denominator
+
+
+def _parse_reference(s):
+    # Fraction's own parser, with a zero denominator as a ValueError
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as e:
+        raise ValueError(f"zero denominator in {s!r}") from e
+
+
+@pytest.mark.parametrize("s", [
+    "3/4", "-3/4", "12", "-12", "0/5", "-0/7", "1000000000000000000000/3",
+    "1.5", " 3/4 ", "+3/4", "1_000/3", "1e3", "1e100", "٣/٤",
+    "²/3", "3/-4", "1/0", "-0/0", "", "/", "-/3", "3/", "--3", "1/2/3",
+])
+def test_parse_rational_is_fractions_parser(s):
+    # the split on "/" keeps every value and every refusal of Fraction(str)
+    assert _parse_outcome(parse_rational, s) == _parse_outcome(_parse_reference, s)
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +327,63 @@ def test_squarefree_mod_p_on_gaussian_integers():
     # z - i is tested as (z - i)(z + i) = z^2 + 1
     assert squarefree_mod_p([-i, GaussianRational(1)])
     assert not squarefree_mod_p(poly_mul([-i, 1], [-i, 1]))
+
+
+# ---------------------------------------------------------------------------
+# marked points as integer pairs: the weights and the cleared divisor
+
+def _reciprocals_reference(marked, z, scale):
+    # the Fraction values scale / (z - p_j), then their numerators; the
+    # index of the first pole
+    ws = []
+    for j, p in enumerate(marked):
+        if z == p:
+            return "pole", j
+        ws.append(scale / (z - p))
+    return numerators(ws)
+
+
+def _linear_product_reference(marked):
+    # prod_j (v_j z - u_j) by products, each cofactor by long division
+    factors = [(-p.numerator, p.denominator) for p in map(Fraction, marked)]
+    full = [1]
+    for f in factors:
+        full = poly_mul(full, f)
+    cofactors = [[f[1] * c for c in poly_divmod(full, f)[0]] for f in factors]
+    v = 1
+    for f in factors:
+        v *= f[1]
+    return full, v, cofactors
+
+
+def _pairs(marked):
+    return [(p.numerator, p.denominator) for p in map(Fraction, marked)]
+
+
+MARKED_POINTS = [
+    tuple(Fraction(i) for i in range(1, 13)),
+    tuple(Fraction(2 * i + 1, 3) for i in range(7)),
+    (Fraction(-5, 2), Fraction(3), Fraction(-7), Fraction(1, 4), Fraction(0), Fraction(9, 5)),
+    (4, -2, Fraction(-13, 6)),
+]
+
+
+@pytest.mark.parametrize("marked", MARKED_POINTS)
+@pytest.mark.parametrize("z", [
+    Fraction(27, 2), Fraction(20), Fraction(-3, 2), Fraction(-4), Fraction(5, 7),
+    Fraction(3), Fraction(-7), Fraction(1, 4), Fraction(0), 4,
+])
+@pytest.mark.parametrize("scale", [1, 3])
+def test_shifted_reciprocals_are_the_fraction_numerators(marked, z, scale):
+    # the same ints and lcm as the Fraction values give, and at a pole a
+    # ZeroDivisionError naming its index
+    try:
+        got = shifted_reciprocals(_pairs(marked), z, scale)
+    except ZeroDivisionError as e:
+        got = "pole", e.args[0]
+    assert repr(got) == repr(_reciprocals_reference(marked, z, scale))
+
+
+@pytest.mark.parametrize("marked", MARKED_POINTS + [(Fraction(5, 3),)])
+def test_linear_product_by_synthetic_division_is_the_long_division(marked):
+    assert repr(linear_product(_pairs(marked))) == repr(_linear_product_reference(marked))

@@ -398,11 +398,13 @@ def test_commutation_report_exact_nonzero_values(monkeypatch):
     # exact brackets vanish identically, so a pairing that adds f_0 g_0 to
     # every numerator bracket stands in for a nonzero one; with x and y
     # integral (dx = dy = 1) it adds f_0 g_0 in value units too, and the
-    # report must size it, and the gradient norms, as the Fraction values
+    # report must size it, and the gradient norms, as the Fraction values;
+    # _contract pairs the left half of f, whose entry 1 is -f_0, with the
+    # right half of g, whose entry 0 is g_0
     pt = sample_exact(3, 7, seed=0)
     contract = hitchin._contract
     monkeypatch.setattr(
-        hitchin, "_contract", lambda r, n, f, g: contract(r, n, f, g) + f[0] * g[0]
+        hitchin, "_contract", lambda f, g: contract(f, g) - f[1] * g[0]
     )
     rep = commutation_report(pt)
     assert not rep.all_zero

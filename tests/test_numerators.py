@@ -1,8 +1,8 @@
 """The exact kernels on numerators against Fraction references.
 
 The fiber kernel `quiver._fiber_kernel`, `exact.poly_matrix_charpoly`,
-`HiggsField.psi` and `cleared_traces`, `hitchin.higgs_eval`,
-`exact.cleared_vanishing_order` and the bracket layer of `hitchin` clear
+`HiggsField.psi` and `cleared_traces`, `hitchin.higgs_eval` and its
+weights, `exact.cleared_vanishing_order` and the bracket layer of `hitchin` clear
 denominators once and divide once at the end, or never.  The references
 below are the field eliminations, sums and gradients they replaced, kept
 here only: with the `DensePoly` division they need, psi built from the
@@ -46,7 +46,6 @@ from hyperpoly.hitchin import (
     BracketObservable,
     CommutationReport,
     HiggsField,
-    _contract,
     _eval_points,
     _exact_z,
     _float_point,
@@ -247,9 +246,23 @@ def _observable_grad_reference(point, obs, field=None):
     return tuple(out)
 
 
+def _contract_reference(r, n, f, g):
+    # the canonical pairing of two flat gradients as a fold that skips a
+    # product with a zero factor
+    acc = 0
+    for i in range(n):
+        for a in range(r):
+            x, y = a * n + i, r * n + i * r + a
+            if f[y] and g[x]:
+                acc = acc + f[y] * g[x]
+            if f[x] and g[y]:
+                acc = acc - f[x] * g[y]
+    return acc
+
+
 def _poisson_bracket_reference(point, f, g):
     field = residues(point)
-    return _contract(
+    return _contract_reference(
         point.r,
         point.n,
         _observable_grad_reference(point, f, field),
@@ -280,7 +293,7 @@ def _commutation_report_reference(point):
     all_zero = True
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
-            val = _contract(r, n, grads[i], grads[j])
+            val = _contract_reference(r, n, grads[i], grads[j])
             a = rel = 0.0
             if val:
                 all_zero = False
@@ -335,7 +348,7 @@ def _delta_check_reference(point, z, w):
         for b in range(r):
             for c in range(r):
                 for d in range(r):
-                    lhs = _contract(r, n, grads_z[(a, b)], grads_w[(c, d)])
+                    lhs = _contract_reference(r, n, grads_z[(a, b)], grads_w[(c, d)])
                     rhs = 0
                     if b == c:
                         rhs = rhs + delta[a][d]
@@ -643,6 +656,40 @@ def test_exact_higgs_eval_matches_the_fraction_sums():
                 continue
             got = higgs_eval(field, z)
             assert _typed_repr(got) == _typed_repr(_higgs_eval_reference(field, z)), z
+
+
+def _exact_weights_reference(marked, z):
+    # the Fraction weights 1 / (z - p_i) and their numerators
+    ws = []
+    for i, p in enumerate(marked):
+        if z == p:
+            raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {p}")
+        ws.append(1 / (z - p))
+    return numerators(ws)
+
+
+def _weights_outcome(weights, *args):
+    try:
+        return repr(weights(*args))
+    except PoleEvaluationError as e:
+        return "pole", str(e)
+
+
+@pytest.mark.parametrize("marked", [
+    tuple(Fraction(i) for i in range(1, 13)),
+    tuple(Fraction(2 * i + 1, 3) for i in range(7)),
+    (Fraction(-5, 2), Fraction(3), Fraction(-7), Fraction(1, 4), Fraction(0), Fraction(9, 5)),
+    (4, -2, Fraction(-13, 6)),
+])
+def test_exact_weights_are_the_fraction_weights(marked):
+    # integer weights at a rational z, the Fraction route at a Gaussian
+    # one, and at every pole the same message
+    poles = hitchin._pole_pairs(marked)
+    zs = [Fraction(27, 2), Fraction(-3, 2), Fraction(20), Fraction(-4), Fraction(5, 7),
+          GaussianRational(Fraction(1, 2), 1), GaussianRational(3), *marked]
+    for z in zs:
+        got = _weights_outcome(hitchin._exact_weights, poles, marked, z)
+        assert got == _weights_outcome(_exact_weights_reference, marked, z), z
 
 
 # ---------------------------------------------------------------------------
