@@ -2,57 +2,37 @@
 
 import importlib
 
-from .betti import (
-    PoincarePoly,
-    dimensions,
-    genericity_check,
-    poincare,
-    poincare_rank2,
-    recursion_residual,
-)
-from .errors import (
-    DegenerateDiscriminantError,
-    DegenerateSampleError,
-    DegreeOverflowError,
-    MomentMapError,
-    NonConvergenceError,
-    PoleEvaluationError,
-    TrivialFiberError,
-    ValidationError,
-)
-from .exact import DensePoly, GaussianRational, PolyMatrix
+# Each submodule and the public names it exports.  The first three load
+# with the package; the numpy-backed layers load on first access, so that
+# `import hyperpoly` and the Betti commands do not import numpy.
+_EXPORTS = {
+    "betti": ("PoincarePoly", "dimensions", "genericity_check", "poincare",
+              "poincare_rank2", "recursion_residual"),
+    "errors": ("DegenerateDiscriminantError", "DegenerateSampleError",
+               "DegreeOverflowError", "MomentMapError", "NonConvergenceError",
+               "PoleEvaluationError", "TrivialFiberError", "ValidationError"),
+    "exact": ("DensePoly", "GaussianRational", "PolyMatrix"),
+    "hitchin": ("BasePoint", "BracketObservable", "HiggsField", "commutation_report",
+                "delta_check", "higgs_eval", "hitchin_map", "jacobian_rank",
+                "observable_grad", "poisson_bracket", "residues"),
+    "quiver": ("QuiverPoint", "exact_point_from_x", "min_orbit_check",
+               "moment_residual", "sample_exact", "solve_real"),
+    "spectral": ("CharPoly", "TwistedHiggs", "local_models", "order_check",
+                 "smoothness_probe", "spectral_charpoly", "trace_consistency", "twist"),
+}
+_EAGER = ("betti", "errors", "exact")
 
-# The numpy-backed layers and their exports, resolved on first access so
-# that `import hyperpoly` and the Betti commands do not import numpy.
+globals().update(
+    (name, getattr(importlib.import_module(f"{__name__}.{module}"), name))
+    for module in _EAGER
+    for name in _EXPORTS[module]
+)
+
+# lazy name -> its submodule; each lazy submodule is also its own name
 _LAZY = {
-    "hitchin": "hitchin",
-    "BasePoint": "hitchin",
-    "BracketObservable": "hitchin",
-    "HiggsField": "hitchin",
-    "commutation_report": "hitchin",
-    "delta_check": "hitchin",
-    "higgs_eval": "hitchin",
-    "hitchin_map": "hitchin",
-    "jacobian_rank": "hitchin",
-    "observable_grad": "hitchin",
-    "poisson_bracket": "hitchin",
-    "residues": "hitchin",
-    "quiver": "quiver",
-    "QuiverPoint": "quiver",
-    "exact_point_from_x": "quiver",
-    "min_orbit_check": "quiver",
-    "moment_residual": "quiver",
-    "sample_exact": "quiver",
-    "solve_real": "quiver",
-    "spectral": "spectral",
-    "CharPoly": "spectral",
-    "TwistedHiggs": "spectral",
-    "local_models": "spectral",
-    "order_check": "spectral",
-    "smoothness_probe": "spectral",
-    "spectral_charpoly": "spectral",
-    "trace_consistency": "spectral",
-    "twist": "spectral",
+    name: module
+    for module, names in _EXPORTS.items() if module not in _EAGER
+    for name in (module, *names)
 }
 
 
@@ -69,49 +49,6 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "BasePoint",
-    "BracketObservable",
-    "CharPoly",
-    "DegenerateDiscriminantError",
-    "DegenerateSampleError",
-    "DegreeOverflowError",
-    "DensePoly",
-    "GaussianRational",
-    "HiggsField",
-    "MomentMapError",
-    "NonConvergenceError",
-    "PoincarePoly",
-    "PoleEvaluationError",
-    "PolyMatrix",
-    "QuiverPoint",
-    "TrivialFiberError",
-    "TwistedHiggs",
-    "ValidationError",
-    "commutation_report",
-    "delta_check",
-    "dimensions",
-    "exact_point_from_x",
-    "genericity_check",
-    "higgs_eval",
-    "hitchin_map",
-    "jacobian_rank",
-    "local_models",
-    "min_orbit_check",
-    "moment_residual",
-    "observable_grad",
-    "order_check",
-    "poincare",
-    "poincare_rank2",
-    "poisson_bracket",
-    "recursion_residual",
-    "residues",
-    "sample_exact",
-    "smoothness_probe",
-    "solve_real",
-    "spectral_charpoly",
-    "trace_consistency",
-    "twist",
-]
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 __version__ = "0.1.0"

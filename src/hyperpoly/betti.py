@@ -47,7 +47,7 @@ from .combinat import (
     multinomial,
     partitions,
 )
-from .exact import DensePoly, poly_mul
+from .exact import DensePoly, csv_text, poly_mul
 
 DEFAULT_MARGIN = 5
 
@@ -77,7 +77,7 @@ class PoincarePoly:
 
     def to_csv(self) -> str:
         """Headerless CSV, one "2k,b_2k" line per pair of `betti_numbers`."""
-        return "".join(f"{deg},{b}\n" for deg, b in self.betti_numbers())
+        return csv_text(self.betti_numbers())
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import betti
 from .errors import NonConvergenceError, ValidationError
-from .exact import DensePoly, parse_rational, poly_from_roots, scalar_to_json
+from .exact import DensePoly, csv_text, parse_rational, poly_from_roots, scalar_to_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,10 +110,8 @@ def _cmd_betti_table(args) -> int:
         for n in range(args.r + 1, args.n_max + 1)
     ]
     if args.format == "csv":
-        _emit("".join(
-            f"{args.r},{n},{line}\n"
-            for n, pp in rows
-            for line in pp.to_csv().splitlines()
+        _emit(csv_text(
+            (args.r, n, *pair) for n, pp in rows for pair in pp.betti_numbers()
         ), args.output)
     else:
         _emit_json(
@@ -213,14 +211,9 @@ def _cmd_spectral(args) -> int:
     charpoly = spectral.spectral_charpoly(spectral.twist(field))
     if args.check_orders:
         report = spectral.order_check(charpoly)
-        lines = []
-        for i, p, order, bound, passed in report.rows:
-            otext = "inf" if order == float("inf") else str(order)
-            lines.append(
-                f"{i},{scalar_to_json(p)},{otext},{bound},"
-                f"{'true' if passed else 'false'}\n"
-            )
-        _emit("".join(lines), args.output)
+        _emit(csv_text(
+            (i, scalar_to_json(p), *rest) for i, p, *rest in report.rows
+        ), args.output)
         return 0 if report.all_pass else 1
     _emit_json(charpoly.to_json_dict(), args.output)
     return 0

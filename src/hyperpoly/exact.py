@@ -208,7 +208,7 @@ def shifted_reciprocals(pairs: Sequence, z: Rat, scale: int = 1) -> tuple[list, 
 
 # ---------------------------------------------------------------------------
 # serialization helpers: rationals as "p/q" strings, complex values as
-# {"re": ..., "im": ...} objects
+# {"re": ..., "im": ...} objects, tables as headerless CSV
 
 def format_rational(v: Rat) -> str:
     f = _as_fraction(v)
@@ -250,6 +250,15 @@ def scalar_to_json(v):
     if isinstance(v, float):
         return v
     raise TypeError(f"cannot serialize scalar {v!r}")
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """Headerless CSV, one line per row: booleans as "true"/"false", every
+    other field as its str()."""
+    def field(v):
+        return ("true" if v else "false") if isinstance(v, bool) else str(v)
+
+    return "".join(",".join(map(field, row)) + "\n" for row in rows)
 
 
 def _finite_float(v) -> float:

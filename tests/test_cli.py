@@ -637,6 +637,16 @@ def test_exact_outputs_are_frozen(tmp_path, capsys):
     assert got == _FROZEN
 
 
+def test_check_orders_writes_inf_for_a_zero_coefficient(tmp_path, capsys):
+    # a nilpotent-cone point: c_2 = 0 has infinite order at every marked
+    # point and passes its bound there
+    path = tmp_path / "pt.json"
+    assert run(capsys, "sample", "-r", "2", "-n", "4", "--seed", "1", "-o", str(path))[0] == 0
+    code, out, _ = run(capsys, "spectral", "--point", str(path), "--check-orders")
+    assert code == 0
+    assert out == "2,1/1,inf,1,true\n2,2/1,inf,1,true\n2,3/1,inf,1,true\n2,4/1,inf,1,true\n"
+
+
 # the commands that run only the Betti layer
 BETTI_COMMANDS = (
     ("betti", "-r", "3", "-n", "9"),
@@ -673,6 +683,18 @@ print(json.dumps(out))
 
 def test_cli_import_leaves_numpy_unloaded():
     assert python("import sys, hyperpoly.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_package_import_loads_only_the_exact_layers():
+    # the exact layers are bound at import; the numpy-backed ones wait for
+    # their first access
+    got = python("""
+import sys, hyperpoly
+print([m for m in ("betti", "errors", "exact") if m in vars(hyperpoly)])
+print([m for m in ("hitchin", "quiver", "spectral") if "hyperpoly." + m in sys.modules])
+print("numpy" in sys.modules, hyperpoly.__all__ == sorted(set(hyperpoly.__all__)))
+""")
+    assert got == "['betti', 'errors', 'exact']\n[]\nFalse True\n"
 
 
 def test_package_names_resolve_to_their_modules():
