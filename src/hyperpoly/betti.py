@@ -8,12 +8,12 @@ rank and admissible size tuples.  The family attached to the full partition
 be solved for it.
 
 Each family is summed as sum_s N_s / (1-u)^s with integer numerators N_s,
-one per pole order s.  Within a partition the pole order is fixed by the
-number t of edges its parts >= 2 take.  The leaves of one t sum to
-C(n, t) u^(r(n-r) - h_max t) Q_H(t), where the heavy-part sum Q_H(t) does
-not depend on n: it is built once per process, one part at a time, and
-shared by every level.  The closed-form factor of the size-1 parts
-multiplies each such bucket once.  All numerators of a level, the
+one per pole order s.  Within a partition lam the pole order is fixed by
+the number t of edges its parts take.  The leaves of one t sum to
+C(n, t) u^(r(n-r) - h_max t) Q_lam(t), where the part sum Q_lam(t) does not
+depend on n: it is built once per process, the parts >= 2 one at a time
+and the size-1 parts in one step, and shared by every level.  Each such
+bucket enters its numerator as one slice.  All numerators of a level, the
 Grassmannian one included, are merged by pole order over the integer lcm
 of the multiplicity factorials, folded once by Horner in 1/(1-u) (one
 prefix sum per pole order) and divided exactly by that lcm.  Only the
@@ -24,8 +24,8 @@ formula special to rank 2, and a direct term-by-term re-evaluation of the
 recursion used as a residual check.  Each of their terms is one product of
 a polynomial with the binomial expansion of 1/(1-u)^s, subtracted at its
 shift with its weight.  They share only `poly_mul` and the solved
-sub-levels with the fast path, none of its heavy-part sums, buckets or
-Horner fold.
+sub-levels with the fast path, none of its part sums, buckets or Horner
+fold.
 """
 
 from __future__ import annotations
@@ -88,29 +88,6 @@ class GenericityReport:
     witness: Optional[tuple[int, tuple[int, ...]]]
 
 
-def _binomial_line_power(a: int, npow: int) -> list[int]:
-    """Coefficients of (a + (1-a) u)^npow."""
-    b = 1 - a
-    pa = [1] * (npow + 1)
-    pb = [1] * (npow + 1)
-    for t in range(1, npow + 1):
-        pa[t] = pa[t - 1] * a
-        pb[t] = pb[t - 1] * b
-    return [math.comb(npow, t) * pa[npow - t] * pb[t] for t in range(npow + 1)]
-
-
-@functools.cache
-def _light_factor(m: int, n1: int) -> tuple[int, ...]:
-    """Collapsed sum over the sizes of m size-1 parts sharing n1 edges:
-    sum_j (-1)^j C(m,j) ((m-j) + (1-m+j) u)^n1 (see `_family_sum`)."""
-    out = [0] * (n1 + 1)
-    for j in range(m + 1):
-        cmj = (-1) ** j * math.comb(m, j)
-        for t, q in enumerate(_binomial_line_power(m - j, n1)):
-            out[t] += cmj * q
-    return tuple(out)
-
-
 def _fold(numerators: dict[int, Sequence], order: int) -> list:
     """sum_s N_s / (1-u)^s through u^order, as a coefficient list.
 
@@ -131,48 +108,71 @@ def _fold(numerators: dict[int, Sequence], order: int) -> list:
     return acc
 
 
-# heavy parts -> [(low, coeffs) per total size t]; see `_heavy_sums`
+@functools.cache
+def _onto(k: int, m: int) -> int:
+    """sigma(k, m) = sum_j (-1)^j C(m, j) (m - j)^k = m! S(k, m), the number
+    of maps from k edges onto m parts."""
+    return sum((-1) ** j * math.comb(m, j) * (m - j) ** k for j in range(m + 1))
+
+
+# partition -> [(low, coeffs) per total size t]; see `_heavy_sums`
 _HEAVY_SUMS: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
 
 
-def _heavy_sums(heavy: tuple[int, ...], t_max: int) -> list:
-    """Q_H(t) for t = 0 .. t_max (at least), H = heavy, each as a pair
-    (low, coeffs) meaning u^low * coeffs with coeffs[0] nonzero.
+def _heavy_sums(lam: tuple[int, ...], t_max: int) -> list:
+    """Q_lam(t) for t = 0 .. t_max (at least), each as a pair (low, coeffs)
+    meaning u^low * coeffs with coeffs[0] nonzero.
 
-    Q_H(t) = sum over ordered sizes k_i > h_i with sum t of
-             C(t; k) * u^(h_max t + sum h_i (h_i - k_i)) * prod P(h_i, k_i),
-    where h_max = H[0] is the largest part.  Every exponent is
-    sum h_i^2 + sum (h_max - h_i) k_i >= 0, and nothing depends on the edge
-    count of a level, so the sums are kept for the whole process.  One part
-    at a time:
-        Q_(h)(t)   = u^(h^2) P(h, t)
-        Q_(H,h)(t) = sum_k C(t, k) u^((h_max - h) k + h^2) P(h, k) Q_H(t - k).
-    The list grows in increasing t, so each new entry solves at most one
-    new sub-level P(h, k) of each part and the recursion depth stays flat.
+    Q_lam(t) = sum over ordered sizes k_i with sum t of
+               C(t; k) * u^(h_max t + sum p_i (p_i - k_i)) * prod P(p_i, k_i),
+    where h_max = lam[0] is the largest part, a part p_i >= 2 takes
+    k_i > p_i edges and a part 1 takes k_i >= 1, with P(1, k) = 1.  Every
+    exponent is sum p_i^2 + sum (h_max - p_i) k_i >= 0, and nothing depends
+    on the edge count of a level, so the sums are kept for the whole
+    process.  Write lam = H + 1^m with H the parts >= 2.  The m parts 1
+    enter in one step, and the parts of H one at a time:
+        Q_lam(t)   = sum_k C(t, k) sigma(k, m) u^((h_max - 1) k + m) Q_H(t - k)
+        Q_(H,h)(t) = sum_k C(t, k) P(h, k) u^((h_max - h) k + h^2) Q_H(t - k)
+    from Q_()(t) = [t = 0], with sigma(k, m) the count of `_onto`.  Each
+    list grows in increasing t, so each new entry solves at most one new
+    sub-level P(h, k) of each part and the recursion depth stays flat.
     """
-    sums = _HEAVY_SUMS.setdefault(heavy, [])
-    *rest, h = heavy
+    sums = _HEAVY_SUMS.get(lam, ())
+    if len(sums) > t_max:
+        return sums
+    # the last step adds the m parts 1 at once, or else the smallest part h
+    m = lam.count(1)
+    if m:
+        rest, h, k_min, h_sq = lam[:-m], 1, m, m
+    else:
+        rest, h, k_min, h_sq = lam[:-1], lam[-1], lam[-1] + 1, lam[-1] ** 2
+    # Q_rest(t) vanishes below t = sum(rest) + len(rest), the fewest edges
+    # rest can take, and Q_lam(t) below the same bound for lam
+    rest_min = sum(rest) + len(rest)
+    if not sums:
+        sums = _HEAVY_SUMS[lam] = [(0, ())] * (rest_min + k_min)
+    # Q_() is 1 at t = 0 and 0 after; the range below starts at k = t for it
+    below = _heavy_sums(rest, t_max - k_min) if rest else [(0, (1,))]
     while len(sums) <= t_max:
         t = len(sums)
-        if not rest:
-            p = _poincare_coeffs(h, t)
-            terms = [(h * h, 1, p)] if p else []
-        else:
-            below = _heavy_sums(tuple(rest), t - h - 1)
-            terms = []
-            for k in range(h + 1, t + 1):
-                low, q = below[t - k]
-                if q:
-                    terms.append(((heavy[0] - h) * k + h * h + low, math.comb(t, k),
-                                  poly_mul(_poincare_coeffs(h, k), q)))
+        terms = []
+        for k in range(max(k_min, t + 1 - len(below)), t - rest_min + 1):
+            low, q = below[t - k]
+            if not q:
+                continue
+            shift, c = (lam[0] - h) * k + h_sq + low, math.comb(t, k)
+            if m:
+                terms.append((shift, c * _onto(k, m), q))
+            else:
+                terms.append((shift, c, poly_mul(_poincare_coeffs(h, k), q)))
         if not terms:
             sums.append((0, ()))
             continue
         low = min(shift for shift, _, _ in terms)
         out = [0] * (max(shift + len(q) for shift, _, q in terms) - low)
         for shift, c, q in terms:
-            for i, v in enumerate(q, shift - low):
-                out[i] += c * v
+            i = shift - low
+            out[i:i + len(q)] = map(operator.add, out[i:i + len(q)], map(c.__mul__, q))
         sums.append((low, tuple(out)))
     return sums
 
@@ -184,53 +184,30 @@ def _family_sum(lam: tuple[int, ...], n: int, order: int, exclude_top: bool,
     all admissible size tuples of
         multinomial * u^beta * prod_j P(lam_j, rho_j) / (1-u)^s.
 
-    Write lam = H + 1^m with H the parts >= 2.  Size-1 parts are summed in
-    closed form: for fixed sizes on H, the inclusion-exclusion identity
-        sum_K (ordered nonempty subsets, total K) ((1-u)/u)^K
-            = sum_j (-1)^j C(m,j) ((m-j) + (1-m+j) u)^n' / u^n'
-    collapses the m-fold sum over their sizes into the light factor
-    `_light_factor(m, n')`.
-
-    The total t taken by H fixes n' = n - t and the pole order
-    s = len(lam) + n - 1 - t, and the leaves of that total sum to the
-    bucket C(n, t) u^(r(n-r) - h_max t) Q_H(t) of `_heavy_sums`, cut at the
-    top degree the numerator keeps, with the weight folded into C(n, t).
-    Each bucket is multiplied once by its light factor, cut at the same
-    degree, and added at its shift m - n' into N_s as one slice.
+    The total t of the sizes fixes the pole order s = len(lam) + n - 1 - t,
+    and the leaves of that total sum to the bucket
+    C(n, t) u^(r(n-r) - h_max t) Q_lam(t) of `_heavy_sums`, whose exponents
+    are Morse indices beta >= 0.  Each bucket is cut at u^order, scaled by
+    the weight times C(n, t) and added into N_s as one slice.
     exclude_top drops t = n, the unknown top family of lam = (r).
     """
     r = sum(lam)
-    heavy = tuple(p for p in lam if p >= 2)
-    m = len(lam) - len(heavy)
-    if heavy:
-        t_max = n - m - exclude_top
-        sums = _heavy_sums(heavy, t_max)
-    else:
-        t_max, sums = 0, [(0, (1,))]
-    for t in range(sum(heavy) + len(heavy), t_max + 1):
+    t_max = n - exclude_top
+    sums = _heavy_sums(lam, t_max)
+    for t in range(r + len(lam) - lam.count(1), t_max + 1):
         low, q = sums[t]
         if not q:
             continue
-        # exponent of the bucket's first coefficient in N_s; the light
-        # factor comes with u^(m - n')
-        d = r * (n - r) - (heavy[0] * t if heavy else 0) + low
-        if m:
-            d -= n - t - m
+        # exponent of the bucket's first coefficient in N_s
+        d = r * (n - r) - lam[0] * t + low
         if d > order:
             continue
-        # coefficients of index cap and above land past u^order
-        cap = order - d + 1
-        c = weight * math.comb(n, t)
-        bucket = [c * v for v in q[:cap]]
-        if m:
-            bucket = poly_mul(bucket, _light_factor(m, n - t)[:cap])
         if d < 0:
-            if any(bucket[:-d]):
-                raise ArithmeticError("negative exponent in collapsed family sum")
-            bucket, d = bucket[-d:], 0
-        end = min(d + len(bucket), order + 1)
+            raise ArithmeticError("negative Morse index in a family sum")
+        c = weight * math.comb(n, t)
+        end = min(d + len(q), order + 1)
         row = numerators.setdefault(len(lam) + n - 1 - t, [0] * (order + 1))
-        row[d:end] = map(operator.add, row[d:end], bucket)
+        row[d:end] = map(operator.add, row[d:end], map(c.__mul__, q[:end - d]))
 
 
 @functools.cache

@@ -79,17 +79,10 @@ def admissible_rho(lam: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, n, ())
 
 
+@lru_cache(maxsize=None)
 def mult_factorial(lam: tuple[int, ...]) -> int:
     """Product of m! over the multiplicities m of the distinct part values."""
-    out = 1
-    run = 1
-    for i in range(1, len(lam) + 1):
-        if i < len(lam) and lam[i] == lam[i - 1]:
-            run += 1
-        else:
-            out *= math.factorial(run)
-            run = 1
-    return out
+    return math.prod(math.factorial(lam.count(p)) for p in set(lam))
 
 
 def multinomial(n: int, rho: tuple[int, ...]) -> int:

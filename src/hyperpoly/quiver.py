@@ -75,8 +75,8 @@ class QuiverPoint:
             object.__setattr__(
                 self, "marked_points", default_marked_points(self.n)
             )
-        if len(set(self.marked_points)) != self.n:
-            raise ValueError("marked points must be distinct")
+        if len(self.marked_points) != self.n or len(set(self.marked_points)) != self.n:
+            raise ValueError("need n distinct marked points")
         if self.flavor == "float":
             values = [v for row in self.x + self.y for v in row]
             if not all(map(_in_float_range, values + list(self.marked_points))):

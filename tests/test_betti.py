@@ -2,6 +2,7 @@ import functools
 import hashlib
 import inspect
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -114,6 +115,46 @@ def test_heavy_sums_match_term_by_term(heavy):
         low, coeffs = sums[t]
         dense = [0] * low + list(coeffs) if coeffs else []
         assert dense == _brute_heavy_sum(heavy, t), (heavy, t)
+
+
+def _brute_part_sum(lam, t):
+    """Q_lam(t) term by term with the parts 1 included: a part 1 takes
+    k >= 1 edges and contributes P(1, k) = 1, a part p >= 2 takes k > p."""
+    hmax = lam[0]
+    out = {}
+    for ks in itertools.product(range(1, t + 1), repeat=len(lam)):
+        if sum(ks) != t or any(p >= 2 and k <= p for p, k in zip(lam, ks)):
+            continue
+        base = hmax * t + sum(p * (p - k) for p, k in zip(lam, ks))
+        weight = multinomial(t, ks)
+        polys = [betti._poincare_coeffs(p, k) for p, k in zip(lam, ks)]
+        for picks in itertools.product(*(enumerate(q) for q in polys)):
+            e = base + sum(i for i, _ in picks)
+            c = weight
+            for _, v in picks:
+                c *= v
+            out[e] = out.get(e, 0) + c
+    return [out.get(e, 0) for e in range(max(out) + 1)] if out else []
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 1, 1), (2, 1), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1)])
+def test_part_sums_with_size_one_parts_match_term_by_term(lam):
+    sums = betti._heavy_sums(lam, 14)
+    for t in range(15):
+        low, coeffs = sums[t]
+        dense = [0] * low + list(coeffs) if coeffs else []
+        assert dense == _brute_part_sum(lam, t), (lam, t)
+
+
+def test_onto_counts_follow_the_stirling_recurrence():
+    # sigma(k, m) = m! S(k, m), with S(k, m) = m S(k-1, m) + S(k-1, m-1)
+    stirling = {(0, 0): 1}
+    for k in range(13):
+        for m in range(13):
+            if k and m:
+                stirling[k, m] = m * stirling.get((k - 1, m), 0) + stirling[k - 1, m - 1]
+            s = stirling.setdefault((k, m), 0)
+            assert betti._onto(k, m) == math.factorial(m) * s, (k, m)
 
 
 def test_rank2_oracle_agreement():
@@ -268,6 +309,22 @@ def test_cold_level_depth_with_shared_heavy_sums():
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
         coeffs = poincare(4, 40).coeffs_u()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert coeffs == want
+
+
+def test_cold_level_depth_with_size_one_parts():
+    # the parts 1 of a partition enter its part sums in one step on top of
+    # the sums of its parts >= 2, so a cold rank-8 level, where most
+    # partitions have parts 1, stays as shallow as the rank-4 one above
+    want = poincare(8, 20).coeffs_u()
+    betti._poincare_coeffs.cache_clear()
+    betti._HEAVY_SUMS.clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        coeffs = poincare(8, 20).coeffs_u()
     finally:
         sys.setrecursionlimit(limit)
     assert coeffs == want

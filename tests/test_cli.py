@@ -474,6 +474,19 @@ def test_jacobian_at_a_huge_marked_point_is_one_error_line(tmp_path, capsys):
     assert err == "error: Jacobian rows outside the float range\n"
 
 
+def test_marked_points_must_be_n_distinct_values(tmp_path, capsys):
+    # five marked points with four distinct values on four edges once
+    # passed the distinctness check and ended in an IndexError traceback
+    obj = json.loads(sample_exact(2, 4, seed=0).dumps())
+    for marked in ("00123", ["0/1", "0/1", "1/1", "2/1", "3/1"], ["1/1", "1/1", "2/1", "3/1"]):
+        obj["marked_points"] = marked
+        path = tmp_path / "marked.json"
+        path.write_text(json.dumps(obj))
+        for cmd in ("hitchin", "commute", "jacobian", "spectral"):
+            code, out, err = run(capsys, cmd, "--point", str(path))
+            assert (code, out, err) == (3, "", "error: need n distinct marked points\n"), (marked, cmd)
+
+
 # values a hand-edited or corrupted point file may carry in any position
 _ODD_VALUES = st.one_of(
     st.sampled_from([
