@@ -80,7 +80,7 @@ def _load_point(path: str) -> quiver.QuiverPoint:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ValueError(f"not valid JSON: {path}: {e}") from e
     try:
         return quiver.QuiverPoint.from_json_dict(obj)

@@ -41,10 +41,6 @@ def identity(n: int) -> Matrix:
     )
 
 
-def zeros(p: int, q: int) -> Matrix:
-    return tuple((0,) * q for _ in range(p))
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)

@@ -40,6 +40,14 @@ def _in_float_range(v) -> bool:
         return False
 
 
+def _parse_list(value, what: str, parse) -> tuple:
+    """``parse`` of each entry of a JSON list; a string or an object would
+    be read as its characters or keys."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return tuple(map(parse, value))
+
+
 def default_marked_points(n: int) -> tuple[Fraction, ...]:
     """Marked points 1, 2, ..., n on the affine line."""
     return tuple(Fraction(i) for i in range(1, n + 1))
@@ -111,22 +119,19 @@ class QuiverPoint:
         if type(r) is not int or type(n) is not int:
             raise ValueError("r and n must be JSON integers")
         exact = flavor == "exact"
+
+        def matrix(key):
+            return _parse_list(obj[key], key, lambda row: _parse_list(
+                row, f"each row of {key}", lambda v: scalar_from_json(v, exact)))
+
         return cls(
             r=r,
             n=n,
             flavor=flavor,
-            x=tuple(
-                tuple(scalar_from_json(v, exact) for v in row) for row in obj["x"]
-            ),
-            y=tuple(
-                tuple(scalar_from_json(v, exact) for v in row) for row in obj["y"]
-            ),
-            alpha=None
-            if alpha is None
-            else tuple(parse_rational(a) for a in alpha),
-            marked_points=tuple(
-                parse_rational(p) for p in obj["marked_points"]
-            ),
+            x=matrix("x"),
+            y=matrix("y"),
+            alpha=None if alpha is None else _parse_list(alpha, "alpha", parse_rational),
+            marked_points=_parse_list(obj["marked_points"], "marked_points", parse_rational),
         )
 
     def dumps(self) -> str:

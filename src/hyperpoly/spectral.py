@@ -9,9 +9,9 @@ data share one exact pass, and `trace_consistency` flags exactly the
 powers at which `hitchin_map` raises.  This module computes the c_i,
 checks the vanishing-order bounds ord_{p_j}(c_i) >= floor((i+1)/2) at the
 marked points, and certifies the curve smooth away from the marked fibers.
-The certificate splits the exact discriminant det g(C) (g = df/dlam, C
-the companion matrix of f, read off the Berkowitz kernel that gives the
-c_i) as prod_j (v_j z - u_j)^(o_j) * R and tests R squarefree mod p.
+The certificate splits the discriminant det F'(C) (F the monic integer
+rescaling of f, C its companion matrix) as prod_j (v_j z - u_j)^(o_j) * R
+and tests R squarefree mod p.
 The module also carries two small hardcoded local models (one of rank 3,
 one of rank 4) used as fixtures.
 """
@@ -32,8 +32,10 @@ from .errors import (
 from .exact import (
     DensePoly,
     PolyMatrix,
+    berkowitz,
     cleared_vanishing_order,
     numerators,
+    poly_add,
     poly_divmod,
     poly_matrix_charpoly,
     poly_mul,
@@ -256,26 +258,29 @@ def local_models(seed: int = 0) -> tuple[LocalModelFixture, LocalModelFixture]:
 # ---------------------------------------------------------------------------
 # smoothness certificate
 
-def _resultant_lambda(f_coeffs: list[DensePoly], g_coeffs: list[DensePoly]) -> DensePoly:
-    """Resultant in the fiber variable of a monic f and any g.
+def _discriminant_numerators(cp: CharPoly) -> tuple[list, int]:
+    """(Delta, e), Delta = e^(r(r-1)) Res_lam(f, df/dlam) on numerators,
+    lowest degree first, and e the common denominator of the c_i.
 
-    Coefficient lists are highest power first; entries are polynomials in z.
-    Res(f, g) = det g(C) for the companion matrix C of f (Cohen, GTM 138,
-    section 3.3).  g(C) comes from Horner's rule, and its determinant is
-    (-1)^r times the last coefficient of its characteristic polynomial,
-    from the division-free Berkowitz pass of `charpoly_numerators`.
+    With c_i = N_i / e and mu = e*lam, F(mu) = e^r f(mu/e) is monic with
+    coefficients a_i = e^(i-1) N_i, and Res(F, F') = Delta.  For a monic F,
+    Res(F, G) = det G(C), C the companion matrix of F (Cohen, GTM 138,
+    section 3.3), and column j of G(C) is mu^j G(mu) mod F.  `berkowitz`
+    reads the columns as rows: a transpose keeps the determinant.
     """
-    if f_coeffs[0] != 1:
-        raise ValueError("the resultant needs a monic f")
-    r = len(f_coeffs) - 1
-    ident = [[DensePoly.constant(int(i == j), "z") for j in range(r)] for i in range(r)]
-    # C: ones below the diagonal, -a_r .. -a_1 down the last column
-    comp = [row[1:] + [-a] for row, a in zip(ident, reversed(f_coeffs[1:]))]
-    g_of_c = linalg.zeros(r, r)
-    for b in g_coeffs:
-        g_of_c = linalg.mat_add(linalg.mat_mul(g_of_c, comp), linalg.mat_scale(ident, b))
-    det = poly_matrix_charpoly(PolyMatrix(g_of_c, "z"))[-1]
-    return -det if r % 2 else det
+    r = cp.r
+    nums, e = numerators(c for i in range(1, r + 1) for c in cp.c[i].coeffs)
+    it = iter(nums)
+    a = [[1]] + [[e ** (i - 1) * next(it) for _ in cp.c[i].coeffs] for i in range(1, r + 1)]
+    # column 0 is F'(mu) = sum_k (k+1) a_(r-k-1) mu^k; each next column is
+    # mu times the last, with mu^r = -sum_k a_(r-k) mu^k mod F
+    reduce_top = [[-c for c in a[r - k]] for k in range(r)]
+    cols = [[[(k + 1) * c for c in a[r - k - 1]] for k in range(r)]]
+    for _ in range(r - 1):
+        col = cols[-1]
+        cols.append([poly_add(lo, poly_mul(col[-1], m)) for lo, m in zip([[]] + col, reduce_top)])
+    delta = berkowitz(cols)[-1]
+    return ([-c for c in delta] if r % 2 else delta), e
 
 
 @dataclass(frozen=True)
@@ -292,31 +297,22 @@ class SmoothnessReport:
 def smoothness_probe(cp: CharPoly) -> SmoothnessReport:
     """Certify the spectral curve smooth away from the marked fibers.
 
-    Clears the exact discriminant Res_lam(f, df/dlam) to numerators once
-    and divides them by prod_j (v_j z - u_j)^(o_j), o_j their vanishing
-    order at p_j.  If the rest R is squarefree mod p, every root off the
-    marked points is simple and the curve is smooth there; otherwise it
-    is not certified.
+    Divides the discriminant of `_discriminant_numerators` by
+    prod_j (v_j z - u_j)^(o_j), o_j its vanishing order at p_j.  If the
+    rest R is squarefree mod p, every root off the marked points is simple
+    and the curve is smooth there; otherwise it is not certified.  The
+    factor e^(r(r-1)), built from the point's denominators, changes no
+    order or degree, and the verdict only if p divides it.
     """
-    r = cp.r
-    f_coeffs = [DensePoly.one("z")] + [cp.c[i] for i in range(1, r + 1)]
-    flam_coeffs = [
-        cp.c[i] * (r - i) if i else DensePoly.constant(r, "z")
-        for i in range(r)
-    ]
-    res = _resultant_lambda(f_coeffs, flam_coeffs)
-    if not res:
-        raise DegenerateDiscriminantError(
-            "degenerate discriminant: the curve is non-reduced"
-        )
-    nums, _ = numerators(res.coeffs)
-    orders = tuple((p, cleared_vanishing_order(nums, p)) for p in cp.marked_points)
+    delta, _ = _discriminant_numerators(cp)
+    if not delta:
+        raise DegenerateDiscriminantError("degenerate discriminant: the curve is non-reduced")
+    orders = tuple((p, cleared_vanishing_order(delta, p)) for p in cp.marked_points)
     divisor = [1]
     for p, order in orders:
-        p = Fraction(p)
         for _ in range(order):
             divisor = poly_mul(divisor, [-p.numerator, p.denominator])
-    rest, rem = poly_divmod(nums, divisor)
+    rest, rem = poly_divmod(delta, divisor)
     assert not rem, "the marked-point factors must divide the discriminant"
     squarefree = squarefree_mod_p(rest)
     return SmoothnessReport(
@@ -324,5 +320,5 @@ def smoothness_probe(cp: CharPoly) -> SmoothnessReport:
         residual_degree=len(rest) - 1,
         squarefree=squarefree,
         verdict="smooth away from D" if squarefree else "not certified away from D",
-        discriminant_degree=res.degree,
+        discriminant_degree=len(delta) - 1,
     )

@@ -476,15 +476,60 @@ def test_jacobian_at_a_huge_marked_point_is_one_error_line(tmp_path, capsys):
 
 def test_marked_points_must_be_n_distinct_values(tmp_path, capsys):
     # five marked points with four distinct values on four edges once
-    # passed the distinctness check and ended in an IndexError traceback
+    # passed the distinctness check and ended in an IndexError traceback;
+    # the string "00123" is not a list of marked points at all
     obj = json.loads(sample_exact(2, 4, seed=0).dumps())
-    for marked in ("00123", ["0/1", "0/1", "1/1", "2/1", "3/1"], ["1/1", "1/1", "2/1", "3/1"]):
+    for marked, message in (
+        ("00123", "marked_points must be a JSON list"),
+        (["0/1", "0/1", "1/1", "2/1", "3/1"], "need n distinct marked points"),
+        (["1/1", "1/1", "2/1", "3/1"], "need n distinct marked points"),
+    ):
         obj["marked_points"] = marked
         path = tmp_path / "marked.json"
         path.write_text(json.dumps(obj))
         for cmd in ("hitchin", "commute", "jacobian", "spectral"):
             code, out, err = run(capsys, cmd, "--point", str(path))
-            assert (code, out, err) == (3, "", "error: need n distinct marked points\n"), (marked, cmd)
+            assert (code, out, err) == (3, "", f"error: {message}\n"), (marked, cmd)
+
+
+@pytest.mark.parametrize(
+    "where,value,what",
+    [
+        (("marked_points",), "1234", "marked_points"),
+        (("marked_points",), {"1/1": 0, "2/1": 0, "3/1": 0, "4/1": 0}, "marked_points"),
+        (("alpha",), "1111", "alpha"),
+        (("x",), ["1011", "0112"], "each row of x"),
+        (("x",), {"1011": 0, "0112": 0}, "x"),
+        (("y", 0), "01", "each row of y"),
+    ],
+    ids=["marked-string", "marked-object", "alpha-string", "x-row-strings", "x-object", "y-row-string"],
+)
+def test_point_file_strings_and_objects_are_not_lists(tmp_path, capsys, where, value, what):
+    # a string or an object where the format writes a list was read as its
+    # characters or keys: on the worked 2x4 point each of these once gave
+    # the same point back, and hitchin printed its base map
+    from hyperpoly.quiver import exact_point_from_x
+
+    obj = json.loads(exact_point_from_x(X24, alpha=[1, 1, 1, 1]).dumps())
+    *outer, last = where
+    target = obj
+    for k in outer:
+        target = target[k]
+    target[last] = value
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hitchin", "--point", str(path))
+    assert (code, out, err) == (3, "", f"error: {what} must be a JSON list\n")
+
+
+def test_deeply_nested_point_file_is_invalid_json(tmp_path, capsys):
+    # json.load raised RecursionError, which ended in a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, "hitchin", "--point", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: not valid JSON: {path}: ")
+    assert err.count("\n") == 1
 
 
 # values a hand-edited or corrupted point file may carry in any position

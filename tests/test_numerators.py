@@ -185,7 +185,7 @@ def _vanishing_order_reference(p: DensePoly, a):
 
 def _higgs_eval_reference(field, z):
     z = _exact_z(field.flavor, z)
-    acc = linalg.zeros(field.r, field.r)
+    acc = ((0,) * field.r,) * field.r
     for i, p in enumerate(field.marked_points):
         if z == p:
             raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {p}")

@@ -15,7 +15,7 @@ from hyperpoly.quiver import exact_point_from_x, min_orbit_check, sample_exact
 from hyperpoly.spectral import (
     CharPoly,
     TwistedHiggs,
-    _resultant_lambda,
+    _discriminant_numerators,
     local_models,
     order_check,
     smoothness_probe,
@@ -23,8 +23,6 @@ from hyperpoly.spectral import (
     trace_consistency,
     twist,
 )
-
-from test_numerators import _padded
 
 
 def test_twist_fixture(point24):
@@ -247,7 +245,7 @@ def _discriminant_lists(cp):
 
 def _sylvester_det(f, g):
     """Determinant of the scalar Sylvester matrix of f and g (highest power
-    first), by Gaussian elimination over Fractions."""
+    first), by Gaussian elimination over exact scalars."""
     dn, dm = len(f) - 1, len(g) - 1
     rows = [[Fraction(0)] * s + f + [Fraction(0)] * (dm - 1 - s) for s in range(dm)]
     rows += [[Fraction(0)] * s + g + [Fraction(0)] * (dn - 1 - s) for s in range(dn)]
@@ -266,21 +264,42 @@ def _sylvester_det(f, g):
     return det
 
 
-@pytest.mark.parametrize("r,n", [(2, 6), (3, 7), (4, 8)])
-def test_resultant_matches_sylvester_oracle(r, n):
-    cp = spectral_charpoly(twist(residues(sample_exact(r, n, seed=0))))
+def _sampled_charpoly(r, n):
+    return spectral_charpoly(twist(residues(sample_exact(r, n, seed=0))))
+
+
+def _thirds_charpoly(x):
+    """Charpoly of the point completing x, marked at (2i + 1) / 3."""
+    marked = [Fraction(2 * i + 1, 3) for i in range(len(x[0]))]
+    return spectral_charpoly(twist(residues(exact_point_from_x(x, seed=0, marked_points=marked))))
+
+
+# the last three have charpoly coefficients with a common denominator
+# e > 1, where F(mu) = e^r f(mu / e) differs from f and the factor
+# e^(r(r-1)) shows
+@pytest.mark.parametrize(
+    "make,e_above_one",
+    [
+        (lambda: _sampled_charpoly(2, 6), False),
+        (lambda: _sampled_charpoly(3, 7), False),
+        (lambda: _sampled_charpoly(4, 8), False),
+        (lambda: _thirds_charpoly(sample_exact(3, 7, seed=0).x), True),
+        (lambda: _thirds_charpoly(
+            ((GaussianRational(1, 1), 0, 1, 1, 2), (0, 1, GaussianRational(1, -1), 2, 1))
+        ), True),
+        (lambda: local_models(seed=0)[1].charpoly, True),
+    ],
+    ids=["2-6", "3-7", "4-8", "thirds-3-7", "gaussian-thirds-2-5", "local-rank4"],
+)
+def test_resultant_matches_sylvester_oracle(make, e_above_one):
+    cp = make()
+    delta, e = _discriminant_numerators(cp)
+    assert (e > 1) is e_above_one
     f, f_lam = _discriminant_lists(cp)
-    res = _resultant_lambda(f, f_lam)
+    scale = e ** (cp.r * (cp.r - 1))
     for z0 in (Fraction(1, 2), Fraction(7, 3), Fraction(-2)):
-        f0 = [Fraction(c(z0)) for c in f]
-        f_lam0 = [Fraction(c(z0)) for c in f_lam]
-        assert res(z0) == _sylvester_det(f0, f_lam0)
-
-
-def test_resultant_needs_monic_f():
-    z = DensePoly.gen("z")
-    with pytest.raises(ValueError):
-        _resultant_lambda([z, DensePoly.one("z")], [z])
+        value = sum(c * z0 ** k for k, c in enumerate(delta)) / scale
+        assert value == _sylvester_det([c(z0) for c in f], [c(z0) for c in f_lam])
 
 
 # levels where R, the discriminant with its marked-point factors divided
@@ -297,14 +316,14 @@ _NOT_CERTIFIED = {(3, 5), (4, 7), (5, 9)}
 def test_probe_runs_on_sampled_points(r, n):
     cp = spectral_charpoly(twist(residues(sample_exact(r, n, seed=0))))
     rep = smoothness_probe(cp)
-    res = _resultant_lambda(*_discriminant_lists(cp))
+    delta, _ = _discriminant_numerators(cp)
     # the discriminant has weight r(r-1) and deg c_i <= i(n-2); these
     # points reach the bound, and it vanishes to order r^2 - 3r + 3 at
     # every marked point
-    assert rep.discriminant_degree == res.degree == r * (r - 1) * (n - 2)
+    assert rep.discriminant_degree == len(delta) - 1 == r * (r - 1) * (n - 2)
     order = r * r - 3 * r + 3
     assert rep.orders == tuple((p, order) for p in cp.marked_points)
-    assert rep.residual_degree == res.degree - n * order
+    assert rep.residual_degree == rep.discriminant_degree - n * order
     certified = (r, n) not in _NOT_CERTIFIED
     assert cp.c[r].is_zero() is not certified
     assert rep.squarefree is certified
@@ -326,7 +345,7 @@ def test_probe_on_complex_exact_point():
 
 def test_resultant_against_sympy():
     sympy = pytest.importorskip("sympy")
-    rank3, _ = local_models(seed=0)
+    rank3, rank4 = local_models(seed=0)
     z, lam = sympy.symbols("z lam")
 
     def to_sympy(cp):
@@ -337,9 +356,14 @@ def test_resultant_against_sympy():
         )
 
     cp37 = spectral_charpoly(twist(residues(sample_exact(3, 7, seed=0))))
-    for cp, f in [(rank3.charpoly, lam ** 3 - z * lam - z ** 2), (cp37, to_sympy(cp37))]:
+    cases = [
+        (rank3.charpoly, lam ** 3 - z * lam - z ** 2),
+        (cp37, to_sympy(cp37)),
+        (rank4.charpoly, to_sympy(rank4.charpoly)),
+    ]
+    for cp, f in cases:
         res = sympy.resultant(f, sympy.diff(f, lam), lam)
         theirs = [Fraction(str(v)) for v in sympy.Poly(res, z).all_coeffs()]
-        ours = _resultant_lambda(*_discriminant_lists(cp))
-        mine = list(reversed([Fraction(v) for v in _padded(ours, ours.degree + 1)]))
-        assert mine == theirs
+        delta, e = _discriminant_numerators(cp)
+        scale = e ** (cp.r * (cp.r - 1))
+        assert [Fraction(c, scale) for c in reversed(delta)] == theirs
