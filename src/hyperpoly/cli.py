@@ -67,10 +67,11 @@ def _positive_int(text: str) -> int:
 
 
 def _import_numeric_layers():
-    """Bind the numpy-backed layers as globals of this module.
+    """Bind the point layers as globals of this module.
 
     Only the commands that use them call this, so the Betti commands start
-    without importing numpy.
+    without them (~9 ms less per process).  The layers import no numpy;
+    their float paths load it through `floating`.
     """
     global hitchin, quiver, spectral
     from . import hitchin, quiver, spectral

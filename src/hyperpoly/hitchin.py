@@ -31,7 +31,9 @@ points run on Python floats and complexes: the marked points are
 converted once per point (once per evaluation point in `higgs_eval`) and
 a Fraction weight once, not at every product, with the bits the Fraction
 fallback gave; sums run left to right, the order of a fold of matrix
-sums.
+sums.  The float base-map fit and the Jacobian's DFT rows and SVD run in
+`floating`, the one module that imports numpy, which `hitchin_map` and
+`jacobian_rank` import only in their float branches.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from fractions import Fraction
 from itertools import product, repeat
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from . import linalg
 from .errors import DegreeOverflowError, MomentMapError, PoleEvaluationError
@@ -414,33 +414,11 @@ def hitchin_map(field: HiggsField) -> BasePoint:
     if r >= 4:
         raise DegreeOverflowError(_pole_overflow(4), power=4)
 
-    pts = [float(p) for p in field.marked_points]
+    from . import floating
+
     # the points of every k are a prefix of those of k = 2
     zs = [float(z) for z in _eval_points(field.marked_points, max(n - 3, 1))]
-    evaluated: dict = {}
-
-    def cleared(j, k):
-        # phi(z_j) and prod(z_j - p) are built once and shared by every k
-        if j not in evaluated:
-            z = zs[j]
-            a = np.array([[complex(v) for v in row] for row in higgs_eval(field, z)])
-            evaluated[j] = a, math.prod(z - p for p in pts)
-        a, prod = evaluated[j]
-        return complex(np.trace(np.linalg.matrix_power(a, k))) * prod
-
-    g = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, r + 1):
-            count = max(n - 2 * k + 1, 0)
-            coeffs = ()
-            if count:
-                vander = np.vander(np.array(zs[:count]), count, increasing=True)
-                coeffs = np.linalg.solve(
-                    vander, np.array([cleared(j, k) for j in range(count)])
-                )
-                if not np.isfinite(coeffs).all():
-                    raise ValueError(f"base map g_{k} outside the float range")
-            g[k] = tuple(complex(c) for c in coeffs)
+    g = floating.fit_base(r, n, field.marked_points, zs, lambda z: higgs_eval(field, z))
     return BasePoint(r=r, n=n, g=g)
 
 
@@ -929,41 +907,10 @@ def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport
         )
     fp = _float_point(point)
     xy = _checked_xy(fp)
-    poles = np.array([float(p) for p in fp.marked_points])
-    blocks = []
-    # a row off the float range raises below, with no numpy warning here
-    with np.errstate(over="ignore", invalid="ignore"):
-        centre = poles.mean()
-        radius = 1.2 * np.abs(poles - centre).max() + 1
-        for m in range(2, r + 1):
-            count = n - 2 * m + 1
-            if count <= 0:
-                continue
-            k = np.arange(count)
-            zs = centre + radius * np.exp(2j * np.pi * k / count)
-            block = np.array([
-                _grad_numerators(fp, xy, _phi_at(fp, xy, complex(z)), m)[0] for z in zs
-            ])
-            block *= np.prod(zs[:, None] - poles, axis=1)[:, None]
-            blocks.append(np.exp(-2j * np.pi * np.outer(k, k) / count) @ block)
-    dim_b = (r - 1) * (n - r - 1)
-    if not blocks:
-        return JacobianReport(rank=0, dim_b=dim_b, singular_values=())
-    mat = np.vstack(blocks)
-    if not np.isfinite(mat).all():
-        raise ValueError("Jacobian rows outside the float range")
-    peak = np.abs(mat).max(axis=1, keepdims=True)
-    mat = np.divide(mat, peak, out=np.zeros_like(mat), where=peak > 0)
-    norm = np.linalg.norm(mat, axis=1, keepdims=True)
-    mat = np.divide(mat, norm, out=np.zeros_like(mat), where=norm > 0)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    top = float(svals[0]) if svals.size else 0.0
-    if top == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(svals > threshold * top))
-    return JacobianReport(
-        rank=rank,
-        dim_b=dim_b,
-        singular_values=tuple(float(s) for s in svals),
+    from . import floating
+
+    rank, svals = floating.circle_rank(
+        r, n, fp.marked_points,
+        lambda z, m: _grad_numerators(fp, xy, _phi_at(fp, xy, z), m)[0], threshold,
     )
+    return JacobianReport(rank=rank, dim_b=(r - 1) * (n - r - 1), singular_values=svals)

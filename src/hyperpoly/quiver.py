@@ -4,13 +4,14 @@ A point is a pair (x, y) with x an r-by-n matrix (one column per edge) and
 y an n-by-r matrix (one row per edge).  Exact points carry Fraction or
 GaussianRational entries and satisfy the complex moment map equations
 on the nose; float points come out of the damped least squares solver and
-satisfy real and complex equations to a tolerance.
+satisfy real and complex equations to a tolerance.  The solver's numpy
+work, and that of the float orbit test, runs in `floating`, which
+`solve_real` and `min_orbit_check` import only when they reach it.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 import random
@@ -18,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import linalg
-from .errors import DegenerateSampleError, NonConvergenceError, TrivialFiberError
+from .errors import DegenerateSampleError, TrivialFiberError
 from .exact import (
     GaussianRational,
     numerators,
@@ -373,113 +372,6 @@ def sample_exact(
 # ---------------------------------------------------------------------------
 # numerical solve of the full (real and complex) moment equations
 
-def _np_point(x: np.ndarray, y: np.ndarray, r, n, alpha) -> QuiverPoint:
-    return QuiverPoint(
-        r=r,
-        n=n,
-        flavor="float",
-        x=tuple(tuple(complex(v) for v in row) for row in x),
-        y=tuple(tuple(complex(v) for v in row) for row in y),
-        alpha=tuple(Fraction(a) for a in alpha),
-    )
-
-
-def _pack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [x.real.ravel(), x.imag.ravel(), y.real.ravel(), y.imag.ravel()]
-    )
-
-
-def _unpack(theta: np.ndarray, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    k = r * n
-    x = (theta[:k] + 1j * theta[k : 2 * k]).reshape(r, n)
-    y = (theta[2 * k : 3 * k] + 1j * theta[3 * k :]).reshape(n, r)
-    return x, y
-
-
-@functools.cache
-def _jacobian_pattern(r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero pattern (pos, src, coef) of the moment-map Jacobian at (r, n).
-
-    This is the one statement of the moment equations.  With
-    theta = (Re x, Im x, Re y, Im y), x r x n and y n x r, the residual
-    rows are, in order:
-      [0, r^2)              Re(x x^* - y^* y) - c Id, row a r + b
-      [r^2, 2r^2)           Im(x x^* - y^* y), row r^2 + a r + b
-      [2r^2, 2r^2 + n)      |x_i|^2 - |y_i|^2 - alpha_i, row 2r^2 + i
-      [2r^2 + n, 4r^2 + n)  Re and Im of x y, rows 2r^2 + n + a r + b
-                            and 3r^2 + n + a r + b
-      [4r^2 + n, 4r^2 + 3n) Re and Im of y_i x_i, rows 4r^2 + n + i
-                            and 4r^2 + 2n + i
-    with c = |alpha| / r.  Each entry is a quadratic form q(theta) minus
-    a constant, so its Jacobian is linear in theta: entry pos of the
-    flattened (rows, 4rn) matrix is the sum of coef * theta[src] over the
-    triples at pos, and q(theta) = J(theta) theta / 2 by Euler's identity.
-    Each q is a sum of products c u v, with c = +-1 and u, v entries of
-    x, y or their conjugates; the triples are the partial derivatives of
-    Re(c u v) and Im(c u v), with equal (pos, src) merged and zeros dropped.
-    """
-    k = r * n
-    cols = 4 * k
-    r2 = r * r
-
-    def xe(a, i, s):  # x[a, i], conjugated when s = -1
-        return a * n + i, k + a * n + i, s
-
-    def ye(i, a, s):  # y[i, a], conjugated when s = -1
-        return 2 * k + i * r + a, 3 * k + i * r + a, s
-
-    parts = []
-
-    def emit(row, col, src, coef):
-        parts.append([v.ravel() for v in np.broadcast_arrays(row, col, src, coef)])
-
-    def product(re_row, im_row, c, u, v):
-        # u = theta[ur] + i su theta[ui] and v likewise; writing ur for
-        # theta[ur], Re(c u v) = c (ur vr - su sv ui vi) and
-        # Im(c u v) = c (su ui vr + sv ur vi)
-        (ur, ui, su), (vr, vi, sv) = u, v
-        emit(re_row, ur, vr, c)
-        emit(re_row, vr, ur, c)
-        emit(re_row, ui, vi, -c * su * sv)
-        emit(re_row, vi, ui, -c * su * sv)
-        if im_row is not None:
-            emit(im_row, ui, vr, c * su)
-            emit(im_row, vr, ui, c * su)
-            emit(im_row, ur, vi, c * sv)
-            emit(im_row, vi, ur, c * sv)
-
-    a, b, i = np.ogrid[:r, :r, :n]
-    # x x^* - y^* y - c Id
-    pair = a * r + b
-    product(pair, r2 + pair, 1, xe(a, i, 1), xe(b, i, -1))
-    product(pair, r2 + pair, -1, ye(i, a, -1), ye(i, b, 1))
-    # |x_i|^2 - |y_i|^2 - alpha_i, real by construction
-    a1, i1 = np.ogrid[:r, :n]
-    product(2 * r2 + i1, None, 1, xe(a1, i1, 1), xe(a1, i1, -1))
-    product(2 * r2 + i1, None, -1, ye(i1, a1, 1), ye(i1, a1, -1))
-    # x y
-    product(2 * r2 + n + pair, 3 * r2 + n + pair, 1, xe(a, i, 1), ye(i, b, 1))
-    # y_i x_i
-    product(4 * r2 + n + i1, 4 * r2 + 2 * n + i1, 1, ye(i1, a1, 1), xe(a1, i1, 1))
-
-    row, col, src, coef = (np.concatenate(v) for v in zip(*parts))
-    uniq, inverse = np.unique((row * cols + col) * cols + src, return_inverse=True)
-    coef = np.bincount(inverse, weights=coef)
-    keep = coef != 0
-    uniq, coef = uniq[keep], coef[keep]
-    return uniq // cols, uniq % cols, coef
-
-
-def _jacobian(theta: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Moment-map Jacobian at theta, filled from `_jacobian_pattern`."""
-    pos, src, coef = _jacobian_pattern(r, n)
-    cols = theta.size
-    rows = 4 * r * r + 3 * n
-    flat = np.bincount(pos, weights=coef * theta[src], minlength=rows * cols)
-    return flat.reshape(rows, cols)
-
-
 def solve_real(
     r: int,
     n: int,
@@ -492,8 +384,9 @@ def solve_real(
     """Find a float point satisfying all moment equations at level alpha,
     marked points 1..n.
 
-    Damped least squares (Levenberg-Marquardt) with seeded restarts.  One
-    fill of the Jacobian J from `_jacobian_pattern` per candidate gives
+    Damped least squares (Levenberg-Marquardt, `floating.solve`) with
+    seeded restarts.  One fill of the Jacobian J from
+    `floating._jacobian_pattern` per candidate gives
     its residual J theta / 2 - ell, with ell the constants c Id and alpha,
     and, once the candidate is accepted, the next step's Jacobian.  The
     accepted-step rule makes the residual norm monotonically non-increasing
@@ -520,76 +413,9 @@ def solve_real(
         raise ValueError("length vector sum is outside the float range")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    avec = np.array([float(a) for a in avec_frac])
-    r2 = r * r
-    ell = np.zeros(4 * r2 + 3 * n)
-    ell[: r2 : r + 1] = float(total) / r
-    ell[2 * r2 : 2 * r2 + n] = avec
+    from . import floating
 
-    def evaluate(theta):
-        jac = _jacobian(theta, r, n)
-        res = jac @ theta / 2 - ell
-        return jac, res, math.hypot(*res)
-
-    best = math.inf
-    used = 0
-    # an overflowing candidate costs inf or nan and is rejected like any
-    # other that does not lower the cost
-    with np.errstate(over="ignore", invalid="ignore"):
-        for attempt in range(restarts):
-            if used >= max_iter:
-                break
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
-            )
-            x = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
-            y = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-            # start near the expected length scale: |x_i|^2 - |y_i|^2 = alpha_i,
-            # with y kept away from zero so the solution is not forced onto the
-            # zero section
-            for i in range(n):
-                y[i, :] *= math.sqrt(0.45 * avec[i]) / np.linalg.norm(y[i, :])
-                x[:, i] *= math.sqrt(1.45 * avec[i]) / np.linalg.norm(x[:, i])
-            theta = _pack(x, y)
-            jac, res, cost = evaluate(theta)
-            mu = 1e-3
-            stall = 0
-            while used < max_iter:
-                used += 1
-                jtj = jac.T @ jac
-                jtr = jac.T @ res
-                stepped = False
-                for _ in range(25):
-                    try:
-                        delta = np.linalg.solve(
-                            jtj + mu * np.eye(jtj.shape[0]), -jtr
-                        )
-                    except np.linalg.LinAlgError:
-                        mu *= 10
-                        continue
-                    cand = theta + delta
-                    cjac, cres, ccost = evaluate(cand)
-                    if ccost < cost:
-                        theta, jac, res, cost = cand, cjac, cres, ccost
-                        mu = max(mu / 3.0, 1e-14)
-                        stepped = True
-                        break
-                    mu *= 4.0
-                best = min(best, cost)
-                if cost < tol:
-                    xf, yf = _unpack(theta, r, n)
-                    return _np_point(xf, yf, r, n, avec_frac)
-                if not stepped:
-                    stall += 1
-                else:
-                    stall = 0
-                if stall >= 3:
-                    break  # restart from a fresh seed
-    raise NonConvergenceError(
-        f"no point below tol={tol} within {max_iter} iterations "
-        f"and {restarts} restarts",
-        best_residual=best,
-    )
+    return floating.solve(r, n, avec_frac, total, seed, tol, max_iter, restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +434,6 @@ def min_orbit_check(m: Sequence[Sequence], tol: float = 1e-8) -> bool:
         if linalg.frob_sq(linalg.mat_mul(mm, mm)) != 0:
             return False
         return linalg.exact_rank(mm) <= 1
-    arr = np.array([[complex(v) for v in row] for row in mm])
-    svals = np.linalg.svd(arr, compute_uv=False)
-    scale = float(svals[0]) if svals.size else 0.0
-    if scale == 0.0:
-        return True
-    if abs(np.trace(arr)) > tol * scale:
-        return False
-    if np.linalg.norm(arr @ arr) > tol * scale * scale:
-        return False
-    return svals.size < 2 or float(svals[1]) <= tol * scale
+    from . import floating
 
+    return floating.min_orbit(mm, tol)

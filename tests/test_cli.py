@@ -722,20 +722,44 @@ def python(code):
     return proc.stdout
 
 
-def test_betti_commands_run_without_numpy(capsys):
+# the exact point commands, on the seed-1 point at (3, 7); "{point}" is its file
+EXACT_POINT_COMMANDS = (
+    ("sample", "-r", "3", "-n", "7", "--seed", "1"),
+    ("hitchin", "--point", "{point}"),
+    ("spectral", "--point", "{point}"),
+    ("spectral", "--point", "{point}", "--check-orders"),
+    ("commute", "--point", "{point}"),
+    ("fixtures", "--check"),
+)
+
+
+def test_betti_commands_run_without_numpy(tmp_path, capsys):
+    # the Betti commands and the exact point commands, in an interpreter
+    # whose every import of numpy fails
+    point = tmp_path / "pt.json"
+    point.write_text(run(capsys, *EXACT_POINT_COMMANDS[0])[1])
+    commands = BETTI_COMMANDS + tuple(
+        tuple(arg.format(point=point) for arg in argv) for argv in EXACT_POINT_COMMANDS
+    )
     got = json.loads(python(f"""
 import contextlib, io, json, sys
-sys.modules["numpy"] = None
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{{name}} is blocked")
+
+sys.meta_path.insert(0, NoNumpy())
 from hyperpoly import cli
 out = []
-for argv in {BETTI_COMMANDS!r}:
+for argv in {commands!r}:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(list(argv))
     out.append([code, buf.getvalue()])
 print(json.dumps(out))
 """))
-    assert got == [list(run(capsys, *argv)[:2]) for argv in BETTI_COMMANDS]
+    assert got == [list(run(capsys, *argv)[:2]) for argv in commands]
     assert all(code == 0 for code, _ in got)
 
 
@@ -744,15 +768,19 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_package_import_loads_only_the_exact_layers():
-    # the exact layers are bound at import; the numpy-backed ones wait for
-    # their first access
+    # the exact layers are bound at import; the point layers wait for their
+    # first access, and only `floating` loads numpy
     got = python("""
 import sys, hyperpoly
 print([m for m in ("betti", "errors", "exact") if m in vars(hyperpoly)])
 print([m for m in ("hitchin", "quiver", "spectral") if "hyperpoly." + m in sys.modules])
 print("numpy" in sys.modules, hyperpoly.__all__ == sorted(set(hyperpoly.__all__)))
+import hyperpoly.quiver, hyperpoly.hitchin, hyperpoly.spectral
+print("numpy" in sys.modules)
+import hyperpoly.floating
+print("numpy" in sys.modules)
 """)
-    assert got == "['betti', 'errors', 'exact']\n[]\nFalse True\n"
+    assert got == "['betti', 'errors', 'exact']\n[]\nFalse True\nFalse\nTrue\n"
 
 
 def test_package_names_resolve_to_their_modules():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly import quiver
+from hyperpoly import floating
 from hyperpoly.errors import NonConvergenceError, TrivialFiberError, ValidationError
 from hyperpoly.exact import GaussianRational
 from hyperpoly.linalg import exact_rank
@@ -223,7 +223,7 @@ def _moment_residual_reference(theta, r, n):
     # |x_i|^2 - |y_i|^2 - alpha_i, Re and Im of x y, Re and Im of y_i x_i
     avec = np.arange(1.0, n + 1)
     center = avec.sum() / r
-    x, y = quiver._unpack(theta, r, n)
+    x, y = floating._unpack(theta, r, n)
     real_mat = x @ x.conj().T - y.conj().T @ y - center * np.eye(r)
     lengths = (
         np.sum(np.abs(x) ** 2, axis=0) - np.sum(np.abs(y) ** 2, axis=1) - avec
@@ -254,7 +254,7 @@ def _central_difference_jacobian(theta, r, n):
 @pytest.mark.parametrize("r,n", JACOBIAN_LEVELS)
 def test_exact_jacobian_matches_central_differences(r, n):
     theta = np.random.default_rng([r, n]).standard_normal(4 * r * n)
-    got = quiver._jacobian(theta, r, n)
+    got = floating._jacobian(theta, r, n)
     ref = _central_difference_jacobian(theta, r, n)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -269,7 +269,7 @@ def test_residual_is_half_jacobian_times_theta(r, n):
     ell = np.zeros(4 * r * r + 3 * n)
     ell[: r * r : r + 1] = n * (n + 1) / 2 / r
     ell[2 * r * r : 2 * r * r + n] = np.arange(1.0, n + 1)
-    got = quiver._jacobian(theta, r, n) @ theta / 2 - ell
+    got = floating._jacobian(theta, r, n) @ theta / 2 - ell
     ref = _moment_residual_reference(theta, r, n)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -278,8 +278,8 @@ def test_residual_is_half_jacobian_times_theta(r, n):
 @pytest.mark.parametrize("r,n", JACOBIAN_LEVELS)
 def test_exact_jacobian_is_linear(r, n):
     t1, t2 = np.random.default_rng([r, n, 1]).standard_normal((2, 4 * r * n))
-    jac = quiver._jacobian(t1 + t2, r, n)
-    parts = quiver._jacobian(t1, r, n) + quiver._jacobian(t2, r, n)
+    jac = floating._jacobian(t1 + t2, r, n)
+    parts = floating._jacobian(t1, r, n) + floating._jacobian(t2, r, n)
     assert np.max(np.abs(jac - parts)) <= 1e-12
 
 
