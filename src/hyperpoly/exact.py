@@ -569,11 +569,15 @@ def squarefree_mod_p(a: Sequence) -> bool:
     True proves ``a`` squarefree over Q: a repeated factor g^2 of integer
     polynomials (Gauss's lemma) stays one mod p, as p does not divide the
     leading coefficient of g.  False proves nothing: z^2 + p is squarefree
-    over Q.  Gaussian integer coefficients are tested as a * conj(a), which
-    has integer coefficients and a repeated factor whenever ``a`` has one.
+    over Q.  Gaussian integer coefficients with a nonzero imaginary part
+    are tested as a * conj(a), which has integer coefficients and a
+    repeated factor whenever ``a`` has one; with none, a * conj(a) = a^2
+    is never squarefree, so their integer real parts are tested.
     """
     if any(isinstance(c, GaussianRational) for c in a):
-        a = [int(c.real) for c in poly_mul(a, [c.conjugate() for c in a])]
+        if any(c.imag for c in a):
+            a = poly_mul(a, [c.conjugate() for c in a])
+        a = [int(c.real) for c in a]
     p = SQUAREFREE_PRIME
     f = [c % p for c in a]
     if not f[-1]:

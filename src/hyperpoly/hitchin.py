@@ -9,31 +9,32 @@ powers), and checks the Poisson geometry: the bracket kernel identity, the
 pairwise commutation of base components, and the rank of their Jacobian.
 
 Each point is cleared and checked once, not once per call, and its record
-keeps the residue table U_ab,i = X_ai Y_ib, the products of the cleared
-numerators x = X / dx and y = Y / dy (the floats x_ai y_ib on a float
-point) that the moment check forms.  Everything built from phi reads that
-table: the residues divide it, every phi(z) (`_phi_at`, `higgs_eval`, so
-the float base map too) is one sum over it per entry, and psi's numerators
-are sum_i U_ab,i cof_i over one denominator.  A field built directly from
+holds its Higgs field, the one record of phi that every call reads.  The
+field keeps the residue table U_ab,i = X_ai Y_ib, the products of the
+cleared numerators x = X / dx and y = Y / dy (the floats x_ai y_ib on a
+float point) that the moment check forms.  The residues divide it, every
+phi(z) is one sum over it per entry (`_phi_at`, read by `higgs_eval`, the
+float base map and the bracket checks), and psi's numerators are
+sum_i U_ab,i cof_i over one denominator.  A field built directly from
 residues clears them once into the same table.  The poles enter exact
 work as integer pairs p_j = u_j / v_j: every weight 1 / (z - p_j) at a
-rational z, and prod_j (z - p_j) with its cofactors, are formed from them
-with no Fraction arithmetic.  Exact base coordinates take one route,
-psi -> c_i -> Tr(psi^k) -> g_k, on integers: one Berkowitz pass on psi's
-numerators, built once per field and read by `hitchin_map` and the
-spectral layer; the Fraction psi is built only for its readers, with that
-pass kept on it.  The exact bracket checks run on numerators too: phi(z0)
-once per evaluation point for every power, gradients are integer
-numerators over one denominator per half, each split once into the two
-operands of a C-level pairing sum, and only a reported value is divided.
-A point off the fiber keeps nothing and raises at every call.  Float
-points run on Python floats and complexes: the marked points are
-converted once per point (once per evaluation point in `higgs_eval`) and
-a Fraction weight once, not at every product, with the bits the Fraction
-fallback gave; sums run left to right, the order of a fold of matrix
-sums.  The float base-map fit and the Jacobian's DFT rows and SVD run in
-`floating`, the one module that imports numpy, which `hitchin_map` and
-`jacobian_rank` import only in their float branches.
+rational z (`_weights`), and prod_j (z - p_j) with its cofactors, are
+formed from them with no Fraction arithmetic.  Exact base coordinates
+take one route, psi -> c_i -> Tr(psi^k) -> g_k, on integers: one
+Berkowitz pass on psi's numerators, built once per field and read by
+`hitchin_map` and the spectral layer; the Fraction psi is built only for
+its readers, with that pass kept on it.  The exact bracket checks run on
+numerators too: phi(z0) once per evaluation point for every power,
+gradients are integer numerators over one denominator per half, each
+split once into the two operands of a C-level pairing sum, and only a
+reported value is divided.  A point off the fiber keeps nothing and
+raises at every call.  Float points run on Python floats and complexes:
+the marked points are converted once per field and a Fraction weight
+once, not at every product, with the bits the Fraction fallback gave;
+sums run left to right, the order of a fold of matrix sums.  The float
+base-map fit and the Jacobian's DFT rows and SVD run in `floating`, the
+one module that imports numpy, which `hitchin_map` and `jacobian_rank`
+import only in their float branches.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import product, repeat
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import DegreeOverflowError, MomentMapError, PoleEvaluationError
@@ -79,7 +80,8 @@ class HiggsField:
     """Residue data of sum_i phi_i / (z - p_i).
 
     The residue table, psi and the cleared traces are cached outside the
-    dataclass fields; `residues` seeds the table from its point.
+    dataclass fields; `_clear` seeds an exact point's table from its
+    products.
     """
 
     residues: tuple  # n matrices, each r x r
@@ -127,8 +129,12 @@ class HiggsField:
 
     @cached_property
     def _poles(self) -> tuple:
-        """The marked points as `_pole_pairs`."""
-        return _pole_pairs(self.marked_points)
+        """The marked points as `_weights` reads them: on an exact field the
+        pairs (u_j, v_j) with p_j = u_j / v_j in lowest terms, v_j > 0; on
+        a float field the floats."""
+        if self.flavor == "exact":
+            return tuple(p.as_integer_ratio() for p in self.marked_points)
+        return tuple(float(p) for p in self.marked_points)
 
     @cached_property
     def _divisor(self) -> tuple[list, int, list]:
@@ -137,7 +143,7 @@ class HiggsField:
         With p_j = u_j / v_j in lowest terms, P = prod_j (v_j z - u_j) is a
         primitive integer polynomial and V = prod_j v_j.  Cofactor i is
         v_i P / (v_i z - u_i), that is V prod_(j != i) (z - p_j): the
-        `linear_product` of the field's `_pole_pairs`.
+        `linear_product` of the field's `_poles`.
         """
         return linear_product(self._poles)
 
@@ -297,14 +303,14 @@ def _matrices(table) -> tuple:
     return tuple(zip(*(zip(*row) for row in table)))
 
 
-def _exact_residues(point: QuiverPoint, xy: _Cleared) -> tuple:
+def _exact_residues(point: QuiverPoint, products: tuple, d) -> tuple:
     """Residue matrices of an exact point from its cleared products: entry
-    (a, b) of phi_i is U_ab,i / (dx dy), a Fraction where x_ai and y_ib
-    are both rational, as their product is."""
-    d, x, y = xy.dx * xy.dy, point.x, point.y
-    if not isinstance(xy.products[0][0][0], GaussianRational):
+    (a, b) of phi_i is U_ab,i / d, d = dx dy, a Fraction where x_ai and
+    y_ib are both rational, as their product is."""
+    x, y = point.x, point.y
+    if not isinstance(products[0][0][0], GaussianRational):
         return _matrices(
-            [[tuple(map(Fraction, u, repeat(d))) for u in row] for row in xy.products]
+            [[tuple(map(Fraction, u, repeat(d))) for u in row] for row in products]
         )
 
     def entry(a, b, i, u):
@@ -313,7 +319,7 @@ def _exact_residues(point: QuiverPoint, xy: _Cleared) -> tuple:
 
     return _matrices(
         [[tuple(entry(a, b, i, v) for i, v in enumerate(u)) for b, u in enumerate(row)]
-         for a, row in enumerate(xy.products)]
+         for a, row in enumerate(products)]
     )
 
 
@@ -323,49 +329,40 @@ def residues(point: QuiverPoint) -> HiggsField:
     Validates the complex moment map first (`_checked_xy`: exactly on
     the cleared numerators of an exact point, within a tolerance on a
     float point); tracelessness, square-zero and rank <= 1 of each phi_i
-    then hold automatically for the outer products, which are built once,
-    by the check: divided from its products on an exact point, kept with
-    the point's cleared record on a float point.  The field's table is the
-    point's products, so the field is not cleared again.
+    then hold automatically for the outer products.  The field is the one
+    the check built and the point keeps, so every call returns the same
+    object, and its table, psi and Berkowitz pass are built once per
+    point.
     """
-    xy = _checked_xy(point)
-    field = HiggsField(
-        residues=_exact_residues(point, xy) if point.flavor == "exact" else xy.residues,
-        marked_points=point.marked_points,
-        flavor=point.flavor,
-    )
-    object.__setattr__(field, "_table", (xy.products, xy.dx * xy.dy))
-    return field
+    return _checked_xy(point).field
 
 
 def higgs_eval(field: HiggsField, z):
     """The matrix sum_i phi_i / (z - p_i), with z taken at its exact value
     on an exact field (`_exact_z`).
 
-    Each entry is one sum over the field's table.  A float field adds the
-    floats U_ab,i / (z - p_i) from the left, as a fold of matrix sums
-    would.  An exact field sums numerators and divides once per entry; an
-    entry is complex where z or some residue there is, as the Fraction
-    sum it replaces was.
+    Each entry is one sum over the field's table (`_phi_at`).  A float
+    field adds the floats U_ab,i / (z - p_i) from the left, as a fold of
+    matrix sums would.  An exact field sums numerators and divides once
+    per entry; an entry is complex where z or some residue there is, as
+    the Fraction sum it replaces was.
     """
-    z = _exact_z(field.flavor, z)
+    at = _phi_at(field, z)
     if field.flavor != "exact":
-        ws = _inverse_distances(field.flavor, field.marked_points, z)
-        return tuple(tuple(sum(map(mul, u, ws)) for u in row) for row in field._table[0])
-    ws, dw = _exact_weights(field._poles, field.marked_points, z)
+        return at.phi
     table, d = field._table
-    d *= dw
+    d *= at.dw
     # on Gaussian numerators at a rational z, an entry where no residue is
     # complex is real
-    real = isinstance(table[0][0][0], GaussianRational) and not isinstance(z, GaussianRational)
+    real = isinstance(table[0][0][0], GaussianRational) and not isinstance(at.z, GaussianRational)
     typed = field._gaussian_entries[0] if real else ()
 
-    def entry(a, b, u):
-        v = ratio(sum(map(mul, u, ws)), d)
+    def entry(a, b, v):
+        v = ratio(v, d)
         return v.re if real and (a, b) not in typed else v
 
     return tuple(
-        tuple(entry(a, b, u) for b, u in enumerate(row)) for a, row in enumerate(table)
+        tuple(entry(a, b, v) for b, v in enumerate(row)) for a, row in enumerate(at.phi)
     )
 
 
@@ -460,44 +457,37 @@ class _Cleared(NamedTuple):
     """A point as the bracket kernels read it, prepared once per point.
 
     x = xs / dx and y = ys / dy, with xs r x n and ys n x r, and the
-    residue table ``products``: products[a][b][i] = xs[a][i] ys[i][b],
-    over dx dy, that every phi(z), the residues and psi read.  ``poles``
-    holds the marked points as an exact point's weights read them, the
-    `_pole_pairs` (u_j, v_j), and as floats on a float point.  On a float
-    point the entries are their own numerators over 1, ``complex_entries``
-    tells whether every entry is complex and ``residues`` holds the
-    matrices x_i y_i built while checking, whose entries the table holds;
-    an exact point has no residues.
+    point's Higgs ``field``, whose table every phi(z), the residues and
+    psi read: on an exact point the products xs[a][i] ys[i][b] over
+    dx dy.  On a float point the entries are their own numerators over 1
+    and ``complex_entries`` tells whether every entry is complex.
     """
 
     xs: list
     dx: object
     ys: list
     dy: object
-    products: tuple
-    poles: Optional[tuple] = None
+    field: HiggsField
     complex_entries: bool = False
-    residues: Optional[tuple] = None
 
 
 def _clear(point: QuiverPoint) -> _Cleared:
     """The point's `_Cleared` form, once it lies on the complex moment fiber.
 
     An exact point is cleared with `numerators`, a float point has its
-    poles converted and its entries tested.  MomentMapError unless every
-    scalar y_i x_i vanishes, edge by edge, and then the residues x_i y_i
-    sum to zero.  An exact point is checked on its products
-    U_ab,i = X_ai Y_ib: sum_a U_aa,i = 0 for each edge i, then
-    sum_i U_ab,i = 0.  A float point is checked within _MOMENT_TOL
-    relative to the entry scale (`_float_residues`).
+    entries tested.  MomentMapError unless every scalar y_i x_i vanishes,
+    edge by edge, and then the residues x_i y_i sum to zero.  An exact
+    point is checked on its products U_ab,i = X_ai Y_ib: sum_a U_aa,i = 0
+    for each edge i, then sum_i U_ab,i = 0; they become its field's table
+    over dx dy, and their quotients its residues.  A float point is
+    checked within _MOMENT_TOL relative to the entry scale
+    (`_float_residues`), whose matrices become its field's residues.
     """
     if point.flavor != "exact":
-        mats = _float_residues(point)
         return _Cleared(
-            point.x, 1, point.y, 1, _columns(mats),
-            tuple(float(p) for p in point.marked_points),
+            point.x, 1, point.y, 1,
+            HiggsField(_float_residues(point), point.marked_points, point.flavor),
             all(type(v) is complex for row in point.x + point.y for v in row),
-            mats,
         )
     r, n = point.r, point.n
     xs, dx = numerators(v for row in point.x for v in row)
@@ -516,7 +506,10 @@ def _clear(point: QuiverPoint) -> _Cleared:
         raise MomentMapError(
             "complex moment map violated: residues do not sum to zero"
         )
-    return _Cleared(xs, dx, ys, dy, products, _pole_pairs(point.marked_points))
+    d = dx * dy
+    field = HiggsField(_exact_residues(point, products, d), point.marked_points, "exact")
+    object.__setattr__(field, "_table", (products, d))
+    return _Cleared(xs, dx, ys, dy, field)
 
 
 def _checked_xy(point: QuiverPoint) -> _Cleared:
@@ -528,35 +521,6 @@ def _checked_xy(point: QuiverPoint) -> _Cleared:
         xy = _clear(point)
         object.__setattr__(point, "_cleared", xy)
     return xy
-
-
-def _inverse_distances(flavor: str, marked_points: tuple, z, scale=1, poles=None) -> list:
-    """scale / (z - p_i) for every marked point; PoleEvaluationError at a
-    pole.
-
-    On the float flavor a float or complex z meets the marked points as
-    floats: ``poles`` when the caller converted them once per point
-    (`_checked_xy`), else converted here.  Fraction's fallback makes the
-    same conversion at every z - p_i (complex(p) is complex(float(p))), so
-    each difference keeps its bits, and z equals the converted point
-    exactly when the difference is zero.  A rational z and p_i meet in one
-    correctly rounded int division: the float the Fraction weight gives.
-    """
-    if flavor == "exact" or not isinstance(z, (float, complex)):
-        poles = marked_points
-    elif poles is None:
-        poles = [float(p) for p in marked_points]
-    rational_z = flavor != "exact" and isinstance(z, (int, Fraction))
-    ws = []
-    for i, q in enumerate(poles):
-        if z == q:
-            raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {marked_points[i]}")
-        if rational_z and isinstance(q, (int, Fraction)):
-            zd, qd = z.denominator, q.denominator
-            ws.append(scale * zd * qd / (z.numerator * qd - q.numerator * zd))
-        else:
-            ws.append(scale / (z - q))
-    return ws
 
 
 def _entry_scalars(complex_entries: bool, ws: list) -> list:
@@ -571,39 +535,46 @@ def _entry_scalars(complex_entries: bool, ws: list) -> list:
     return ws
 
 
-def _pole_pairs(marked_points) -> tuple:
-    """The pairs (u_j, v_j) with p_j = u_j / v_j in lowest terms, v_j > 0."""
-    return tuple(p.as_integer_ratio() for p in marked_points)
+def _weights(field: HiggsField, z, scale=1) -> tuple[list, object]:
+    """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float field;
+    PoleEvaluationError at a pole.
 
-
-def _exact_weights(poles: tuple, marked_points: tuple, z, scale=1) -> tuple[list, object]:
-    """`numerators` of the exact weights scale / (z - p_i), for the
-    `_pole_pairs` of the marked points; PoleEvaluationError at a pole.
-
-    A rational z takes `shifted_reciprocals`, on ints alone.  A
-    GaussianRational z keeps the Fraction route: its weights need a
-    division by a Gaussian norm per part, and no report's evaluation
-    point is complex.
+    An exact field at a rational z takes `shifted_reciprocals` on its
+    `_poles`, on ints alone.  A GaussianRational z keeps the Fraction
+    route: its weights need a division by a Gaussian norm per part, and no
+    report's evaluation point is complex.  On a float field a float or
+    complex z meets the marked points as the floats of `_poles`.
+    Fraction's fallback makes the same conversion at every z - p_i
+    (complex(p) is complex(float(p))), so each difference keeps its bits,
+    and z equals the converted point exactly when the difference is zero.
+    A rational z and p_i meet in one correctly rounded int division: the
+    float the Fraction weight gives.
     """
-    if not isinstance(z, (int, Fraction)):
-        return numerators(_inverse_distances("exact", marked_points, z, scale))
-    try:
-        return shifted_reciprocals(poles, z, scale)
-    except ZeroDivisionError as e:
-        i = e.args[0]
-        raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {marked_points[i]}") from None
-
-
-def _weights(point: QuiverPoint, xy: _Cleared, z, scale=1) -> tuple[list, object]:
-    """(W, d) with scale / (z - p_i) = W_i / d, d = 1 on a float point."""
-    if point.flavor == "exact":
-        return _exact_weights(xy.poles, point.marked_points, z, scale)
-    return _inverse_distances(point.flavor, point.marked_points, z, scale, xy.poles), 1
+    marked, exact = field.marked_points, field.flavor == "exact"
+    rational_z = isinstance(z, (int, Fraction))
+    if exact and rational_z:
+        try:
+            return shifted_reciprocals(field._poles, z, scale)
+        except ZeroDivisionError as e:
+            i = e.args[0]
+            raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {marked[i]}") from None
+    floats = not exact and isinstance(z, (float, complex))
+    ws = []
+    for i, q in enumerate(field._poles if floats else marked):
+        if z == q:
+            raise PoleEvaluationError(f"evaluation at pole p_{i + 1} = {marked[i]}")
+        if rational_z and isinstance(q, (int, Fraction)):
+            zd, qd = z.denominator, q.denominator
+            ws.append(scale * zd * qd / (z.numerator * qd - q.numerator * zd))
+        else:
+            ws.append(scale / (z - q))
+    return numerators(ws) if exact else (ws, 1)
 
 
 class _PhiAt(NamedTuple):
     """phi at one evaluation point z (`_exact_z`), read by every power:
-    1 / (z - p_i) = ws[i] / dw and phi(z) = phi / (dx dy dw)."""
+    1 / (z - p_i) = ws[i] / dw and phi(z) = phi / (d dw), d = dx dy on a
+    point's field."""
 
     z: object
     ws: list
@@ -611,12 +582,12 @@ class _PhiAt(NamedTuple):
     phi: tuple
 
 
-def _phi_at(point: QuiverPoint, xy: _Cleared, z) -> _PhiAt:
-    """The `_PhiAt` of z: entry (a, b) of phi * dx dy dw is the sum of
-    U_ab,i W_i over the point's products, added in `higgs_eval`'s order."""
-    z = _exact_z(point.flavor, z)
-    ws, dw = _weights(point, xy, z)
-    phi = tuple(tuple(sum(map(mul, u, ws)) for u in row) for row in xy.products)
+def _phi_at(field: HiggsField, z) -> _PhiAt:
+    """The `_PhiAt` of z: entry (a, b) of phi * d dw, for the field's
+    table U / d, is the sum of U_ab,i W_i, added from the left."""
+    z = _exact_z(field.flavor, z)
+    ws, dw = _weights(field, z)
+    phi = tuple(tuple(sum(map(mul, u, ws)) for u in row) for row in field._table[0])
     return _PhiAt(z, ws, dw, phi)
 
 
@@ -636,7 +607,7 @@ def _grad_numerators(point: QuiverPoint, xy: _Cleared, at: _PhiAt, m: int) -> tu
     if point.flavor == "exact":
         ms = [m * w for w in at.ws]
     else:
-        ms, _ = _weights(point, xy, at.z, m)
+        ms, _ = _weights(xy.field, at.z, m)
     apow = linalg.mat_pow(at.phi, m - 1)
     ya, ax = linalg.mat_mul(xy.ys, apow), linalg.mat_mul(apow, xy.xs)
     g = tuple(ms[i] * ya[i][a] for a in range(r) for i in range(n)) + tuple(
@@ -650,7 +621,7 @@ def _observable_numerators(point: QuiverPoint, xy: _Cleared, obs: BracketObserva
     # a power above the rank is refused before z0 meets the poles
     if obs.m > point.r:
         raise ValueError("power must lie between 2 and the rank")
-    return _grad_numerators(point, xy, _phi_at(point, xy, obs.z0), obs.m)
+    return _grad_numerators(point, xy, _phi_at(xy.field, obs.z0), obs.m)
 
 
 def observable_grad(point: QuiverPoint, obs: BracketObservable) -> tuple:
@@ -746,7 +717,7 @@ def delta_check(point: QuiverPoint, z, w):
     xy = _checked_xy(point)
     exact = point.flavor == "exact"
     r = point.r
-    at_z, at_w = _phi_at(point, xy, z), _phi_at(point, xy, w)
+    at_z, at_w = _phi_at(xy.field, z), _phi_at(xy.field, w)
     dz, dw, phi_z, phi_w = at_z.dw, at_w.dw, at_z.phi, at_w.phi
     if exact:
         (s,), t = numerators((w - z,))
@@ -819,7 +790,7 @@ def commutation_report(point: QuiverPoint) -> CommutationReport:
     n, r = point.n, point.r
     xy = _checked_xy(point)
     # phi(z0) is built once per evaluation point and read by every power
-    ats = [_phi_at(point, xy, z0) for z0 in _eval_points(point.marked_points, 3)]
+    ats = [_phi_at(xy.field, z0) for z0 in _eval_points(point.marked_points, 3)]
     obs = [(m, at) for m in range(2, r + 1) for at in ats]
     grads = [_grad_numerators(point, xy, at, m) for m, at in obs]
     halves = [_halves(r, n, g) for g, _, _ in grads]
@@ -911,6 +882,6 @@ def jacobian_rank(point: QuiverPoint, threshold: float = 1e-8) -> JacobianReport
 
     rank, svals = floating.circle_rank(
         r, n, fp.marked_points,
-        lambda z, m: _grad_numerators(fp, xy, _phi_at(fp, xy, z), m)[0], threshold,
+        lambda z, m: _grad_numerators(fp, xy, _phi_at(xy.field, z), m)[0], threshold,
     )
     return JacobianReport(rank=rank, dim_b=(r - 1) * (n - r - 1), singular_values=svals)

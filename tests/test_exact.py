@@ -327,6 +327,10 @@ def test_squarefree_mod_p_on_gaussian_integers():
     # z - i is tested as (z - i)(z + i) = z^2 + 1
     assert squarefree_mod_p([-i, GaussianRational(1)])
     assert not squarefree_mod_p(poly_mul([-i, 1], [-i, 1]))
+    # Gaussian-typed real coefficients are tested as the integers they are
+    assert squarefree_mod_p([GaussianRational(-2), GaussianRational(1), GaussianRational(1)])
+    assert squarefree_mod_p([GaussianRational(3), 1])
+    assert not squarefree_mod_p([GaussianRational(2), GaussianRational(-3), 0, GaussianRational(1)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly import hitchin
+from hyperpoly import exact, hitchin, spectral
 from hyperpoly.errors import (
     DegreeOverflowError,
     MomentMapError,
@@ -14,6 +14,7 @@ from hyperpoly.errors import (
 )
 from hyperpoly.hitchin import (
     BracketObservable,
+    HiggsField,
     commutation_report,
     delta_check,
     higgs_eval,
@@ -25,7 +26,7 @@ from hyperpoly.hitchin import (
 )
 from hyperpoly.exact import GaussianRational
 from hyperpoly.quiver import QuiverPoint, sample_exact
-from hyperpoly.spectral import order_check, spectral_charpoly, twist
+from hyperpoly.spectral import order_check, spectral_charpoly, trace_consistency, twist
 
 from conftest import X24
 
@@ -135,6 +136,23 @@ def test_a_point_is_cleared_once(monkeypatch, flavor):
     # jacobian_rank on an exact point clears a new float copy at every call
     assert calls.count(True) == 1
     assert len(calls) == (1 if flavor == "float" else 3)
+
+
+def test_a_point_shares_one_field(monkeypatch):
+    # residues returns the field the point keeps, so the base map, the
+    # spectral charpoly and the trace tie read one psi and one Berkowitz pass
+    calls = []
+    berkowitz = exact.berkowitz
+    for module in (exact, hitchin, spectral):
+        monkeypatch.setattr(module, "berkowitz", lambda rows: calls.append(1) or berkowitz(rows))
+    pt = sample_exact(3, 7, seed=0)
+    assert residues(pt) is residues(pt)
+    hitchin_map(residues(pt))
+    spectral_charpoly(twist(residues(pt)))
+    trace_consistency(residues(pt))
+    assert len(calls) == 1
+    fp = _float_copy(pt)
+    assert residues(fp) is residues(fp)
 
 
 def _edge_one_violation(r, n, flavor):
@@ -514,15 +532,22 @@ def test_float_weights_at_a_rational_point_are_the_rounded_fractions(z, poles, s
     # one int division per weight gives the float of the Fraction weight
     if z in poles:
         with pytest.raises(PoleEvaluationError):
-            hitchin._inverse_distances("float", tuple(poles), z, scale)
+            _float_weights(poles, z, scale)
         return
-    ws = hitchin._inverse_distances("float", tuple(poles), z, scale)
+    ws = _float_weights(poles, z, scale)
     assert [w.hex() for w in ws] == [float(Fraction(scale) / (z - p)).hex() for p in poles]
+
+
+def _float_weights(poles, z, scale):
+    # the weights read only the field's marked points
+    ws, d = hitchin._weights(HiggsField((), tuple(poles), "float"), z, scale)
+    assert d == 1
+    return ws
 
 
 def test_float_weights_at_float_marked_points_stay_float_arithmetic():
     z = Fraction(1, 3)
-    ws = hitchin._inverse_distances("float", (1.5, Fraction(2)), z, 2)
+    ws = _float_weights((1.5, Fraction(2)), z, 2)
     assert ws[0].hex() == (2 / (z - 1.5)).hex()
     assert ws[1].hex() == float(Fraction(2) / (z - 2)).hex()
 

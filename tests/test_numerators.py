@@ -684,11 +684,11 @@ def _weights_outcome(weights, *args):
 def test_exact_weights_are_the_fraction_weights(marked):
     # integer weights at a rational z, the Fraction route at a Gaussian
     # one, and at every pole the same message
-    poles = hitchin._pole_pairs(marked)
+    field = HiggsField((), marked, "exact")  # the weights read only its marked points
     zs = [Fraction(27, 2), Fraction(-3, 2), Fraction(20), Fraction(-4), Fraction(5, 7),
           GaussianRational(Fraction(1, 2), 1), GaussianRational(3), *marked]
     for z in zs:
-        got = _weights_outcome(hitchin._exact_weights, poles, marked, z)
+        got = _weights_outcome(hitchin._weights, field, z)
         assert got == _weights_outcome(_exact_weights_reference, marked, z), z
 
 
@@ -822,7 +822,7 @@ def test_commutation_report_builds_phi_once_per_evaluation_point(monkeypatch):
     calls = []
     weights = hitchin._weights
     monkeypatch.setattr(
-        hitchin, "_weights", lambda *args: calls.append(args[3:]) or weights(*args)
+        hitchin, "_weights", lambda *args: calls.append(args[2:]) or weights(*args)
     )
     exact, floats = sample_exact(4, 8, seed=0), solve_real(4, 8, (Fraction(1),) * 8, seed=0)
     commutation_report(exact)
