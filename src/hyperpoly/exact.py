@@ -10,8 +10,11 @@ charpoly `berkowitz`, `cleared_vanishing_order`, the cleared traces of a
 Higgs field, its moment map and bracket checks) run on numerators:
 `numerators` clears the denominators of their input once, the kernel works
 in that numerator ring (Python ints, or GaussianRational with integral
-parts for complex input, where ``//`` is exact division in both), and
-`ratio` divides once at the end.  A caller that holds numerators already
+parts when some value has a nonzero imaginary part, where ``//`` is exact
+division in both), and `ratio` (or `ratios`, for a list over one
+denominator) divides once at the end.  Both type by value, the one rule
+for exact scalars: a GaussianRational exactly where the imaginary part is
+nonzero.  A caller that holds numerators already
 (a Higgs field's psi, the fiber equations) hands them to the kernel as
 they are.  Marked points enter as integer pairs p_j = u_j / v_j:
 `shifted_reciprocals` gives the numerators of scale / (z - p_j) at a
@@ -19,10 +22,10 @@ rational z, and `linear_product` gives prod_j (v_j z - u_j) with its
 cofactors, on ints alone.  `poly_add`, `poly_mul` and `poly_divmod` on
 coefficient lists are the only general polynomial sum, product and
 division loops over a numerator ring, and `squarefree_mod_p` the one loop
-over F_p; `DensePoly` is a
-value type over the first two, and `PolyMatrix` a validated container of
-polynomials that keeps the Berkowitz numerators of its characteristic
-polynomial, or the ones its builder seeded.
+over F_p, into which Gaussian integers map by a square root of -1 mod p;
+`DensePoly` is a value type over the first two, and `PolyMatrix` a
+validated container of polynomials that keeps the Berkowitz numerators of
+its characteristic polynomial, or the ones its builder seeded.
 Truncated power series have no type here: the Betti layer keeps them as
 plain coefficient lists.
 """
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -162,8 +166,8 @@ def numerators(values: Iterable) -> tuple[list, int]:
     """Numerators and least common denominator of exact scalars.
 
     Returns (nums, d) with values[i] = nums[i] / d.  The numerators are
-    ints when every value is rational, and GaussianRationals with integral
-    parts as soon as one value is complex.
+    ints unless some value has a nonzero imaginary part, and
+    GaussianRationals with integral parts then.
     """
     vals = list(values)
     if all(isinstance(v, (int, Fraction)) for v in vals):
@@ -171,15 +175,28 @@ def numerators(values: Iterable) -> tuple[list, int]:
         return [v.numerator * (d // v.denominator) for v in vals], d
     parts = [(v.real, v.imag) for v in vals]
     d = math.lcm(*(x.denominator for pair in parts for x in pair))
+    if not any(im for _, im in parts):
+        return [re.numerator * (d // re.denominator) for re, _ in parts], d
     return [GaussianRational(re * d, im * d) for re, im in parts], d
 
 
 def ratio(num, den):
-    """The exact scalar num / den of two numerators: a Fraction for ints,
-    a GaussianRational otherwise."""
-    if isinstance(num, GaussianRational):
-        return num / den
-    return Fraction(num, den)
+    """The exact scalar num / den of two numerators: a GaussianRational
+    where its imaginary part is nonzero, a Fraction otherwise."""
+    if type(num) is int and type(den) is int:
+        return Fraction(num, den)
+    q = num / den
+    return q if q.imag else q.real
+
+
+def ratios(nums: Sequence, den) -> tuple:
+    """The `ratio` of each numerator over one denominator.  Ints over an
+    int go straight to `Fraction`, which refuses a GaussianRational; only
+    then is each entry typed by `ratio`."""
+    try:
+        return tuple(map(Fraction, nums, repeat(den)))
+    except TypeError:
+        return tuple(ratio(v, den) for v in nums)
 
 
 def shifted_reciprocals(pairs: Sequence, z: Rat, scale: int = 1) -> tuple[list, int]:
@@ -558,28 +575,27 @@ def linear_product(pairs: Sequence) -> tuple[list, int, list]:
     return full, math.prod(v for _, v in pairs), cofactors
 
 
-# the Mersenne prime 2^61 - 1, the field F_p of `squarefree_mod_p`
-SQUAREFREE_PRIME = 2 ** 61 - 1
+# the prime 2^61 - 31 = 1 (mod 4), the field F_p of `squarefree_mod_p`, and
+# a square root of -1 in it: 7 is not a square mod p, so its ((p - 1) / 4)th
+# power squares to -1
+SQUAREFREE_PRIME = 2 ** 61 - 31
+_SQRT_MINUS_ONE = pow(7, (SQUAREFREE_PRIME - 1) // 4, SQUAREFREE_PRIME)
 
 
 def squarefree_mod_p(a: Sequence) -> bool:
     """Whether a nonzero numerator list is squarefree over F_p, p the
     `SQUAREFREE_PRIME`, with its leading coefficient nonzero mod p.
 
-    True proves ``a`` squarefree over Q: a repeated factor g^2 of integer
-    polynomials (Gauss's lemma) stays one mod p, as p does not divide the
-    leading coefficient of g.  False proves nothing: z^2 + p is squarefree
-    over Q.  Gaussian integer coefficients with a nonzero imaginary part
-    are tested as a * conj(a), which has integer coefficients and a
-    repeated factor whenever ``a`` has one; with none, a * conj(a) = a^2
-    is never squarefree, so their integer real parts are tested.
+    Gaussian integer coefficients a + b i enter F_p as a + s b, s the
+    square root of -1 mod p: a ring map from Z[i], ints being their own
+    real part.  True proves ``a`` squarefree over Q(i), and so over Q for
+    integer coefficients: a repeated factor g^2 of Gaussian integer
+    polynomials (Gauss's lemma in Z[i]) maps to one over F_p, as the image
+    of the leading coefficient of g divides that of ``a`` and is nonzero.
+    False proves nothing: z^2 + p is squarefree over Q.
     """
-    if any(isinstance(c, GaussianRational) for c in a):
-        if any(c.imag for c in a):
-            a = poly_mul(a, [c.conjugate() for c in a])
-        a = [int(c.real) for c in a]
-    p = SQUAREFREE_PRIME
-    f = [c % p for c in a]
+    p, s = SQUAREFREE_PRIME, _SQRT_MINUS_ONE
+    f = [(int(c.real) + s * int(c.imag)) % p for c in a]
     if not f[-1]:
         return False
     # Euclid's algorithm for gcd(f, f') mod p
@@ -706,7 +722,4 @@ def poly_matrix_charpoly(m: PolyMatrix) -> list[DensePoly]:
     division is the boundary one c_i = C_i / D^i per coefficient.
     """
     cs, d = charpoly_numerators(m)
-    return [
-        DensePoly([ratio(c, d ** k) for c in ck], m.var)
-        for k, ck in enumerate(cs, start=1)
-    ]
+    return [DensePoly(ratios(ck, d ** k), m.var) for k, ck in enumerate(cs, start=1)]

@@ -27,8 +27,11 @@ its readers, with that pass kept on it.  The exact bracket checks run on
 numerators too: phi(z0) once per evaluation point for every power,
 gradients are integer numerators over one denominator per half, each
 split once into the two operands of a C-level pairing sum, and only a
-reported value is divided.  A point off the fiber keeps nothing and
-raises at every call.  Float points run on Python floats and complexes:
+reported value is divided.  Every exact value returned is one
+`exact.ratio` of numerators, so it is a GaussianRational exactly where
+its imaginary part is nonzero and a Fraction (or an int zero of a padded
+g_k) otherwise.  A point off the fiber keeps nothing and raises at
+every call.  Float points run on Python floats and complexes:
 the marked points are converted once per field and a Fraction weight
 once, not at every product, with the bits the Fraction fallback gave;
 sums run left to right, the order of a fold of matrix sums.  The float
@@ -43,7 +46,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -60,6 +63,7 @@ from .exact import (
     poly_divmod,
     poly_mul,
     ratio,
+    ratios,
     scalar_to_json,
     shifted_reciprocals,
 )
@@ -100,9 +104,9 @@ class HiggsField:
     def _table(self) -> tuple:
         """(U, d): U[a][b] holds entry (a, b) of phi_1, ..., phi_n over d.
 
-        An exact field is cleared once, to ints, or to GaussianRationals
-        with integral parts as soon as one residue is complex; a float
-        field keeps its floats over 1.  Every phi(z) and psi sum over it.
+        An exact field is cleared once by `numerators`, so U is in ints
+        unless some residue has a nonzero imaginary part; a float field
+        keeps its floats over 1.  Every phi(z) and psi sum over it.
         """
         if self.flavor != "exact":
             return _columns(self.residues), 1
@@ -110,22 +114,6 @@ class HiggsField:
         nums, d = numerators(v for m in self.residues for row in m for v in row)
         rows = [nums[k:k + r] for k in range(0, len(nums), r)]
         return _columns([rows[i * r:(i + 1) * r] for i in range(self.n)]), d
-
-    @cached_property
-    def _gaussian_entries(self) -> tuple[set, set]:
-        """The entries (a, b) where some residue is a GaussianRational, and
-        where some nonzero one is: the Fraction sums that the table's
-        numerators replace were complex exactly there (`higgs_eval` adds
-        every residue, psi the nonzero ones)."""
-        typed, valued = set(), set()
-        for m in self.residues:
-            for a, row in enumerate(m):
-                for b, v in enumerate(row):
-                    if isinstance(v, GaussianRational):
-                        typed.add((a, b))
-                        if v:
-                            valued.add((a, b))
-        return typed, valued
 
     @cached_property
     def _poles(self) -> tuple:
@@ -148,18 +136,15 @@ class HiggsField:
         return linear_product(self._poles)
 
     @cached_property
-    def _psi_numerators(self) -> tuple[list, object, set]:
-        """psi(z) = phi(z) * prod_j (z - p_j) on numerators: (N, D, C).
+    def _psi_numerators(self) -> tuple[list, object]:
+        """psi(z) = phi(z) * prod_j (z - p_j) on numerators: (N, D).
 
         Entry (a, b) of psi is sum_i (phi_i)_ab prod_(j != i) (z - p_j),
         that is N_ab / D with N_ab = sum_i U_ab,i cof_i and D = d V, for
         the table U / d and the cofactors of `_divisor`: each coefficient
-        is one sum over the edges.  C holds the complex entries, those
-        whose column has a nonzero GaussianRational residue.  N is in the
-        ring that clearing psi's coefficients gives: ints unless C is not
-        empty.  Entry degrees must not exceed n - 2: the z^(n-1)
-        coefficient of each entry is the corresponding entry of
-        sum_i phi_i.  Exact fields only.
+        is one sum over the edges, in the table's ring.  Entry degrees must
+        not exceed n - 2: the z^(n-1) coefficient of each entry is the
+        corresponding entry of sum_i phi_i.  Exact fields only.
         """
         if self.flavor != "exact":
             raise ValueError("polynomial twisting requires exact residues")
@@ -181,40 +166,24 @@ class HiggsField:
                     )
                 out.append(acc)
             rows.append(out)
-        complex_entries = set()
-        if isinstance(table[0][0][0], GaussianRational):
-            complex_entries = {(a, b) for a, b in self._gaussian_entries[1] if rows[a][b]}
-            if not complex_entries:
-                rows = [[[c.re.numerator for c in e] for e in row] for row in rows]
-        return rows, d * v, complex_entries
+        return rows, d * v
 
     @cached_property
     def _charpoly(self) -> tuple[tuple, object]:
         """(C_1, ..., C_r) and D with c_i = C_i / D^i: one `berkowitz`
         pass on psi's numerators."""
-        rows, den, _ = self._psi_numerators
+        rows, den = self._psi_numerators
         return berkowitz(rows), den
 
     @cached_property
     def psi(self) -> PolyMatrix:
         """psi(z) as a polynomial matrix, for its readers (`spectral.twist`),
-        with `_charpoly` kept on it as its charpoly numerators.  A complex
-        entry has GaussianRational coefficients and every other one
-        Fractions, as the Fraction sums it replaces had.  Exact fields
-        only.
+        with `_charpoly` kept on it as its charpoly numerators.  Each
+        coefficient is one `ratio` of its numerator.  Exact fields only.
         """
-        rows, den, complex_entries = self._psi_numerators
-
-        def entry(a, b, acc):
-            if (a, b) in complex_entries:
-                return [c / den for c in acc]
-            if complex_entries:  # a real entry on Gaussian numerators
-                return [Fraction(c.re, den) for c in acc]
-            return list(map(Fraction, acc, repeat(den)))
-
+        rows, den = self._psi_numerators
         m = PolyMatrix(
-            [[DensePoly(entry(a, b, acc), "z") for b, acc in enumerate(row)]
-             for a, row in enumerate(rows)],
+            [[DensePoly(ratios(acc, den), "z") for acc in row] for row in rows],
             "z",
         )
         m._numerators = self._charpoly
@@ -303,24 +272,10 @@ def _matrices(table) -> tuple:
     return tuple(zip(*(zip(*row) for row in table)))
 
 
-def _exact_residues(point: QuiverPoint, products: tuple, d) -> tuple:
+def _exact_residues(products: tuple, d) -> tuple:
     """Residue matrices of an exact point from its cleared products: entry
-    (a, b) of phi_i is U_ab,i / d, d = dx dy, a Fraction where x_ai and
-    y_ib are both rational, as their product is."""
-    x, y = point.x, point.y
-    if not isinstance(products[0][0][0], GaussianRational):
-        return _matrices(
-            [[tuple(map(Fraction, u, repeat(d))) for u in row] for row in products]
-        )
-
-    def entry(a, b, i, u):
-        v = u / d
-        return v if GaussianRational in (type(x[a][i]), type(y[i][b])) else v.re
-
-    return _matrices(
-        [[tuple(entry(a, b, i, v) for i, v in enumerate(u)) for b, u in enumerate(row)]
-         for a, row in enumerate(products)]
-    )
+    (a, b) of phi_i is the `ratio` U_ab,i / d, d = dx dy."""
+    return _matrices([[ratios(u, d) for u in row] for row in products])
 
 
 def residues(point: QuiverPoint) -> HiggsField:
@@ -343,27 +298,14 @@ def higgs_eval(field: HiggsField, z):
 
     Each entry is one sum over the field's table (`_phi_at`).  A float
     field adds the floats U_ab,i / (z - p_i) from the left, as a fold of
-    matrix sums would.  An exact field sums numerators and divides once
-    per entry; an entry is complex where z or some residue there is, as
-    the Fraction sum it replaces was.
+    matrix sums would.  An exact field sums numerators and takes one
+    `ratio` per entry.
     """
     at = _phi_at(field, z)
     if field.flavor != "exact":
         return at.phi
-    table, d = field._table
-    d *= at.dw
-    # on Gaussian numerators at a rational z, an entry where no residue is
-    # complex is real
-    real = isinstance(table[0][0][0], GaussianRational) and not isinstance(at.z, GaussianRational)
-    typed = field._gaussian_entries[0] if real else ()
-
-    def entry(a, b, v):
-        v = ratio(v, d)
-        return v.re if real and (a, b) not in typed else v
-
-    return tuple(
-        tuple(entry(a, b, v) for b, v in enumerate(row)) for a, row in enumerate(at.phi)
-    )
+    d = field._table[1] * at.dw
+    return tuple(ratios(row, d) for row in at.phi)
 
 
 @dataclass(frozen=True)
@@ -439,11 +381,14 @@ def _exact_z(flavor: str, z):
     given flavor.
 
     On the exact flavor an int or a finite float becomes the Fraction of
-    equal value and a complex z a GaussianRational; a non-finite z raises
-    ValueError.  The float flavor takes z as given.
+    equal value, and a complex or GaussianRational z a GaussianRational
+    where its imaginary part is nonzero and its real part otherwise; a
+    non-finite z raises ValueError.  The float flavor takes z as given.
     """
     if flavor != "exact":
         return z
+    if isinstance(z, (complex, GaussianRational)) and not z.imag:
+        z = z.real
     if isinstance(z, complex):
         return GaussianRational(_exact_z(flavor, z.real), _exact_z(flavor, z.imag))
     if isinstance(z, float) and not math.isfinite(z):
@@ -507,7 +452,7 @@ def _clear(point: QuiverPoint) -> _Cleared:
             "complex moment map violated: residues do not sum to zero"
         )
     d = dx * dy
-    field = HiggsField(_exact_residues(point, products, d), point.marked_points, "exact")
+    field = HiggsField(_exact_residues(products, d), point.marked_points, "exact")
     object.__setattr__(field, "_table", (products, d))
     return _Cleared(xs, dx, ys, dy, field)
 
@@ -637,7 +582,7 @@ def observable_grad(point: QuiverPoint, obs: BracketObservable) -> tuple:
     if point.flavor != "exact":
         return g
     half = point.r * point.n
-    return tuple(ratio(v, ex) for v in g[:half]) + tuple(ratio(v, ey) for v in g[half:])
+    return ratios(g[:half], ex) + ratios(g[half:], ey)
 
 
 def _halves(r: int, n: int, g: tuple) -> tuple[list, list]:

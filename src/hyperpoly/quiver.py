@@ -25,7 +25,7 @@ from .exact import (
     GaussianRational,
     numerators,
     parse_rational,
-    ratio,
+    ratios,
     scalar_from_json,
     scalar_to_json,
 )
@@ -326,9 +326,9 @@ def exact_point_from_x(
     if isinstance(d, int):
         flat = list(_canonical_primitive(flat))
     else:
-        flat = [ratio(v, d) for v in flat]
+        flat = ratios(flat, d)
         if not any(v.imag for v in flat):
-            flat = list(_canonical_primitive(numerators(v.real for v in flat)[0]))
+            flat = list(_canonical_primitive(numerators(flat)[0]))
     y = tuple(tuple(flat[i * r + a] for a in range(r)) for i in range(n))
     return QuiverPoint(
         r=r,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly.exact import (
+    _SQRT_MINUS_ONE,
     SQUAREFREE_PRIME,
     DensePoly,
     GaussianRational,
@@ -19,6 +20,7 @@ from hyperpoly.exact import (
     poly_from_roots,
     poly_matrix_charpoly,
     poly_mul,
+    ratio,
     scalar_from_json,
     scalar_to_json,
     shifted_reciprocals,
@@ -241,6 +243,21 @@ def _poly_matrices(coeffs):
     )
 
 
+def test_numerators_and_ratio_type_by_value():
+    # the Gaussian ring only where some imaginary part is nonzero, and a
+    # GaussianRational quotient only where its imaginary part is
+    i = GaussianRational(0, 1)
+    nums, d = numerators([GaussianRational(3), Fraction(1, 2)])
+    assert (nums, d) == ([6, 1], 2) and all(type(v) is int for v in nums)
+    nums, d = numerators([GaussianRational(3, Fraction(1, 3)), Fraction(1, 2)])
+    assert (nums, d) == ([GaussianRational(18, 2), 3], 6)
+    assert all(type(v) is GaussianRational for v in nums)
+    assert ratio(1 + i, 1 - i) == i and type(ratio(1 + i, 1 - i)) is GaussianRational
+    for num, den, want in [(2 * i, i, 2), (GaussianRational(3), 6, Fraction(1, 2)),
+                           (3, 6, Fraction(1, 2))]:
+        assert ratio(num, den) == want and type(ratio(num, den)) is Fraction
+
+
 # one coefficient ring per matrix: ints, Fractions or GaussianRationals
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([
@@ -322,11 +339,21 @@ def test_squarefree_mod_p(coeffs, expected):
     assert squarefree_mod_p(coeffs) is expected
 
 
+def test_the_square_root_of_minus_one_mod_p():
+    # a + b i -> a + s b is a ring map Z[i] -> F_p only if s^2 = -1 mod p
+    p = SQUAREFREE_PRIME
+    assert p % 4 == 1 and pow(2, p - 1, p) == 1
+    assert _SQRT_MINUS_ONE ** 2 % p == p - 1
+
+
 def test_squarefree_mod_p_on_gaussian_integers():
     i = GaussianRational(0, 1)
-    # z - i is tested as (z - i)(z + i) = z^2 + 1
     assert squarefree_mod_p([-i, GaussianRational(1)])
     assert not squarefree_mod_p(poly_mul([-i, 1], [-i, 1]))
+    # (1 + i)(z - 1)(z - 2): a factor equal to its own conjugate is tested
+    # once, not squared as it is in R * conj(R)
+    assert squarefree_mod_p(poly_mul([1 + i], [2, -3, 1]))
+    assert not squarefree_mod_p(poly_mul([1 + i], [2, -3, 0, 1]))
     # Gaussian-typed real coefficients are tested as the integers they are
     assert squarefree_mod_p([GaussianRational(-2), GaussianRational(1), GaussianRational(1)])
     assert squarefree_mod_p([GaussianRational(3), 1])

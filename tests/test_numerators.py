@@ -9,7 +9,10 @@ here only: with the `DensePoly` division they need, psi built from the
 Fraction residues entry by entry, and the full fiber system of n + r^2
 rows, whose canonical kernel (`test_linalg`'s Fraction reference) the
 seeded fiber vector over its d must combine by value; elsewhere typed
-reprs must agree: same values and same scalar types.  On float points
+reprs must agree: same values, and the scalar type each value gives (a
+GaussianRational exactly where the imaginary part is nonzero, so a
+reference's zero-imaginary GaussianRational is spelled as its real
+part).  On float points
 the bracket layer and `higgs_eval` must give the references' floats bit
 for bit, and so must the float `hitchin_map`, which keeps a reference
 here too.
@@ -63,6 +66,8 @@ from hyperpoly.quiver import _fiber_kernel, exact_point_from_x, sample_exact, so
 from hyperpoly.spectral import order_check, spectral_charpoly, twist
 
 from test_linalg import _kernel, _kernel_reference, _over_d, _reference, gaussian, small
+
+I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +369,24 @@ def _typed(polys):
     return [repr(p.coeffs) for p in polys]
 
 
-def _typed_repr(v) -> str:
+def _typed_repr(v, by_value=False) -> str:
     """repr with the type of every scalar spelled out, through tuples,
     lists, dicts and dataclasses: 0.0 and -0.0 differ, and so do a float
-    and a complex of equal value."""
+    and a complex of equal value.  With ``by_value`` a GaussianRational
+    with a zero imaginary part is spelled as its real part, the type
+    `exact.ratio` gives it: the spelling of a reference that computes in
+    whatever type its inputs have."""
+    def spell(x):
+        return _typed_repr(x, by_value)
+
     if isinstance(v, (tuple, list)):
-        return "(" + ", ".join(map(_typed_repr, v)) + ")"
+        return "(" + ", ".join(map(spell, v)) + ")"
     if isinstance(v, dict):
-        return "{" + ", ".join(f"{_typed_repr(k)}: {_typed_repr(x)}" for k, x in v.items()) + "}"
-    if dataclasses.is_dataclass(v):
-        return type(v).__name__ + _typed_repr([getattr(v, f.name) for f in dataclasses.fields(v)])
+        return "{" + ", ".join(f"{spell(k)}: {spell(x)}" for k, x in v.items()) + "}"
+    if isinstance(v, GaussianRational) and by_value and not v.imag:
+        v = v.real
+    elif dataclasses.is_dataclass(v):
+        return type(v).__name__ + spell([getattr(v, f.name) for f in dataclasses.fields(v)])
     return f"{type(v).__name__}({v!r})"
 
 
@@ -599,9 +612,9 @@ def _typed_fields():
     """Exact fields of every kind: from sampled, Gaussian, JSON round-tripped
     Gaussian and (2i + 1) / 3 points, the same residues as a field built
     directly, a direct field whose residues are a seeded mix of Fractions
-    and GaussianRationals of the same values, zeros included, and one whose
-    only GaussianRationals are zeros: its table is Gaussian, its psi
-    real."""
+    and GaussianRationals of the same values, zeros included, one whose
+    only GaussianRationals are zeros, and one with every residue times i:
+    its psi is complex in every coefficient that is not zero."""
     # ranks up to 4: the kernels are rank-blind, the references slow
     points = [point for point, _ in _exact_points() if point.r <= 4]
     points.append(QuiverPoint.loads(next(
@@ -623,6 +636,10 @@ def _typed_fields():
             tuple(tuple(v or GaussianRational() for v in row) for row in m) for m in field.residues
         )
         yield HiggsField(zeros, field.marked_points, field.flavor)
+        turned = tuple(
+            tuple(tuple(v * I for v in row) for row in m) for m in field.residues
+        )
+        yield HiggsField(turned, field.marked_points, field.flavor)
 
 
 def _psi_rows(psi):
@@ -630,32 +647,33 @@ def _psi_rows(psi):
 
 
 def test_psi_and_cleared_traces_match_the_fraction_route():
-    # the table's psi has the Fraction route's coefficients with their
-    # types, entry by entry; its seeded charpoly and the cleared traces from
-    # its numerators are the ones the Fraction psi's own numerators give
+    # the table's psi has the Fraction route's coefficients, entry by entry,
+    # each typed by its value; its seeded charpoly and the cleared traces
+    # from its numerators are the ones the Fraction psi's own numerators give
     kinds = set()
     for field in _typed_fields():
         want = _psi_reference(field)
-        assert _typed_repr(_psi_rows(field.psi)) == _typed_repr(_psi_rows(want))
+        assert _typed_repr(_psi_rows(field.psi)) == _typed_repr(_psi_rows(want), by_value=True)
         assert _typed(poly_matrix_charpoly(field.psi)) == _typed(poly_matrix_charpoly(want))
         ref = HiggsField(field.residues, field.marked_points, field.flavor)
         object.__setattr__(ref, "_charpoly", charpoly_numerators(want))
-        assert _typed_repr(field.cleared_traces) == _typed_repr(ref.cleared_traces)
+        assert _typed_repr(field.cleared_traces) == _typed_repr(ref.cleared_traces, by_value=True)
         kinds.add(tuple(sorted({type(c).__name__ for row in _psi_rows(want) for e in row for c in e})))
     # real, complex and mixed psi all occur
     assert {("Fraction",), ("GaussianRational",), ("Fraction", "GaussianRational")} <= kinds
 
 
 def test_exact_higgs_eval_matches_the_fraction_sums():
-    # values and scalar types of the sum of Fraction matrices, at rational,
-    # Gaussian and float z
+    # values of the sum of Fraction matrices, each typed by its value, at
+    # rational, Gaussian and float z
     for field in _typed_fields():
         top = max(field.marked_points)
         for z in (top + Fraction(1, 2), Fraction(-5, 4), GaussianRational(1, 2), 0.75, 3):
             if z in field.marked_points:
                 continue
             got = higgs_eval(field, z)
-            assert _typed_repr(got) == _typed_repr(_higgs_eval_reference(field, z)), z
+            want = _typed_repr(_higgs_eval_reference(field, z), by_value=True)
+            assert _typed_repr(got) == want, z
 
 
 def _exact_weights_reference(marked, z):
@@ -741,7 +759,7 @@ def test_vanishing_order_matches_reference(roots, a, scale):
 # ---------------------------------------------------------------------------
 # the bracket layer: gradients, brackets, commutation and the kernel identity
 
-def _bracket_outputs(grad, bracket, report, delta, point, zs):
+def _bracket_outputs(grad, bracket, report, delta, point, zs, by_value=False):
     """Typed reprs of the four bracket functions at one point."""
     z, w = zs
     f, g = BracketObservable(2, z), BracketObservable(point.r, w)
@@ -752,13 +770,13 @@ def _bracket_outputs(grad, bracket, report, delta, point, zs):
         bracket(point, g, f),
         report(point),
         delta(point, z, w),
-    ))
+    ), by_value)
 
 
 def _reference_outputs(point, zs):
     return _bracket_outputs(
         _observable_grad_reference, _poisson_bracket_reference,
-        _commutation_report_reference, _delta_check_reference, point, zs,
+        _commutation_report_reference, _delta_check_reference, point, zs, by_value=True,
     )
 
 
@@ -804,7 +822,7 @@ def _residues_reference(point):
 def test_residues_match_reference_on_exact_points():
     # residues are read off the cleared x and y of the moment check; after a
     # JSON round trip the Gaussian point has rational entries beside
-    # Gaussian ones, and a product of two rational entries stays a Fraction
+    # Gaussian ones, and every residue entry is typed by its value
     points = [point for point, _ in _exact_points()]
     gaussian = next(p for p in points if isinstance(p.x[0][0], GaussianRational))
     mixed = QuiverPoint.loads(gaussian.dumps())
@@ -813,7 +831,7 @@ def test_residues_match_reference_on_exact_points():
         for i in range(mixed.n) for a in range(mixed.r) for b in range(mixed.r)
     )
     for point in points + [mixed]:
-        assert _typed_repr(residues(point)) == _typed_repr(_residues_reference(point))
+        assert _typed_repr(residues(point)) == _typed_repr(_residues_reference(point), by_value=True)
 
 
 def test_commutation_report_builds_phi_once_per_evaluation_point(monkeypatch):

@@ -4,7 +4,9 @@ Each law maps a point on the complex moment fiber to another one whose
 outputs follow exactly from the first's: the gauge group GL_r x (C*)^n,
 a permutation of the legs, an affine change of coordinate on the line and
 the C* scaling of y.  Every check is exact, so none needs a tolerance, and
-nothing here imports numpy.
+nothing here imports numpy.  The complex points these moves give also pin
+the one type rule for exact scalars: every value returned is a
+GaussianRational exactly where its imaginary part is nonzero.
 """
 
 import dataclasses
@@ -15,9 +17,18 @@ from fractions import Fraction
 import pytest
 
 from hyperpoly.exact import GaussianRational, poly_add, poly_mul
-from hyperpoly.hitchin import commutation_report, delta_check, hitchin_map, residues
+from hyperpoly.hitchin import (
+    BracketObservable,
+    commutation_report,
+    delta_check,
+    higgs_eval,
+    hitchin_map,
+    observable_grad,
+    poisson_bracket,
+    residues,
+)
 from hyperpoly.linalg import exact_rank, mat_mul, mat_scale
-from hyperpoly.quiver import sample_exact
+from hyperpoly.quiver import exact_point_from_x, sample_exact
 from hyperpoly.spectral import order_check, smoothness_probe, spectral_charpoly, twist
 
 I = GaussianRational(0, 1)
@@ -83,6 +94,17 @@ def _gauges(r, n, rng):
     return out
 
 
+def _gauged(pt, g, t):
+    """(x, y) -> (g x t^-1, t y g^-1)."""
+    x = tuple(tuple(v / t[i] for i, v in enumerate(row)) for row in mat_mul(g, pt.x))
+    y = tuple(tuple(t[i] * v for v in row) for i, row in enumerate(mat_mul(pt.y, _inverse(g))))
+    return dataclasses.replace(pt, x=x, y=y)
+
+
+def _scaled_y(pt, c):
+    return dataclasses.replace(pt, y=tuple(tuple(c * v for v in row) for row in pt.y))
+
+
 @pytest.mark.parametrize("r,n", LEVELS)
 def test_gauge_invariance(r, n):
     # (x, y) -> (g x t^-1, t y g^-1): residues conjugated by g, every base,
@@ -91,9 +113,7 @@ def test_gauge_invariance(r, n):
     want = _outputs(pt)
     for g, t in _gauges(r, n, random.Random(f"gauge:{r}:{n}")):
         gi = _inverse(g)
-        x = tuple(tuple(v / t[i] for i, v in enumerate(row)) for row in mat_mul(g, pt.x))
-        y = tuple(tuple(t[i] * v for v in row) for i, row in enumerate(mat_mul(pt.y, gi)))
-        moved = dataclasses.replace(pt, x=x, y=y)
+        moved = _gauged(pt, g, t)
         got = _outputs(moved)
         assert got["residues"] == tuple(mat_mul(mat_mul(g, m), gi) for m in want["residues"])
         for key in ("g", "c", "orders", "smoothness"):
@@ -168,11 +188,13 @@ def _power(c, k):
 def test_scaling_y(r, n, seed):
     # y -> c y, the C* action: phi_i, g_k and c_s scale by c, c^k and c^s,
     # and the vanishing orders and the smoothness verdict stay; c = i makes
-    # every discriminant coefficient a GaussianRational with no imaginary part
+    # every discriminant coefficient real, and c = 1 + i scales the
+    # discriminant by a complex constant, so its squarefree test runs on
+    # Gaussian integers
     pt = _point(r, n, seed)
     want = _outputs(pt)
-    for c in (Fraction(3, 2), Fraction(-2), I):
-        moved = dataclasses.replace(pt, y=tuple(tuple(c * v for v in row) for row in pt.y))
+    for c in (Fraction(3, 2), Fraction(-2), I, 1 + I):
+        moved = _scaled_y(pt, c)
         got = _outputs(moved)
         assert got["residues"] == tuple(mat_scale(m, c) for m in want["residues"])
         assert got["g"] == {k: [_power(c, k) * v for v in vec] for k, vec in want["g"].items()}
@@ -180,3 +202,43 @@ def test_scaling_y(r, n, seed):
         assert got["orders"] == want["orders"]
         assert got["smoothness"] == want["smoothness"], c
         assert _brackets_vanish(moved)
+
+
+def _complex_points(r, n):
+    """The point moved by diag(1 + i, 1, ..., 1), by y -> i y and by
+    y -> (1 + i) y, and a point completed from an x whose first row is
+    multiplied by 1 + i."""
+    pt = _point(r, n, seed=1)
+    _, _, (diag, t) = _gauges(r, n, random.Random(f"gauge:{r}:{n}"))
+    x = ((tuple((1 + I) * v for v in pt.x[0]),) + pt.x[1:])
+    return [_gauged(pt, diag, t), _scaled_y(pt, I), _scaled_y(pt, 1 + I),
+            exact_point_from_x(x, seed=1)]
+
+
+def _returned_scalars(pt):
+    field = residues(pt)
+    top = max(pt.marked_points) + Fraction(1, 2)
+    z = GaussianRational(Fraction(1, 2), 1)
+    yield from (v for m in field.residues for row in m for v in row)
+    for at in (top, z):
+        yield from (v for row in higgs_eval(field, at) for v in row)
+    yield from (c for row in field.psi.rows for e in row for c in e.coeffs)
+    cp = spectral_charpoly(twist(field))
+    yield from (c for s in range(1, pt.r + 1) for c in cp.c[s].coeffs)
+    yield from (c for vec in hitchin_map(field).g.values() for c in vec)
+    obs = [BracketObservable(m, at) for m in range(2, pt.r + 1) for at in (top, z)]
+    for f in obs:
+        yield from observable_grad(pt, f)
+    yield from (poisson_bracket(pt, f, g) for f in obs for g in obs)
+
+
+# base coordinates exist up to rank 3 only, so the levels stop there
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 7)])
+def test_one_scalar_rule_on_complex_points(r, n):
+    # every exact scalar returned is a GaussianRational exactly when its
+    # imaginary part is nonzero, whatever types the point's entries have
+    for pt in _complex_points(r, n):
+        assert any(v.imag for row in pt.x + pt.y for v in row)
+        for v in _returned_scalars(pt):
+            assert isinstance(v, (int, Fraction, GaussianRational)), v
+            assert isinstance(v, GaussianRational) == bool(v.imag), v
