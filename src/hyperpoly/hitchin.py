@@ -9,19 +9,21 @@ powers), and checks the Poisson geometry: the bracket kernel identity, the
 pairwise commutation of base components, and the rank of their Jacobian.
 
 Each point is cleared and checked once, not once per call, and its record
-holds its Higgs field, the one record of phi that every call reads.  The
-field keeps the residue table U_ab,i = X_ai Y_ib, the products of the
-cleared numerators x = X / dx and y = Y / dy (the floats x_ai y_ib on a
-float point) that the moment check forms.  The residues divide it, every
-phi(z) is one sum over it per entry (`_phi_at`, read by `higgs_eval`, the
-float base map and the bracket checks), and psi's numerators are
-sum_i U_ab,i cof_i over one denominator.  A field built directly from
-residues clears them once into the same table.  The poles enter exact
-work as integer pairs p_j = u_j / v_j: every weight 1 / (z - p_j) at a
-rational z (`_weights`), and prod_j (z - p_j) with its cofactors, are
-formed from them with no Fraction arithmetic.  Exact base coordinates
-take one route, psi -> c_i -> Tr(psi^k) -> g_k, on integers: one
-Berkowitz pass on psi's numerators, built once per field and read by
+holds its Higgs field, the one record of phi that every call reads.  Both
+flavors take one route (`_clear`): an exact point is cleared to numerators
+x = X / dx and y = Y / dy, a float point is its own numerators over 1, and
+the residue table U_ab,i = X_ai Y_ib is formed once.  The moment check
+reads it, exactly on an exact point and within a tolerance relative to the
+entry scale on a float point, and the field keeps it.  The residues divide
+it, every phi(z) is one sum over it per entry (`_phi_at`, read by
+`higgs_eval`, the float base map and the bracket checks), and psi's
+numerators are sum_i U_ab,i cof_i over one denominator.  A field built
+directly from residues clears them once into the same table.  The poles
+enter exact work as integer pairs p_j = u_j / v_j: every weight
+1 / (z - p_j) at a rational z (`_weights`), and prod_j (z - p_j) with its
+cofactors, are formed from them with no Fraction arithmetic.  Exact base
+coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k, on integers:
+one Berkowitz pass on psi's numerators, built once per field and read by
 `hitchin_map` and the spectral layer; the Fraction psi is built only for
 its readers, with that pass kept on it.  The exact bracket checks run on
 numerators too: phi(z0) once per evaluation point for every power,
@@ -30,18 +32,20 @@ split once into the two operands of a C-level pairing sum, and only a
 reported value is divided.  Every exact value returned is one
 `exact.ratio` of numerators, so it is a GaussianRational exactly where
 its imaginary part is nonzero and a Fraction (or an int zero of a padded
-g_k) otherwise.  A point off the fiber keeps nothing and raises at
-every call.  Float points run on Python floats and complexes:
-the marked points are converted once per field and a Fraction weight
-once, not at every product, with the bits the Fraction fallback gave;
-sums run left to right, the order of a fold of matrix sums.  The float
-base-map fit and the Jacobian's DFT rows and SVD run in `floating`, the
-one module that imports numpy, which `hitchin_map` and `jacobian_rank`
-import only in their float branches.
+g_k) otherwise.  A point off the fiber keeps nothing and raises at every
+call, and a non-finite evaluation point raises on both flavors.  Float
+points run on Python floats and complexes: the marked points are
+converted once per field, and a Fraction weight or kernel scalar
+1 / (w - z) once, not at every product, with the bits the Fraction
+fallback gave; sums run left to right, the order of a fold of matrix
+sums.  The float base-map fit and the Jacobian's DFT rows and SVD run in
+`floating`, the one module that imports numpy, which `hitchin_map` and
+`jacobian_rank` import only in their float branches.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,8 +88,7 @@ class HiggsField:
     """Residue data of sum_i phi_i / (z - p_i).
 
     The residue table, psi and the cleared traces are cached outside the
-    dataclass fields; `_clear` seeds an exact point's table from its
-    products.
+    dataclass fields; `_clear` seeds a point's table from its products.
     """
 
     residues: tuple  # n matrices, each r x r
@@ -231,37 +234,6 @@ class HiggsField:
         return tuple(out)
 
 
-def _edge_scale(col, row) -> float:
-    return math.sqrt(
-        float(sum(norm_sq(v) for v in col)) * float(sum(norm_sq(v) for v in row))
-    )
-
-
-def _float_residues(point: QuiverPoint) -> tuple:
-    """Residue matrices of a float point, checked as `_clear` says."""
-    mats = []
-    for i in range(point.n):
-        col = point.x_col(i)
-        row = point.y[i]
-        scalar = sum(a * b for a, b in zip(row, col))
-        if abs(complex(scalar)) > _MOMENT_TOL * max(1.0, _edge_scale(col, row)):
-            raise MomentMapError(
-                f"complex moment map violated: y_i x_i != 0 at edge {i + 1}",
-                edge=i + 1,
-            )
-        mats.append(point.residue(i))
-    total = mats[0]
-    for m in mats[1:]:
-        total = linalg.mat_add(total, m)
-    bound = _MOMENT_TOL * max(1.0, max(float(linalg.frob_sq(m)) for m in mats))
-    # bound * bound is inf past the float range, where ** 2 raises
-    if float(linalg.frob_sq(total)) > bound * bound:
-        raise MomentMapError(
-            "complex moment map violated: residues do not sum to zero"
-        )
-    return tuple(mats)
-
-
 def _columns(mats) -> tuple:
     """The table U[a][b] = (M_1[a][b], ..., M_n[a][b]) of n r x r matrices;
     `_matrices` undoes it."""
@@ -272,19 +244,14 @@ def _matrices(table) -> tuple:
     return tuple(zip(*(zip(*row) for row in table)))
 
 
-def _exact_residues(products: tuple, d) -> tuple:
-    """Residue matrices of an exact point from its cleared products: entry
-    (a, b) of phi_i is the `ratio` U_ab,i / d, d = dx dy."""
-    return _matrices([[ratios(u, d) for u in row] for row in products])
-
-
 def residues(point: QuiverPoint) -> HiggsField:
     """Residue matrices phi_i = x_i y_i of a quiver point.
 
-    Validates the complex moment map first (`_checked_xy`: exactly on
-    the cleared numerators of an exact point, within a tolerance on a
-    float point); tracelessness, square-zero and rank <= 1 of each phi_i
-    then hold automatically for the outer products.  The field is the one
+    Validates the complex moment map first (`_checked_xy`), on the
+    residue table of either flavor: exactly on an exact point, within
+    _MOMENT_TOL relative to the entry scale on a float point.
+    Tracelessness, square-zero and rank <= 1 of each phi_i then hold
+    automatically for the outer products.  The field is the one
     the check built and the point keeps, so every call returns the same
     object, and its table, psi and Berkowitz pass are built once per
     point.
@@ -380,19 +347,20 @@ def _exact_z(flavor: str, z):
     """An evaluation point as an exact scalar for a point or field of the
     given flavor.
 
-    On the exact flavor an int or a finite float becomes the Fraction of
-    equal value, and a complex or GaussianRational z a GaussianRational
-    where its imaginary part is nonzero and its real part otherwise; a
-    non-finite z raises ValueError.  The float flavor takes z as given.
+    A non-finite float or complex z raises ValueError on both flavors.
+    On the exact flavor an int or a float becomes the Fraction of equal
+    value, and a complex or GaussianRational z a GaussianRational where
+    its imaginary part is nonzero and its real part otherwise.  The float
+    flavor takes a finite z as given.
     """
+    if isinstance(z, (float, complex)) and not cmath.isfinite(z):
+        raise ValueError(f"non-finite evaluation point {z!r}")
     if flavor != "exact":
         return z
     if isinstance(z, (complex, GaussianRational)) and not z.imag:
         z = z.real
     if isinstance(z, complex):
-        return GaussianRational(_exact_z(flavor, z.real), _exact_z(flavor, z.imag))
-    if isinstance(z, float) and not math.isfinite(z):
-        raise ValueError(f"non-finite evaluation point {z!r}")
+        return GaussianRational(Fraction(z.real), Fraction(z.imag))
     if isinstance(z, (int, float)):
         return Fraction(z)
     return z
@@ -403,9 +371,8 @@ class _Cleared(NamedTuple):
 
     x = xs / dx and y = ys / dy, with xs r x n and ys n x r, and the
     point's Higgs ``field``, whose table every phi(z), the residues and
-    psi read: on an exact point the products xs[a][i] ys[i][b] over
-    dx dy.  On a float point the entries are their own numerators over 1
-    and ``complex_entries`` tells whether every entry is complex.
+    psi read: the products xs[a][i] ys[i][b] over dx dy.  A float point
+    is its own numerators over 1.
     """
 
     xs: list
@@ -413,46 +380,64 @@ class _Cleared(NamedTuple):
     ys: list
     dy: object
     field: HiggsField
-    complex_entries: bool = False
 
 
 def _clear(point: QuiverPoint) -> _Cleared:
     """The point's `_Cleared` form, once it lies on the complex moment fiber.
 
-    An exact point is cleared with `numerators`, a float point has its
-    entries tested.  MomentMapError unless every scalar y_i x_i vanishes,
-    edge by edge, and then the residues x_i y_i sum to zero.  An exact
-    point is checked on its products U_ab,i = X_ai Y_ib: sum_a U_aa,i = 0
-    for each edge i, then sum_i U_ab,i = 0; they become its field's table
-    over dx dy, and their quotients its residues.  A float point is
-    checked within _MOMENT_TOL relative to the entry scale
-    (`_float_residues`), whose matrices become its field's residues.
+    An exact point is cleared with `numerators`; a float point is its own
+    numerators over 1.  Both are checked on their products
+    U_ab,i = X_ai Y_ib: MomentMapError unless the scalar
+    y_i x_i = sum_a U_aa,i vanishes, edge by edge, and then the residue
+    sum sum_i x_i y_i, entry (a, b) of which is sum_i U_ab,i.  On an exact
+    point both vanish exactly.  On a float point they vanish within
+    _MOMENT_TOL relative to the entry scale:
+    |y_i x_i| <= tol max(1, |x_i| |y_i|) for each edge, and
+    ||sum_i x_i y_i||_F <= tol max(1, max_i ||x_i y_i||_F), with
+    |x_i| |y_i| = ||x_i y_i||_F read off the table.  The products become
+    the field's table over dx dy, in ints unless some product has a
+    nonzero imaginary part (`numerators`' rule), and their quotients its
+    residues: on a float point the floats `point.residue` gives.
     """
-    if point.flavor != "exact":
-        return _Cleared(
-            point.x, 1, point.y, 1,
-            HiggsField(_float_residues(point), point.marked_points, point.flavor),
-            all(type(v) is complex for row in point.x + point.y for v in row),
-        )
     r, n = point.r, point.n
-    xs, dx = numerators(v for row in point.x for v in row)
-    ys, dy = numerators(v for row in point.y for v in row)
-    xs = [xs[a * n:(a + 1) * n] for a in range(r)]
-    ys = [ys[i * r:(i + 1) * r] for i in range(n)]
+    exact = point.flavor == "exact"
+    if exact:
+        xs, dx = numerators(v for row in point.x for v in row)
+        ys, dy = numerators(v for row in point.y for v in row)
+        xs = [xs[a * n:(a + 1) * n] for a in range(r)]
+        ys = [ys[i * r:(i + 1) * r] for i in range(n)]
+    else:
+        xs, dx, ys, dy = point.x, 1, point.y, 1
     cols = list(zip(*ys))
     products = tuple(tuple(tuple(map(mul, row, col)) for col in cols) for row in xs)
-    for i, s in enumerate(map(sum, zip(*(products[a][a] for a in range(r))))):
-        if s:
+    if exact and isinstance(products[0][0][0], GaussianRational) and not any(
+        v.imag for row in products for u in row for v in u
+    ):
+        products = tuple(
+            tuple(tuple(v.real.numerator for v in u) for u in row) for row in products
+        )
+    entries = [u for row in products for u in row]
+    if exact:
+        # an exact defect must vanish: no tolerance
+        tol_sq, sizes = 0, [0] * n
+    else:
+        # squared defects against tol^2 max(1, ||x_i y_i||_F^2)
+        tol_sq = _MOMENT_TOL * _MOMENT_TOL
+        sizes = [float(sum(map(norm_sq, edge))) for edge in zip(*entries)]
+    traces = map(sum, zip(*(products[a][a] for a in range(r))))
+    for i, (s, size) in enumerate(zip(traces, sizes)):
+        if norm_sq(s) > tol_sq * max(1.0, size):
             raise MomentMapError(
                 f"complex moment map violated: y_i x_i != 0 at edge {i + 1}",
                 edge=i + 1,
             )
-    if any(sum(u) for row in products for u in row):
+    if sum(norm_sq(sum(u)) for u in entries) > tol_sq * max(1.0, *sizes):
         raise MomentMapError(
             "complex moment map violated: residues do not sum to zero"
         )
     d = dx * dy
-    field = HiggsField(_exact_residues(products, d), point.marked_points, "exact")
+    mats = _matrices([[ratios(u, d) for u in row] for row in products] if exact else products)
+    field = HiggsField(mats, point.marked_points, point.flavor)
     object.__setattr__(field, "_table", (products, d))
     return _Cleared(xs, dx, ys, dy, field)
 
@@ -466,18 +451,6 @@ def _checked_xy(point: QuiverPoint) -> _Cleared:
         xy = _clear(point)
         object.__setattr__(point, "_cleared", xy)
     return xy
-
-
-def _entry_scalars(complex_entries: bool, ws: list) -> list:
-    """Scalars that multiply the entries of a float point.
-
-    A rational z makes them Fractions; on a point with complex entries each
-    Fraction becomes complex(w) once, the value the fallback would convert
-    it to at every product with an entry.
-    """
-    if complex_entries:
-        return [complex(w) if isinstance(w, Fraction) else w for w in ws]
-    return ws
 
 
 def _weights(field: HiggsField, z, scale=1) -> tuple[list, object]:
@@ -671,7 +644,9 @@ def delta_check(point: QuiverPoint, z, w):
             linalg.mat_sub(linalg.mat_scale(phi_z, dw), linalg.mat_scale(phi_w, dz)), t
         )
     else:
-        sz, sw = _entry_scalars(xy.complex_entries, [1 / (w - z), 1 / (z - w)])
+        # a rational 1 / (w - z) meets the entries as its float: the bits
+        # Fraction's fallback gives at every product
+        sz, sw = (float(v) if isinstance(v, Fraction) else v for v in (1 / (w - z), 1 / (z - w)))
         kernel = linalg.mat_add(linalg.mat_scale(phi_z, sz), linalg.mat_scale(phi_w, sw))
     # W_i X_ai and W_i Y_ib at z and at w: the entry gradients' nonzeros,
     # with -W_i Y_ib at z for the pairings' minus terms

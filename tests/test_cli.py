@@ -348,6 +348,23 @@ def test_hitchin_rejects_tampered_point(tmp_path, capsys):
     assert "moment" in err
 
 
+def test_float_point_whose_residues_do_not_sum_to_zero_exits_1(tmp_path, capsys):
+    # y_1 = 3 (-x_21, x_11) keeps y_1 x_1 = 0, but the residues sum to a
+    # matrix 1.04 times the largest of them, at every scale: scaled by 100
+    # the point is still refused, and no command reports on it
+    obj = json.loads(sample_exact(2, 5, seed=0).dumps())
+    obj["flavor"] = "float"
+    for key in ("x", "y"):
+        obj[key] = [[float(Fraction(v)) * 100 for v in row] for row in obj[key]]
+    obj["y"][0] = [-3 * obj["x"][1][0], 3 * obj["x"][0][0]]
+    path = tmp_path / "off_sum.json"
+    path.write_text(json.dumps(obj))
+    for cmd in ("hitchin", "commute", "jacobian", "spectral"):
+        code, out, err = run(capsys, cmd, "--point", str(path))
+        assert (code, out) == (1, ""), cmd
+        assert err == "error: complex moment map violated: residues do not sum to zero\n"
+
+
 def test_point_file_errors(tmp_path, capsys):
     code, _, _ = run(capsys, "hitchin", "--point", str(tmp_path / "nope.json"))
     assert code == 3

@@ -106,6 +106,35 @@ def test_exact_moment_map_check_is_the_same_everywhere(call, gaussian):
             delta_check(pt, 7, Fraction(7))
 
 
+def _residue_sum_off_fiber(scale):
+    # y_1 = 3 (-x_21, x_11) keeps y_1 x_1 = 0, but ||sum_i x_i y_i||_F is
+    # 1.04 times the largest ||x_i y_i||_F: off the fiber at every scale
+    pt = sample_exact(2, 5, seed=0)
+    x = [[float(v) * scale for v in row] for row in pt.x]
+    y = [[float(v) * scale for v in row] for row in pt.y]
+    y[0] = [-3 * x[1][0], 3 * x[0][0]]
+    return QuiverPoint(r=2, n=5, flavor="float", x=tuple(map(tuple, x)), y=tuple(map(tuple, y)))
+
+
+@pytest.mark.parametrize("scale", [1, 100, 1e6])
+def test_float_residue_sum_check_is_relative_at_every_scale(scale):
+    # the sum check is relative to the entry scale, as the edge check is:
+    # scaling the point changes neither verdict
+    checked = dict(_CHECKED_CALLS, jacobian_rank=jacobian_rank)
+    for call in sorted(checked):
+        with pytest.raises(MomentMapError) as exc:
+            checked[call](_residue_sum_off_fiber(scale))
+        assert str(exc.value) == "complex moment map violated: residues do not sum to zero"
+        assert exc.value.edge is None
+    pt = sample_exact(2, 5, seed=0)
+    on_fiber = dataclasses.replace(
+        pt, flavor="float",
+        x=tuple(tuple(float(v) * scale for v in row) for row in pt.x),
+        y=tuple(tuple(float(v) * scale for v in row) for row in pt.y),
+    )
+    assert residues(on_fiber).residues == tuple(on_fiber.residue(i) for i in range(5))
+
+
 def _count_clearings(monkeypatch, pt):
     calls = []
     clear = hitchin._clear
@@ -202,9 +231,12 @@ def test_higgs_eval_float_z_is_exact_on_exact_fields(point24):
     assert all(type(v) is Fraction for row in a for v in row)
     with pytest.raises(PoleEvaluationError):
         higgs_eval(field, 3.0)
+    # a non-finite z is refused on a float field too: there it would give
+    # nan at nan and zero at inf
     for bad in (float("nan"), float("inf"), complex(1, float("nan"))):
-        with pytest.raises(ValueError):
-            higgs_eval(field, bad)
+        for f in (field, residues(_float_copy(point24))):
+            with pytest.raises(ValueError, match="non-finite evaluation point"):
+                higgs_eval(f, bad)
 
 
 def test_higgs_eval_value(point24):
@@ -381,13 +413,18 @@ def test_float_evaluation_points_are_exact_on_exact_points():
     grad = observable_grad(pt, BracketObservable(2, complex(7.5, 0.25)))
     assert all(isinstance(c, GaussianRational) for c in grad)
     assert delta_check(pt, complex(7.5, 0.25), 9) == 0
-    for bad in (float("inf"), float("nan"), complex(7, float("inf"))):
-        with pytest.raises(ValueError):
-            observable_grad(pt, BracketObservable(2, bad))
-        with pytest.raises(ValueError):
-            poisson_bracket(pt, BracketObservable(2, 9), BracketObservable(2, bad))
-        with pytest.raises(ValueError):
-            delta_check(pt, bad, 9)
+    # on a float point too, where delta_check at nan would return 0, the
+    # value of an exact kernel identity
+    for p in (pt, _float_copy(pt)):
+        for bad in (float("inf"), float("nan"), complex(7, float("inf"))):
+            with pytest.raises(ValueError):
+                observable_grad(p, BracketObservable(2, bad))
+            with pytest.raises(ValueError):
+                poisson_bracket(p, BracketObservable(2, 9), BracketObservable(2, bad))
+            with pytest.raises(ValueError):
+                delta_check(p, bad, 9)
+            with pytest.raises(ValueError):
+                delta_check(p, 7.5, bad)
 
 
 def test_bracket_antisymmetry_float(solved):
@@ -519,6 +556,15 @@ def test_float_kernels_never_mix_fractions_with_floats(solved, monkeypatch):
     delta_check(pt, Fraction(1, 2), Fraction(15, 2))
     jacobian_rank(pt)
     hitchin_map(field)
+    # float x beside complex y: the rational 1 / (w - z) meets them as
+    # its float, not through the fallback
+    exact_pt = sample_exact(3, 8, seed=0)
+    mixed = dataclasses.replace(
+        exact_pt, flavor="float",
+        x=tuple(tuple(map(float, row)) for row in exact_pt.x),
+        y=tuple(tuple(map(complex, row)) for row in exact_pt.y),
+    )
+    delta_check(mixed, Fraction(1, 2), Fraction(15, 2))
 
 
 _wide = st.fractions(max_denominator=10**40).filter(lambda f: abs(f.numerator) < 10**40)

@@ -822,7 +822,8 @@ def _residues_reference(point):
 def test_residues_match_reference_on_exact_points():
     # residues are read off the cleared x and y of the moment check; after a
     # JSON round trip the Gaussian point has rational entries beside
-    # Gaussian ones, and every residue entry is typed by its value
+    # Gaussian ones, and every residue entry is typed by its value; a
+    # float point's residues are the bits of its outer products
     points = [point for point, _ in _exact_points()]
     gaussian = next(p for p in points if isinstance(p.x[0][0], GaussianRational))
     mixed = QuiverPoint.loads(gaussian.dumps())
@@ -830,7 +831,7 @@ def test_residues_match_reference_on_exact_points():
         type(mixed.x[a][i]) is type(mixed.y[i][b]) is Fraction
         for i in range(mixed.n) for a in range(mixed.r) for b in range(mixed.r)
     )
-    for point in points + [mixed]:
+    for point in points + [mixed] + list(_float_points()):
         assert _typed_repr(residues(point)) == _typed_repr(_residues_reference(point), by_value=True)
 
 
@@ -863,6 +864,15 @@ def _float_points():
     yield dataclasses.replace(point, marked_points=tuple(Fraction(2 * i + 1, 3) for i in range(7)))
     # complex entries with a zero x column and a zero y row
     yield _float_point(sample_exact(2, 8, seed=2))
+    # float entries beside complex ones: a rational 1 / (w - z) in
+    # delta_check meets both kinds as its float
+    g = GaussianRational
+    point = exact_point_from_x(((g(1, 1), 0, 1, 1, 2), (0, 1, g(1, -1), 2, 1)), seed=0)
+    yield dataclasses.replace(
+        point, flavor="float",
+        x=tuple(tuple(complex(v) if v.imag else float(v) for v in row) for row in point.x),
+        y=tuple(tuple(complex(v) if v.imag else float(v) for v in row) for row in point.y),
+    )
     # real float entries: their sums take sum()'s float path, whose bits are
     # those of the left-to-right additions of the references on
     # CPython 3.11 and earlier only

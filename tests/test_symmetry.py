@@ -242,3 +242,20 @@ def test_one_scalar_rule_on_complex_points(r, n):
         for v in _returned_scalars(pt):
             assert isinstance(v, (int, Fraction, GaussianRational)), v
             assert isinstance(v, GaussianRational) == bool(v.imag), v
+
+
+def test_real_products_of_gaussian_numerators_clear_to_ints():
+    # x -> i x and y -> -i y leave every product x_ai y_ib as it was: the
+    # residue table holds the same ints, so psi and its Berkowitz pass run
+    # on integers, not in the Gaussian ring (~80 times slower at (4, 12))
+    pt = sample_exact(4, 12, seed=0)
+    moved = dataclasses.replace(
+        pt,
+        x=tuple(tuple(I * v for v in row) for row in pt.x),
+        y=tuple(tuple(-I * v for v in row) for row in pt.y),
+    )
+    assert all(isinstance(v, GaussianRational) for row in moved.x + moved.y for v in row)
+    table, d = residues(moved)._table
+    assert all(type(v) is int for row in table for u in row for v in u)
+    assert (table, d) == residues(pt)._table
+    assert residues(moved).cleared_traces == residues(pt).cleared_traces
