@@ -19,11 +19,12 @@ of the multiplicity factorials, folded once by Horner in 1/(1-u) (one
 prefix sum per pole order) and divided exactly by that lcm.  Only the
 partitions whose families fit n edges are summed.
 
-Two independent routes are kept alongside the solver: a closed three-term
-formula special to rank 2, and a direct term-by-term re-evaluation of the
-recursion used as a residual check.  Each of their terms is one product of
-a polynomial with the binomial expansion of 1/(1-u)^s, subtracted at its
-shift with its weight.  They share only `poly_mul` and the solved
+Two independent routes are kept alongside the solver: the closed form
+b_2k = sum_(j <= k) C(n - 1, j) of rank 2, which shares nothing with the
+recursion, and a direct term-by-term re-evaluation of the recursion used
+as a residual check.  Each term of the latter is one product of a
+polynomial with the binomial expansion of 1/(1-u)^s, subtracted at its
+shift with its weight.  It shares only `poly_mul` and the solved
 sub-levels with the fast path, none of its part sums, buckets or Horner
 fold.
 """
@@ -279,13 +280,14 @@ def poincare(r: int, n: int, margin: int = DEFAULT_MARGIN) -> PoincarePoly:
 
 
 def poincare_rank2(n: int) -> PoincarePoly:
-    """Rank-2 Poincare polynomial from the closed three-term recursion.
+    """Rank-2 Poincare polynomial from its closed form
+    b_2k = sum_(j <= k) C(n - 1, j), k = 0, ..., n - 3.
 
-    Independent of the general solver; used as an oracle against it.
+    Shares nothing with the recursion; used as an oracle against it.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError("rank-2 spaces need at least 3 edges")
-    coeffs = _rank2_coeffs(n)
+    coeffs = itertools.accumulate(math.comb(n - 1, j) for j in range(n - 2))
     return PoincarePoly(r=2, n=n, poly=DensePoly(coeffs, "u"))
 
 
@@ -305,29 +307,6 @@ def _subtract_term(total: list, poly: Sequence, s: int, shift: int, weight) -> N
     term = poly_mul(poly, _geom_coeffs(s, room - 1))
     for k, c in enumerate(term[:room], shift):
         total[k] -= weight * c
-
-
-@functools.cache
-def _rank2_coeffs(n: int) -> tuple[int, ...]:
-    order = (n - 3) + DEFAULT_MARGIN
-    total = poly_mul(gaussian_binomial(2, n).coeffs, _geom_coeffs(n - 1, order))
-    del total[order + 1:]
-    for k in range(3, n):
-        _subtract_term(total, _rank2_coeffs(k), n - k,
-                       2 * (n - k), multinomial(n, (k,)))
-    for k1 in range(1, n):
-        for k2 in range(1, n - k1 + 1):
-            _subtract_term(total, (1,), n + 1 - k1 - k2, 2 * n - 2 - k1 - k2,
-                           Fraction(multinomial(n, (k1, k2)), 2))
-    out = []
-    for c in total:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ArithmeticError("rank-2 recursion produced a non-integer")
-        out.append(f.numerator)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def recursion_residual(r: int, n: int, margin: int = DEFAULT_MARGIN) -> list:

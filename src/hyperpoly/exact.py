@@ -24,8 +24,10 @@ coefficient lists are the only general polynomial sum, product and
 division loops over a numerator ring, and `squarefree_mod_p` the one loop
 over F_p, into which Gaussian integers map by a square root of -1 mod p;
 `DensePoly` is a value type over the first two, and `PolyMatrix` a
-validated container of polynomials that keeps the Berkowitz numerators of
-its characteristic polynomial, or the ones its builder seeded.
+validated container of polynomials that keeps the numerators of its
+characteristic polynomial: a polynomial Berkowitz pass, or the ones its
+builder seeded (a Higgs field's psi is seeded by the field's factorized
+route, which runs the scalar pass at integer nodes).
 Truncated power series have no type here: the Betti layer keeps them as
 plain coefficient lists.
 """
@@ -33,6 +35,7 @@ plain coefficient lists.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -620,8 +623,11 @@ class PolyMatrix:
 
     A validated container: its arithmetic is the generic ring code of
     `linalg` applied to ``rows``.  It also keeps the result of
-    `charpoly_numerators`, one Berkowitz pass that all its readers share;
-    a builder that ran the pass on its own numerators may seed it.
+    `charpoly_numerators`, one pass that all its readers share: the
+    polynomial `berkowitz` pass, unless a builder seeded the numerators of
+    its own pass (a Higgs field's psi holds those of the field's
+    factorized route, `hitchin._factored_charpoly`, equal to the
+    Berkowitz coefficients).
     """
 
     __slots__ = ("rows", "size", "var", "_numerators")
@@ -666,10 +672,21 @@ def _poly_dot(xs: Sequence, ys: Sequence) -> list:
     return acc
 
 
-def berkowitz(a: Sequence) -> tuple[list, ...]:
-    """Characteristic coefficients (C_1, ..., C_r) of a square matrix of
-    coefficient lists over a numerator ring (ints, or GaussianRationals
-    with integral parts), each a coefficient list lowest degree first.
+def _poly_neg(a: Sequence) -> list:
+    return [-c for c in a]
+
+
+def _scalar_dot(xs: Sequence, ys: Sequence):
+    return sum(map(operator.mul, xs, ys))
+
+
+def berkowitz(a: Sequence, scalars: bool = False) -> tuple:
+    """Characteristic coefficients (C_1, ..., C_r) of a square matrix over
+    a numerator ring (ints, or GaussianRationals with integral parts): of
+    coefficient lists, each C_i a coefficient list lowest degree first,
+    or with ``scalars`` set of ring elements, each C_i one element.  A
+    scalar ring element needs only +, * and unary -, with the int 0 as
+    its zero.
 
     Berkowitz's recurrence (Inf. Process. Lett. 18, 1984) uses ring
     operations only: with the leading block of size k + 1 split as
@@ -679,31 +696,34 @@ def berkowitz(a: Sequence) -> tuple[list, ...]:
     the empty block (charpoly 1) this takes k - 1 matrix-vector products
     on A_k per step.
     """
+    if scalars:
+        zero, add, dot, neg = 0, operator.add, _scalar_dot, operator.neg
+    else:
+        zero, add, dot, neg = [], poly_add, _poly_dot, _poly_neg
     cs: list = []
     for k in range(len(a)):
         block = [row[:k] for row in a[:k]]
         col = [a[i][k] for i in range(k)]
         # the Toeplitz column below its leading 1
-        q = [[-c for c in a[k][k]]]
+        q = [neg(a[k][k])]
         for j in range(k):
             if j:
-                col = [_poly_dot(row, col) for row in block]
-            q.append([-c for c in _poly_dot(a[k][:k], col)])
+                col = [dot(row, col) for row in block]
+            q.append(neg(dot(a[k][:k], col)))
         # times the old charpoly; both leading 1s are added as sums
-        cs = [
-            poly_add(poly_add(q[i], cs[i] if i < k else []), _poly_dot(q[:i][::-1], cs))
-            for i in range(k + 1)
-        ]
+        cs = [add(add(q[i], cs[i] if i < k else zero), dot(q[:i][::-1], cs)) for i in range(k + 1)]
     return tuple(cs)
 
 
 def charpoly_numerators(m: PolyMatrix) -> tuple[tuple[list, ...], int]:
     """Numerators (C_1, ..., C_r) and D with c_i = C_i / D^i.
 
-    Unless a caller seeded the matrix with its own pass, D is the least
-    common denominator of the coefficients of ``m``, and the C_i are the
-    `berkowitz` coefficients of the numerator matrix A = D*m.  The pass
-    runs once per matrix.
+    Unless a caller seeded the matrix with its own pass (a Higgs field's
+    psi holds the numerators of the field's factorized route, the scalar
+    `berkowitz` pass at integer nodes and an exact interpolation), D is
+    the least common denominator of the coefficients of ``m``, and the
+    C_i are the polynomial `berkowitz` coefficients of the numerator
+    matrix A = D*m.  The pass runs once per matrix.
     """
     if m._numerators is None:
         nums, d = numerators(c for row in m.rows for e in row for c in e.coeffs)

@@ -22,14 +22,19 @@ directly from residues clears them once into the same table.  The poles
 enter exact work as integer pairs p_j = u_j / v_j: every weight
 1 / (z - p_j) at a rational z (`_weights`), and prod_j (z - p_j) with its
 cofactors, are formed from them with no Fraction arithmetic.  Exact base
-coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k, on integers:
-one Berkowitz pass on psi's numerators, built once per field and read by
-`hitchin_map` and the spectral layer; the Fraction psi is built only for
-its readers, with that pass kept on it.  The exact bracket checks run on
-numerators too: phi(z0) once per evaluation point for every power,
-gradients are integer numerators over one denominator per half, each
-split once into the two operands of a C-level pairing sum, and only a
-reported value is divided.  Every exact value returned is one
+coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k, on integers,
+built once per field and read by `hitchin_map` and the spectral layer.
+Rank-one residues factor each charpoly coefficient as
+c_s = prod_j (z - p_j)^(s-1) h_s with deg h_s <= n - 2s, so
+`_factored_charpoly` takes the scalar Berkowitz coefficients of psi's
+numerators at max(n - 2, 2) integer nodes off the poles, divides each
+exactly by the node's P(t)^(s-1), interpolates H_s through every node and
+checks its degree bound on the nodes to spare; the Fraction psi is built
+only for its readers, with that pass kept on it.  The exact bracket
+checks run on numerators too: phi(z0) once per evaluation point for every
+power, gradients are integer numerators over one denominator per half,
+each split once into the two operands of a C-level pairing sum, and only
+a reported value is divided.  Every exact value returned is one
 `exact.ratio` of numerators, so it is a GaussianRational exactly where
 its imaginary part is nonzero and a Fraction (or an int zero of a padded
 g_k) otherwise.  A point off the fiber keeps nothing and raises at every
@@ -50,8 +55,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import combinations, count, product
+from operator import add, mul, neg, sub
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -109,14 +114,23 @@ class HiggsField:
 
         An exact field is cleared once by `numerators`, so U is in ints
         unless some residue has a nonzero imaginary part; a float field
-        keeps its floats over 1.  Every phi(z) and psi sum over it.
+        keeps its floats over 1.  Every phi(z) and psi sum over it.  psi's
+        charpoly route needs residues of rank at most one, which a point's
+        outer products are by construction: an exact field built from its
+        residues raises ValueError here, naming the first residue with a
+        nonzero 2 x 2 minor.
         """
         if self.flavor != "exact":
             return _columns(self.residues), 1
         r = self.r
         nums, d = numerators(v for m in self.residues for row in m for v in row)
         rows = [nums[k:k + r] for k in range(0, len(nums), r)]
-        return _columns([rows[i * r:(i + 1) * r] for i in range(self.n)]), d
+        mats = [rows[i * r:(i + 1) * r] for i in range(self.n)]
+        pairs = list(combinations(range(r), 2))
+        for i, m in enumerate(mats):
+            if any(m[a][b] * m[c][e] != m[a][e] * m[c][b] for a, c in pairs for b, e in pairs):
+                raise ValueError(f"residue phi_{i + 1} has rank above one")
+        return _columns(mats), d
 
     @cached_property
     def _poles(self) -> tuple:
@@ -137,6 +151,15 @@ class HiggsField:
         `linear_product` of the field's `_poles`.
         """
         return linear_product(self._poles)
+
+    @cached_property
+    def _divisor_powers(self) -> tuple:
+        """P^0, P^1, ..., P^(r-1) for the P of `_divisor`: the charpoly
+        route multiplies by them and the cleared traces divide by them."""
+        powers = [[1]]
+        for _ in range(1, self.r):
+            powers.append(poly_mul(powers[-1], self._divisor[0]))
+        return tuple(powers)
 
     @cached_property
     def _psi_numerators(self) -> tuple[list, object]:
@@ -173,10 +196,10 @@ class HiggsField:
 
     @cached_property
     def _charpoly(self) -> tuple[tuple, object]:
-        """(C_1, ..., C_r) and D with c_i = C_i / D^i: one `berkowitz`
-        pass on psi's numerators."""
+        """(C_1, ..., C_r) and D with c_i = C_i / D^i: one
+        `_factored_charpoly` pass on psi's numerators."""
         rows, den = self._psi_numerators
-        return berkowitz(rows), den
+        return _factored_charpoly(rows, self._poles, self._divisor_powers), den
 
     @cached_property
     def psi(self) -> PolyMatrix:
@@ -208,8 +231,7 @@ class HiggsField:
         """
         n = self.n
         cs, d = self._charpoly
-        divisor, v, _ = self._divisor
-        den = [1]
+        v = self._divisor[1]
         traces, out = [], []
         for k, ck in enumerate(cs, start=1):
             tk = [-k * c for c in ck]
@@ -218,8 +240,7 @@ class HiggsField:
             traces.append(tk)
             if k == 1:
                 continue
-            den = poly_mul(den, divisor)
-            quot, rem = poly_divmod(tk, den)
+            quot, rem = poly_divmod(tk, self._divisor_powers[k - 1])
             bound = n - 2 * k
             gk = overflow = None
             if rem:
@@ -232,6 +253,112 @@ class HiggsField:
                 gk += (0,) * (bound + 1 - len(gk))
             out.append((k, gk, overflow))
         return tuple(out)
+
+
+def _nodes(pairs: Sequence, size: int) -> range:
+    """``size`` consecutive integers, none of them a pole u_j / v_j: the
+    window centred on 0, or the nearest free one, left first."""
+    poles = {u for u, v in pairs if v == 1}
+    start = -(size // 2)
+    for shift in count():
+        for t0 in (start - shift, start + shift):
+            if poles.isdisjoint(range(t0, t0 + size)):
+                return range(t0, t0 + size)
+
+
+def _exact_quotient(a, b):
+    """a / b in the numerator ring; ArithmeticError unless b divides a."""
+    q = a // b
+    if q * b != a:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return q
+
+
+def _interpolate(values: Sequence, t0: int, bound: int) -> list:
+    """The coefficient list of the polynomial of degree at most ``bound``
+    over the numerator ring that takes values[k] at t0 + k.
+
+    Forward differences give f(t0 + x) = sum_j Delta^j f(t0) C(x, j);
+    each Delta^j past ``bound`` must vanish, and each one up to it is
+    divided by j! exactly, as for a polynomial with coefficients in the
+    ring.  Horner's rule in the basis (z - t0)...(z - t0 - j + 1) then
+    gives the coefficients, with no trailing zero.  ArithmeticError when
+    no such polynomial exists.
+    """
+    diffs = list(values)
+    for j in range(1, len(diffs)):
+        diffs[j:] = map(sub, diffs[j:], diffs[j - 1:-1])
+    top = len(diffs)
+    while top and not diffs[top - 1]:
+        top -= 1
+    if top and top - 1 > bound:
+        raise ArithmeticError(f"interpolant of degree {top - 1} > {bound}")
+    out: list = []
+    for j in range(top - 1, -1, -1):
+        # out * (z - t0 - j) + Delta^j f(t0) / j!
+        c, a = t0 + j, _exact_quotient(diffs[j], math.factorial(j))
+        head = a - c * out[0] if out else a
+        out = [head, *(lo - c * hi for lo, hi in zip(out, out[1:])), *out[-1:]]
+    return out
+
+
+def _factored_charpoly(rows: Sequence, pairs: Sequence, powers: Sequence) -> tuple:
+    """(C_1, ..., C_r), the `berkowitz` coefficients of psi's numerator
+    rows, from the factorization C_s = P^(s-1) H_s.
+
+    The residues x_i y_i have rank one, so Sylvester's identity (the
+    r x r <-> n x n duality of Adams, Harnad and Hurtubise, Lett. Math.
+    Phys. 20, 1990) gives c_s(psi) = prod_j (z - p_j)^(s-1) h_s with
+    deg h_s <= n - 2s; on numerators, with P = prod_j (v_j z - u_j)
+    primitive, H_s = C_s / P^(s-1) has coefficients in the ring (Gauss's
+    lemma).  C_1 is minus the trace of the rows.  For s >= 2 the rows are
+    evaluated at max(n - 2, 2) consecutive integer nodes off every pole
+    (`_nodes`), the scalar `berkowitz` coefficients C_s(t) are taken at
+    every node in one pass (`_Values`), each is divided exactly by
+    P(t)^(s-1), and H_s is interpolated through all the nodes
+    (`_interpolate`): deg H_s <= n - 2s leaves at least one node beyond
+    the n - 2s + 1 that the interpolation needs as a check.  An inexact
+    division or a degree past the bound raises ArithmeticError.
+    ``powers`` holds P^0, ..., P^(r-1).
+    """
+    n = len(pairs)
+    trace: list = []
+    for a, row in enumerate(rows):
+        trace = poly_add(trace, row[a])
+    cs = [[-c for c in trace]]
+    if len(rows) < 2:
+        return tuple(cs)
+    nodes = _nodes(pairs, max(n - 2, 2))
+    tps = [[t ** k for k in range(n + 1)] for t in nodes]
+    at = [[_Values(sum(map(mul, e, tp)) for tp in tps) for e in row] for row in rows]
+    divisor = [sum(map(mul, powers[1], tp)) for tp in tps]
+    scales = divisor
+    for s, values in enumerate(berkowitz(at, scalars=True)[1:], start=2):
+        quotients = list(map(_exact_quotient, values, scales))
+        cs.append(poly_mul(powers[s - 1], _interpolate(quotients, nodes.start, n - 2 * s)))
+        scales = list(map(mul, scales, divisor))
+    return tuple(cs)
+
+
+class _Values(tuple):
+    """One ring element per node, added and multiplied node by node: the
+    scalar `berkowitz` runs at every node in one pass.  The int 0 that
+    starts a sum is the zero."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if type(other) is int and not other:
+            return self
+        return _Values(map(add, self, other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return _Values(map(mul, self, other))
+
+    def __neg__(self):
+        return _Values(map(neg, self))
 
 
 def _columns(mats) -> tuple:
@@ -253,7 +380,7 @@ def residues(point: QuiverPoint) -> HiggsField:
     Tracelessness, square-zero and rank <= 1 of each phi_i then hold
     automatically for the outer products.  The field is the one
     the check built and the point keeps, so every call returns the same
-    object, and its table, psi and Berkowitz pass are built once per
+    object, and its table, psi and charpoly pass are built once per
     point.
     """
     return _checked_xy(point).field

@@ -6,9 +6,15 @@ characteristic polynomial f(z, lam) = lam^r + sum_i c_i(z) lam^(r-i) cuts
 out the spectral curve.  `twist` wraps the field's own psi, whose c_i
 also give the field's cleared traces Tr(psi^k) and g_k: spectral and base
 data share one exact pass, and `trace_consistency` flags exactly the
-powers at which `hitchin_map` raises.  This module computes the c_i,
-checks the vanishing-order bounds ord_{p_j}(c_i) >= floor((i+1)/2) at the
-marked points, and certifies the curve smooth away from the marked fibers.
+powers at which `hitchin_map` raises.  That pass is the field's
+factorized route c_s = prod_j (z - p_j)^(s-1) h_s (rank-one residues,
+Sylvester's identity): scalar Berkowitz coefficients at integer nodes,
+divided exactly by the node values of prod_j (v_j z - u_j)^(s-1) and
+interpolated with a degree check, so psi's charpoly runs no polynomial
+Berkowitz pass; the discriminant of the certificate below still does.
+This module computes the c_i, checks the vanishing-order bounds
+ord_{p_j}(c_i) >= floor((i+1)/2) at the marked points, and certifies the
+curve smooth away from the marked fibers.
 The certificate splits the discriminant det F'(C) (F the monic integer
 rescaling of f, C its companion matrix) as prod_j (v_j z - u_j)^(o_j) * R
 and tests R squarefree mod p.

@@ -465,6 +465,32 @@ def test_float_base_map_overflow_is_one_error_line(tmp_path, capsys):
     assert err == "error: base map g_2 outside the float range\n"
 
 
+def test_float_point_with_huge_rational_entries_exits_3(tmp_path, capsys):
+    # x_11 = y_11 = 10^200 as "p/q" strings: each is inside the float
+    # range, but their product squared is not.  The entries are read as
+    # floats, so the commands take the float range checks of a file with
+    # 1e200 entries instead of ending in an OverflowError traceback
+    obj = json.loads(sample_exact(2, 4, seed=0).dumps())
+    obj["flavor"] = "float"
+    for key in ("x", "y"):
+        obj[key] = [[float(Fraction(v)) for v in row] for row in obj[key]]
+    obj["x"][0][0] = obj["y"][0][0] = f"{10 ** 200}/1"
+    path = tmp_path / "huge_rationals.json"
+    path.write_text(json.dumps(obj))
+    for cmd, message in (
+        ("hitchin", "base map g_2 outside the float range"),
+        ("spectral", "polynomial twisting requires exact residues"),
+        ("commute", "bracket of Tr phi(5)^2 and Tr phi(6)^2 outside the float range"),
+    ):
+        assert run(capsys, cmd, "--point", str(path)) == (3, "", f"error: {message}\n"), cmd
+    # a "p/q" outside the float range is refused as the file is read
+    obj["x"][0][0] = f"{10 ** 400}/3"
+    path.write_text(json.dumps(obj))
+    for cmd in ("hitchin", "spectral", "commute"):
+        code, out, err = run(capsys, cmd, "--point", str(path))
+        assert (code, out, err) == (3, "", "error: float point has a value outside the float range\n")
+
+
 def test_float_bracket_overflow_is_one_error_line(tmp_path, capsys):
     # the first bracket's value and gradient norms leave the float range;
     # the report names that bracket instead of writing nan into the JSON
@@ -562,21 +588,37 @@ _ODD_VALUES = st.one_of(
 )
 
 
+# "p/q" with a 150- to 400-digit numerator
+_HUGE_RATIONALS = st.builds(
+    lambda lead, zeros, den: f"{lead}{'0' * zeros}/{den}",
+    st.integers(-9, 9).filter(bool), st.integers(149, 399), st.integers(1, 10 ** 6),
+)
+
+
 @st.composite
 def _mutated_points(draw):
     """sample_exact(2, 4) point JSON, exact or as floats, with one to three
-    corruptions: a key replaced or dropped, an entry replaced, a list cut."""
+    corruptions: a key replaced or dropped, an entry replaced, a list cut,
+    or in a float file "p/q" entries with 150- to 400-digit numerators in
+    the x column and the y row of one edge, two of which may lie inside
+    the float range while their product does not."""
     obj = json.loads(sample_exact(2, 4, seed=0).dumps())
 
     def odd():
         # a copy, so that later corruptions never edit a sampled value
         return copy.deepcopy(draw(_ODD_VALUES))
 
+    corruptions = draw(st.integers(1, 3))
     if draw(st.booleans()):
         obj["flavor"] = "float"
         for key in ("x", "y"):
             obj[key] = [[float(Fraction(v)) for v in row] for row in obj[key]]
-    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            corruptions -= 1
+            i = draw(st.integers(0, len(obj["y"]) - 1))
+            obj["x"][draw(st.integers(0, 1))][i] = draw(_HUGE_RATIONALS)
+            obj["y"][i][draw(st.integers(0, 1))] = draw(_HUGE_RATIONALS)
+    for _ in range(corruptions):
         how = draw(st.sampled_from(["replace", "drop", "entry", "entry", "shape"]))
         if how in ("replace", "drop"):
             key = draw(st.sampled_from(sorted(obj) or ["r"]))

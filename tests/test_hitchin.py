@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly import exact, hitchin, spectral
+from hyperpoly import hitchin
 from hyperpoly.errors import (
     DegreeOverflowError,
     MomentMapError,
@@ -169,11 +169,11 @@ def test_a_point_is_cleared_once(monkeypatch, flavor):
 
 def test_a_point_shares_one_field(monkeypatch):
     # residues returns the field the point keeps, so the base map, the
-    # spectral charpoly and the trace tie read one psi and one Berkowitz pass
+    # spectral charpoly and the trace tie read one psi and one pass of the
+    # factorized charpoly route
     calls = []
-    berkowitz = exact.berkowitz
-    for module in (exact, hitchin, spectral):
-        monkeypatch.setattr(module, "berkowitz", lambda rows: calls.append(1) or berkowitz(rows))
+    route = hitchin._factored_charpoly
+    monkeypatch.setattr(hitchin, "_factored_charpoly", lambda *args: calls.append(1) or route(*args))
     pt = sample_exact(3, 7, seed=0)
     assert residues(pt) is residues(pt)
     hitchin_map(residues(pt))

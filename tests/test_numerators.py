@@ -36,6 +36,7 @@ from hyperpoly.exact import (
     DensePoly,
     GaussianRational,
     PolyMatrix,
+    berkowitz,
     charpoly_numerators,
     cleared_vanishing_order,
     numerators,
@@ -661,6 +662,76 @@ def test_psi_and_cleared_traces_match_the_fraction_route():
         kinds.add(tuple(sorted({type(c).__name__ for row in _psi_rows(want) for e in row for c in e})))
     # real, complex and mixed psi all occur
     assert {("Fraction",), ("GaussianRational",), ("Fraction", "GaussianRational")} <= kinds
+
+
+def _route_and_berkowitz(field):
+    rows, den = field._psi_numerators
+    return field._charpoly, (berkowitz(rows), den)
+
+
+def test_factored_charpoly_is_the_berkowitz_pass():
+    # the route's (C_1..C_r, D) from C_s = P^(s-1) H_s at integer nodes is
+    # the polynomial Berkowitz pass on psi's numerator rows, coefficient by
+    # coefficient, zeros as empty lists: on every kind of exact field
+    # (Gaussian and (2i + 1) / 3 marked points included) and at ranks 5, 6
+    fields = list(_typed_fields())
+    fields += [residues(sample_exact(r, n, seed=seed))
+               for r, n in [(5, 9), (6, 8), (6, 12)] for seed in range(3)]
+    for field in fields:
+        (got, d), (want, e) = _route_and_berkowitz(field)
+        assert d == e and len(got) == len(want) == field.r
+        assert [list(c) for c in got] == [list(c) for c in want], (field.r, field.n)
+
+
+def _rank_two_field():
+    # residue 1 of a (3, 7) point plus a rank-one matrix that is not a
+    # multiple of it, and residue 2 minus that matrix: the residues still
+    # sum to zero, but residue 1 has rank two
+    field = residues(sample_exact(3, 7, seed=0))
+    mats = [list(map(list, m)) for m in field.residues]
+    (a, b), (c, d) = next(
+        ((a, b), (c, d)) for a in range(3) for b in range(3) for c in range(3) for d in range(3)
+        if a != c and b != d and mats[0][a][b] and not mats[0][c][d]
+    )
+    for sign, m in ((1, mats[0]), (-1, mats[1])):
+        m[c][d] += sign
+    return HiggsField(tuple(map(tuple, (tuple(map(tuple, m)) for m in mats))),
+                      field.marked_points, field.flavor)
+
+
+def test_a_built_field_with_a_rank_two_residue_is_refused():
+    # the route needs rank-one residues; an exact field built from its
+    # residues checks them where it clears its own table
+    for read in (lambda f: f.psi, lambda f: f.cleared_traces, hitchin_map,
+                 lambda f: higgs_eval(f, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="residue phi_1 has rank above one"):
+            read(_rank_two_field())
+
+
+def test_factored_charpoly_refuses_rows_off_the_factorization():
+    # one coefficient of psi's numerators moved by one: some C_s(t) is not
+    # divisible by P(t)^(s-1), or H_s overruns its degree bound
+    for r, n in [(2, 6), (3, 7), (4, 9)]:
+        field = residues(sample_exact(r, n, seed=1))
+        rows, _ = field._psi_numerators
+        for a, b, k in [(0, 1, 0), (r - 1, 0, n - 2), (1, 1, 1)]:
+            moved = [[list(e) for e in row] for row in rows]
+            moved[a][b] += [0] * (k + 1 - len(moved[a][b]))
+            moved[a][b][k] += 1
+            with pytest.raises(ArithmeticError):
+                hitchin._factored_charpoly(moved, field._poles, field._divisor_powers)
+
+
+def test_interpolate_checks_the_degree_bound_and_the_ring():
+    f = [7, -3, 0, 2]  # 2 z^3 - 3 z + 7
+    values = [sum(c * t ** k for k, c in enumerate(f)) for t in range(-2, 4)]
+    assert hitchin._interpolate(values, -2, 3) == f
+    assert hitchin._interpolate([0] * 4, 5, -1) == []
+    with pytest.raises(ArithmeticError):
+        hitchin._interpolate(values, -2, 2)
+    with pytest.raises(ArithmeticError):
+        # z (z - 1) / 2 takes integer values but has no integer coefficients
+        hitchin._interpolate([t * (t - 1) // 2 for t in range(4)], 0, 3)
 
 
 def test_exact_higgs_eval_matches_the_fraction_sums():

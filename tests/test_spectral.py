@@ -121,21 +121,20 @@ def test_trace_consistency_low_rank(point24):
 
 
 def test_one_charpoly_pass_per_field(monkeypatch):
-    # hitchin_map, spectral_charpoly and trace_consistency share one
-    # Berkowitz pass on psi's numerators, kept on the field and seeded
-    # into psi, whichever of them runs first
-    from hyperpoly import exact, hitchin
+    # hitchin_map, spectral_charpoly and trace_consistency share one pass
+    # of the factorized charpoly route on psi's numerators, kept on the
+    # field and seeded into psi, whichever of them runs first
+    from hyperpoly import hitchin
     from hyperpoly.hitchin import hitchin_map
 
     passes = []
-    kernel = exact.berkowitz
+    route = hitchin._factored_charpoly
 
-    def counted(a):
-        passes.append(len(a))
-        return kernel(a)
+    def counted(rows, pairs, powers):
+        passes.append(len(rows))
+        return route(rows, pairs, powers)
 
-    monkeypatch.setattr(exact, "berkowitz", counted)
-    monkeypatch.setattr(hitchin, "berkowitz", counted)
+    monkeypatch.setattr(hitchin, "_factored_charpoly", counted)
     for twist_first in (False, True):
         field = residues(sample_exact(3, 7, seed=0))
         if twist_first:
