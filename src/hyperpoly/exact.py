@@ -285,7 +285,7 @@ def _finite_float(v) -> float:
     try:
         f = float(v)
     except OverflowError as e:
-        raise ValueError(f"scalar outside the float range: {v!r}") from e
+        raise ValueError("scalar outside the float range") from e
     if not math.isfinite(f):
         raise ValueError(f"non-finite scalar: {v!r}")
     return f
@@ -298,16 +298,23 @@ def _is_rational_json(v, exact: bool) -> bool:
 def scalar_from_json(obj, exact: bool = False):
     """Parse one scalar written by `scalar_to_json`.
 
-    "p/q" strings are exact.  A bare JSON integer is exact too when
-    ``exact`` is set (an exact point file), and a float otherwise.  With
-    ``exact`` set, a JSON float raises ValueError, inside {"re", "im"} too.
+    With ``exact`` set (an exact point file) "p/q" strings and bare JSON
+    integers are exact, and a JSON float raises ValueError, inside
+    {"re", "im"} too.  Otherwise (a float point file) every scalar is the
+    float, or complex, that it rounds to, a "p/q" string included, so that
+    no Fraction meets another in float arithmetic; ValueError when it is
+    outside the float range.
     """
     if _is_rational_json(obj, exact):
-        return parse_rational(obj)
+        v = parse_rational(obj)
+        return v if exact else _finite_float(v)
     if isinstance(obj, dict):
         re, im = obj["re"], obj["im"]
         if _is_rational_json(re, exact) or _is_rational_json(im, exact):
             re, im = parse_rational(re), parse_rational(im)
+            if not exact:
+                re = _finite_float(re)
+                return re if im == 0 else complex(re, _finite_float(im))
             if im == 0:
                 return re
             return GaussianRational(re, im)
@@ -680,13 +687,13 @@ def _scalar_dot(xs: Sequence, ys: Sequence):
     return sum(map(operator.mul, xs, ys))
 
 
-def berkowitz(a: Sequence, scalars: bool = False) -> tuple:
+def berkowitz(a: Sequence) -> tuple:
     """Characteristic coefficients (C_1, ..., C_r) of a square matrix over
     a numerator ring (ints, or GaussianRationals with integral parts): of
     coefficient lists, each C_i a coefficient list lowest degree first,
-    or with ``scalars`` set of ring elements, each C_i one element.  A
-    scalar ring element needs only +, * and unary -, with the int 0 as
-    its zero.
+    or of ring elements, each C_i one element.  The entries say which:
+    a list is a polynomial.  A ring element needs only +, * and unary -,
+    with the int 0 as its zero.
 
     Berkowitz's recurrence (Inf. Process. Lett. 18, 1984) uses ring
     operations only: with the leading block of size k + 1 split as
@@ -696,10 +703,10 @@ def berkowitz(a: Sequence, scalars: bool = False) -> tuple:
     the empty block (charpoly 1) this takes k - 1 matrix-vector products
     on A_k per step.
     """
-    if scalars:
-        zero, add, dot, neg = 0, operator.add, _scalar_dot, operator.neg
-    else:
+    if a and isinstance(a[0][0], list):
         zero, add, dot, neg = [], poly_add, _poly_dot, _poly_neg
+    else:
+        zero, add, dot, neg = 0, operator.add, _scalar_dot, operator.neg
     cs: list = []
     for k in range(len(a)):
         block = [row[:k] for row in a[:k]]

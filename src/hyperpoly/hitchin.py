@@ -24,7 +24,7 @@ enter exact work as integer pairs p_j = u_j / v_j: every weight
 cofactors, are formed from them with no Fraction arithmetic.  Exact base
 coordinates take one route, psi -> c_i -> Tr(psi^k) -> g_k, on integers,
 built once per field and read by `hitchin_map` and the spectral layer.
-Rank-one residues factor each charpoly coefficient as
+Rank-one residues that sum to zero factor each charpoly coefficient as
 c_s = prod_j (z - p_j)^(s-1) h_s with deg h_s <= n - 2s, so
 `_factored_charpoly` takes the scalar Berkowitz coefficients of psi's
 numerators at max(n - 2, 2) integer nodes off the poles, divides each
@@ -118,7 +118,8 @@ class HiggsField:
         charpoly route needs residues of rank at most one, which a point's
         outer products are by construction: an exact field built from its
         residues raises ValueError here, naming the first residue with a
-        nonzero 2 x 2 minor.
+        nonzero 2 x 2 minor.  Its other precondition, sum_i phi_i = 0, is
+        checked by `_psi_numerators`.
         """
         if self.flavor != "exact":
             return _columns(self.residues), 1
@@ -170,7 +171,8 @@ class HiggsField:
         the table U / d and the cofactors of `_divisor`: each coefficient
         is one sum over the edges, in the table's ring.  Entry degrees must
         not exceed n - 2: the z^(n-1) coefficient of each entry is the
-        corresponding entry of sum_i phi_i.  Exact fields only.
+        corresponding entry of sum_i phi_i, which must vanish for psi and
+        for the degree bounds of `_factored_charpoly`.  Exact fields only.
         """
         if self.flavor != "exact":
             raise ValueError("polynomial twisting requires exact residues")
@@ -306,19 +308,20 @@ def _factored_charpoly(rows: Sequence, pairs: Sequence, powers: Sequence) -> tup
     """(C_1, ..., C_r), the `berkowitz` coefficients of psi's numerator
     rows, from the factorization C_s = P^(s-1) H_s.
 
-    The residues x_i y_i have rank one, so Sylvester's identity (the
-    r x r <-> n x n duality of Adams, Harnad and Hurtubise, Lett. Math.
-    Phys. 20, 1990) gives c_s(psi) = prod_j (z - p_j)^(s-1) h_s with
-    deg h_s <= n - 2s; on numerators, with P = prod_j (v_j z - u_j)
-    primitive, H_s = C_s / P^(s-1) has coefficients in the ring (Gauss's
-    lemma).  C_1 is minus the trace of the rows.  For s >= 2 the rows are
-    evaluated at max(n - 2, 2) consecutive integer nodes off every pole
-    (`_nodes`), the scalar `berkowitz` coefficients C_s(t) are taken at
+    The residues x_i y_i have rank one, so Sylvester's identity (the r x r
+    <-> n x n duality of Adams, Harnad and Hurtubise, Lett. Math. Phys. 20,
+    1990) gives c_s(psi) = prod_j (z - p_j)^(s-1) h_s; they sum to zero, so
+    phi = O(z^-2) at infinity and deg h_s <= n - 2s.  The caller checks both
+    (`HiggsField._table`, `_psi_numerators`).  On numerators, with P = prod_j
+    (v_j z - u_j) primitive, H_s = C_s / P^(s-1) has coefficients in the
+    ring (Gauss's lemma).  C_1 is minus the trace of the rows.  For s >= 2 the
+    rows are evaluated at max(n - 2, 2) consecutive integer nodes off every
+    pole (`_nodes`), the scalar `berkowitz` coefficients C_s(t) are taken at
     every node in one pass (`_Values`), each is divided exactly by
     P(t)^(s-1), and H_s is interpolated through all the nodes
-    (`_interpolate`): deg H_s <= n - 2s leaves at least one node beyond
-    the n - 2s + 1 that the interpolation needs as a check.  An inexact
-    division or a degree past the bound raises ArithmeticError.
+    (`_interpolate`): deg H_s <= n - 2s leaves at least one node beyond the
+    n - 2s + 1 that the interpolation needs as a check.  An inexact division
+    or a degree past the bound raises ArithmeticError.
     ``powers`` holds P^0, ..., P^(r-1).
     """
     n = len(pairs)
@@ -333,7 +336,7 @@ def _factored_charpoly(rows: Sequence, pairs: Sequence, powers: Sequence) -> tup
     at = [[_Values(sum(map(mul, e, tp)) for tp in tps) for e in row] for row in rows]
     divisor = [sum(map(mul, powers[1], tp)) for tp in tps]
     scales = divisor
-    for s, values in enumerate(berkowitz(at, scalars=True)[1:], start=2):
+    for s, values in enumerate(berkowitz(at)[1:], start=2):
         quotients = list(map(_exact_quotient, values, scales))
         cs.append(poly_mul(powers[s - 1], _interpolate(quotients, nodes.start, n - 2 * s)))
         scales = list(map(mul, scales, divisor))

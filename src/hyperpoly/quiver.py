@@ -39,21 +39,6 @@ def _in_float_range(v) -> bool:
         return False
 
 
-def _float_entry(v):
-    """An entry of a float point file as a float or complex: a "p/q" entry,
-    or an {"re", "im"} pair of them, is read as the float it rounds to, so
-    that no Fraction meets another in float arithmetic.  ValueError when
-    it is outside the float range."""
-    try:
-        if isinstance(v, Fraction):
-            return float(v)
-        if isinstance(v, GaussianRational):
-            return complex(v)
-    except OverflowError:
-        raise ValueError("float point has a value outside the float range") from None
-    return v
-
-
 def _parse_list(value, what: str, parse) -> tuple:
     """``parse`` of each entry of a JSON list; a string or an object would
     be read as its characters or keys."""
@@ -134,13 +119,9 @@ class QuiverPoint:
             raise ValueError("r and n must be JSON integers")
         exact = flavor == "exact"
 
-        def entry(v):
-            v = scalar_from_json(v, exact)
-            return v if exact else _float_entry(v)
-
         def matrix(key):
             return _parse_list(obj[key], key, lambda row: _parse_list(
-                row, f"each row of {key}", entry))
+                row, f"each row of {key}", lambda v: scalar_from_json(v, exact)))
 
         return cls(
             r=r,

@@ -7,8 +7,8 @@ out the spectral curve.  `twist` wraps the field's own psi, whose c_i
 also give the field's cleared traces Tr(psi^k) and g_k: spectral and base
 data share one exact pass, and `trace_consistency` flags exactly the
 powers at which `hitchin_map` raises.  That pass is the field's
-factorized route c_s = prod_j (z - p_j)^(s-1) h_s (rank-one residues,
-Sylvester's identity): scalar Berkowitz coefficients at integer nodes,
+factorized route c_s = prod_j (z - p_j)^(s-1) h_s (rank-one residues
+that sum to zero, Sylvester's identity): scalar Berkowitz coefficients at integer nodes,
 divided exactly by the node values of prod_j (v_j z - u_j)^(s-1) and
 interpolated with a degree check, so psi's charpoly runs no polynomial
 Berkowitz pass; the discriminant of the certificate below still does.

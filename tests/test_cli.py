@@ -488,7 +488,7 @@ def test_float_point_with_huge_rational_entries_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     for cmd in ("hitchin", "spectral", "commute"):
         code, out, err = run(capsys, cmd, "--point", str(path))
-        assert (code, out, err) == (3, "", "error: float point has a value outside the float range\n")
+        assert (code, out, err) == (3, "", "error: scalar outside the float range\n")
 
 
 def test_float_bracket_overflow_is_one_error_line(tmp_path, capsys):

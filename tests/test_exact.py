@@ -69,12 +69,12 @@ def test_gaussian_mixed_arithmetic():
 
 @given(rationals)
 def test_scalar_json_roundtrip_rational(a):
-    assert scalar_from_json(scalar_to_json(a)) == a
+    assert scalar_from_json(scalar_to_json(a), exact=True) == a
 
 
 @given(gaussians)
 def test_scalar_json_roundtrip_gaussian(a):
-    back = scalar_from_json(scalar_to_json(a))
+    back = scalar_from_json(scalar_to_json(a), exact=True)
     assert back == a
 
 
@@ -86,6 +86,17 @@ def test_scalar_json_integers_follow_the_point_flavor():
         Fraction(1), Fraction(-2)
     )
     assert scalar_from_json({"re": 1, "im": -2}) == complex(1, -2)
+
+
+def test_scalar_json_rationals_are_floats_in_a_float_point():
+    # a float point file reads "p/q" as the float it rounds to, and refuses
+    # one outside the float range
+    assert scalar_from_json("1/3") == 1 / 3 and type(scalar_from_json("1/3")) is float
+    assert scalar_from_json({"re": "1/2", "im": "0"}) == 0.5
+    assert scalar_from_json({"re": "1/2", "im": "-1/4"}) == complex(0.5, -0.25)
+    for obj in (f"{10 ** 400}/3", {"re": "0", "im": f"-{10 ** 400}"}):
+        with pytest.raises(ValueError, match="scalar outside the float range"):
+            scalar_from_json(obj)
 
 
 def test_parse_rational_forms():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly import hitchin
+from hyperpoly import exact, hitchin, spectral
 from hyperpoly.errors import (
     DegreeOverflowError,
     MomentMapError,
@@ -170,16 +170,19 @@ def test_a_point_is_cleared_once(monkeypatch, flavor):
 def test_a_point_shares_one_field(monkeypatch):
     # residues returns the field the point keeps, so the base map, the
     # spectral charpoly and the trace tie read one psi and one pass of the
-    # factorized charpoly route
-    calls = []
-    route = hitchin._factored_charpoly
+    # factorized charpoly route, whose one scalar Berkowitz pass is the
+    # only one
+    calls, passes = [], []
+    route, berkowitz = hitchin._factored_charpoly, exact.berkowitz
     monkeypatch.setattr(hitchin, "_factored_charpoly", lambda *args: calls.append(1) or route(*args))
+    for module in (exact, hitchin, spectral):
+        monkeypatch.setattr(module, "berkowitz", lambda a: passes.append(1) or berkowitz(a))
     pt = sample_exact(3, 7, seed=0)
     assert residues(pt) is residues(pt)
     hitchin_map(residues(pt))
     spectral_charpoly(twist(residues(pt)))
     trace_consistency(residues(pt))
-    assert len(calls) == 1
+    assert len(calls) == len(passes) == 1
     fp = _float_copy(pt)
     assert residues(fp) is residues(fp)
 

@@ -64,7 +64,7 @@ from hyperpoly.hitchin import (
 )
 from hyperpoly.linalg import norm_sq
 from hyperpoly.quiver import _fiber_kernel, exact_point_from_x, sample_exact, solve_real
-from hyperpoly.spectral import order_check, spectral_charpoly, twist
+from hyperpoly.spectral import order_check, spectral_charpoly, trace_consistency, twist
 
 from test_linalg import _kernel, _kernel_reference, _over_d, _reference, gaussian, small
 
@@ -706,6 +706,19 @@ def test_a_built_field_with_a_rank_two_residue_is_refused():
                  lambda f: higgs_eval(f, Fraction(1, 2))):
         with pytest.raises(ValueError, match="residue phi_1 has rank above one"):
             read(_rank_two_field())
+
+
+def test_a_built_field_whose_residues_do_not_sum_to_zero_is_refused():
+    # residue 1 doubled keeps every residue of rank one, but the sum is
+    # residue 1: psi gets an entry of degree n - 1, which is refused
+    # before the route reads a node, by every reader of psi's charpoly
+    field = residues(sample_exact(3, 7, seed=0))
+    doubled = (tuple(tuple(2 * v for v in row) for row in field.residues[0]),)
+    for read in (lambda f: f.psi, lambda f: f.cleared_traces, hitchin_map,
+                 lambda f: spectral_charpoly(twist(f)), trace_consistency):
+        built = HiggsField(doubled + field.residues[1:], field.marked_points, field.flavor)
+        with pytest.raises(DegreeOverflowError, match="residues do not sum to zero"):
+            read(built)
 
 
 def test_factored_charpoly_refuses_rows_off_the_factorization():

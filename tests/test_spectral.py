@@ -123,18 +123,25 @@ def test_trace_consistency_low_rank(point24):
 def test_one_charpoly_pass_per_field(monkeypatch):
     # hitchin_map, spectral_charpoly and trace_consistency share one pass
     # of the factorized charpoly route on psi's numerators, kept on the
-    # field and seeded into psi, whichever of them runs first
-    from hyperpoly import hitchin
+    # field and seeded into psi, whichever of them runs first: one scalar
+    # Berkowitz pass per field, and no polynomial one
+    from hyperpoly import exact, hitchin, spectral
     from hyperpoly.hitchin import hitchin_map
 
-    passes = []
-    route = hitchin._factored_charpoly
+    passes, routes = [], []
+    kernel, route = exact.berkowitz, hitchin._factored_charpoly
 
-    def counted(rows, pairs, powers):
-        passes.append(len(rows))
-        return route(rows, pairs, powers)
+    def counted(a):
+        passes.append((len(a), isinstance(a[0][0], list)))
+        return kernel(a)
 
-    monkeypatch.setattr(hitchin, "_factored_charpoly", counted)
+    def counted_route(*args):
+        routes.append(1)
+        return route(*args)
+
+    for module in (exact, hitchin, spectral):
+        monkeypatch.setattr(module, "berkowitz", counted)
+    monkeypatch.setattr(hitchin, "_factored_charpoly", counted_route)
     for twist_first in (False, True):
         field = residues(sample_exact(3, 7, seed=0))
         if twist_first:
@@ -142,7 +149,8 @@ def test_one_charpoly_pass_per_field(monkeypatch):
         hitchin_map(field)
         spectral_charpoly(twist(field))
         trace_consistency(field)
-    assert passes == [3, 3]
+    assert passes == [(3, False), (3, False)]
+    assert routes == [1, 1]
 
 
 def test_trace_consistency_rank4_gap():
